@@ -10,20 +10,19 @@ from pathlib import Path
 
 import numpy as np
 
+from fdsic.harness import LEMMA_TAU_GRID
 from fdsic.oracle import (exact_delay_oracle, kernel_fourier0_numeric,
-                          lemma_kernel, poisson_check)
+                          lemma_kernel, order2_remainder, poisson_check)
 from fdsic.signals import SignalSpec
 
 FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "data" / "oracle_frozen.txt"
-
-LEMMA_GRID = (0.001, 0.005, 0.01, 0.05, 0.1)
 
 
 def main():
     spec = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
                       num_symbols=8, pulse="sinc", seed=1)
     lines = ["# frozen oracle outputs; regenerate with scripts/freeze_oracle_values.py"]
-    for tau in LEMMA_GRID:
+    for tau in LEMMA_TAU_GRID:
         r = exact_delay_oracle(spec, tau, trials=100_000)
         lines.append(f"lemma_err_power_tau_{tau} = {r['err_power']:.12e}")
         lines.append(f"lemma_deriv_power_tau_{tau} = {r['deriv_power']:.12e}")
@@ -34,52 +33,14 @@ def main():
     # second-order Taylor remainder constant: max over the grid of
     # measured remainder / (tau/T)^6, used as the order-2 budget constant
     consts = []
-    for tau in LEMMA_GRID:
-        r2 = _order2_remainder(spec, tau)
+    for tau in LEMMA_TAU_GRID:
+        r2 = order2_remainder(spec, tau)
         consts.append(r2 / tau ** 6)
         lines.append(f"order2_remainder_tau_{tau} = {r2:.12e}")
     lines.append(f"order2_constant_max = {max(consts):.12e}")
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     FIXTURE.write_text("\n".join(lines) + "\n")
     print(f"wrote {FIXTURE}")
-
-
-def _order2_remainder(spec: SignalSpec, tau_over_T: float, seed: int = 12345) -> float:
-    """Monte Carlo power of x(t-tau) - x(t) + tau x'(t) - (tau^2/2) x''(t)
-    for the unit-power sinc pulse train (closed-form evaluation)."""
-    rng = np.random.default_rng(seed)
-    n_offsets, n_trials = 256, 391
-    half = 256
-    n = np.arange(-half, half + 1)
-    t0 = rng.uniform(0.0, 1.0, size=n_offsets)
-    v = t0[:, None] - n[None, :]
-    eps = tau_over_T
-
-    def g(x):
-        out = np.where(np.abs(x) < 1e-4, 1 - x**2 / 6 + x**4 / 120,
-                       np.sin(np.where(x == 0, 1, x)) / np.where(x == 0, 1, x))
-        return out
-
-    def gd(x):
-        small = np.abs(x) < 1e-4
-        safe = np.where(small, 1.0, x)
-        return np.where(small, -x / 3 + x**3 / 30,
-                        np.cos(safe) / safe - np.sin(safe) / safe**2)
-
-    def gdd(x):
-        small = np.abs(x) < 0.1
-        safe = np.where(small, 1.0, x)
-        series = -1 / 3 + x**2 / 10 - x**4 / 168 + x**6 / 6480
-        full = (2 * np.sin(safe) / safe**3 - np.sin(safe) / safe
-                - 2 * np.cos(safe) / safe**2)
-        return np.where(small, series, full)
-
-    w = g(v - eps) - g(v) + eps * gd(v) - 0.5 * eps**2 * gdd(v)
-    mean_power = float(np.mean(np.sum(g(v) ** 2, axis=1)))
-    pts = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-    syms = pts[rng.integers(0, 4, size=(n_trials, len(n)))]
-    rem = syms @ w.T
-    return float(np.mean(np.abs(rem) ** 2) / mean_power)
 
 
 if __name__ == "__main__":

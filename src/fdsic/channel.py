@@ -94,9 +94,6 @@ class MultipathChannel:
         if self.tx_gain <= 0:
             raise ValueError("tx_gain must be positive")
 
-    def with_tx_gain(self, tx_gain: float) -> "MultipathChannel":
-        return MultipathChannel(self.taps, self.carrier_hz, tx_gain)
-
 
 @dataclass(frozen=True)
 class ReceiverImpairments:

@@ -7,6 +7,7 @@ language's standard config parsing can read and write it.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,14 +15,12 @@ from .channel import (ChannelTap, MultipathChannel, PathLossModel,
                       ReceiverImpairments, taps_from_geometry)
 from .signals import SignalSpec
 
-DEFAULT_CARRIER_HZ = 2.395e9
-
 
 @dataclass(frozen=True)
 class ChannelConfig:
     """Channel description: explicit taps and/or reflector geometry."""
 
-    carrier_hz: float = DEFAULT_CARRIER_HZ
+    carrier_hz: float = 2.395e9
     tx_gain_db: float = 0.0
     taps_db_ns: tuple = ()           # (gain_db, delay_ns) pairs
     reflector_distances_m: tuple = (0.125, 0.30)
@@ -74,130 +73,88 @@ class ExperimentConfig:
             raise ValueError("train_len too short")
         if self.tune_budget <= 0:
             raise ValueError("tune_budget must be positive")
+        if self.impairments.sample_offset >= 1.0 / self.signal.sample_rate_hz:
+            raise ValueError("sample_offset must be below one sample period, "
+                             f"{1.0 / self.signal.sample_rate_hz:g} s")
 
 
-def _parse_taps(text: str) -> tuple:
-    pairs = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        g_db, d_ns = item.split(":")
-        pairs.append((float(g_db), float(d_ns)))
-    return tuple(pairs)
+# File sections in file order. Each fills either the nested dataclass field
+# of ExperimentConfig it names or the listed top-level fields.
+SECTIONS = {"signal": "signal", "channel": "channel", "impairments": "impairments",
+            "rf": ("vm_bits", "detector_window", "tune_budget"),
+            "digital": ("digital_order", "train_len"), "run": ("output_dir", "seed")}
+
+FILE_KEYS = {"taps_db_ns": "taps", "digital_order": "order"}  # field -> key, where they differ
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _pairs(text: str) -> tuple:
+    return tuple((float(g), float(d))
+                 for g, d in (v.split(":") for v in text.split(",") if v.strip()))
+
+
+# Fields whose default's type does not tell how to parse them.
+_PARSERS = {"taps_db_ns": _pairs,  # gain_db:delay_ns pairs
+            "circulator_gain_db": lambda t: None if t.lower() == "none" else float(t)}
+
+
+def _section_fields(cfg: ExperimentConfig, section: str):
+    """The object a section fills and its {file key: field name} map."""
+    obj, names = cfg, SECTIONS[section]
+    if isinstance(names, str):
+        obj = getattr(cfg, names)
+        names = [f.name for f in dataclasses.fields(obj)]
+    return obj, {FILE_KEYS.get(name, name): name for name in names}
+
+
+def _format(value, sep: str = ", ") -> str:
+    """File text of a field; str() of a float is its shortest exact form."""
+    if isinstance(value, tuple):
+        return sep.join(_format(v, ":") for v in value)
+    return "none" if value is None else str(value)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from a flat key=value file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    text = Path(path).read_text()
-    parser.read_string(text)
-
-    sig = parser["signal"] if parser.has_section("signal") else {}
-    spec = SignalSpec(
-        kind=sig.get("kind", "ofdm"),
-        bandwidth_hz=float(sig.get("bandwidth_hz", 20e6)),
-        oversampling=int(sig.get("oversampling", 4)),
-        num_symbols=int(sig.get("num_symbols", 12)),
-        constellation=sig.get("constellation", "qpsk4"),
-        pulse=sig.get("pulse", "rrc"),
-        rolloff=float(sig.get("rolloff", 0.3)),
-        ofdm_fft_size=int(sig.get("ofdm_fft_size", 1024)),
-        ofdm_used_carriers=int(sig.get("ofdm_used_carriers", 620)),
-        seed=int(sig.get("seed", 0)),
-    )
-
-    chn = parser["channel"] if parser.has_section("channel") else {}
-    circ_gain = chn.get("circulator_gain_db", "-18")
-    channel = ChannelConfig(
-        carrier_hz=float(chn.get("carrier_hz", DEFAULT_CARRIER_HZ)),
-        tx_gain_db=float(chn.get("tx_gain_db", 0.0)),
-        taps_db_ns=_parse_taps(chn.get("taps", "")),
-        reflector_distances_m=tuple(
-            float(v) for v in chn.get("reflector_distances_m", "0.125, 0.30").split(",") if v.strip()),
-        circulator_gain_db=None if circ_gain.strip().lower() == "none" else float(circ_gain),
-        circulator_delay_ns=float(chn.get("circulator_delay_ns", 0.5)),
-        pathloss_cap_db=float(chn.get("pathloss_cap_db", -20.0)),
-        pathloss_alpha=float(chn.get("pathloss_alpha", 4.0)),
-        pathloss_calib_distance_m=float(chn.get("pathloss_calib_distance_m", 0.25)),
-        pathloss_calib_db=float(chn.get("pathloss_calib_db", -30.0)),
-    )
-
-    imp = parser["impairments"] if parser.has_section("impairments") else {}
-    impairments = ReceiverImpairments(
-        noise_power=float(imp.get("noise_power", 0.0)),
-        adc_bits=int(imp.get("adc_bits", 0)),
-        sample_offset=float(imp.get("sample_offset", 0.0)),
-    )
-
-    rf = parser["rf"] if parser.has_section("rf") else {}
-    dig = parser["digital"] if parser.has_section("digital") else {}
-    run = parser["run"] if parser.has_section("run") else {}
-    return ExperimentConfig(
-        signal=spec,
-        channel=channel,
-        impairments=impairments,
-        vm_bits=int(rf.get("vm_bits", 16)),
-        detector_window=int(rf.get("detector_window", 16384)),
-        tune_budget=int(rf.get("tune_budget", 1200)),
-        digital_order=int(dig.get("order", 2)),
-        train_len=int(dig.get("train_len", 4096)),
-        output_dir=run.get("output_dir", "out"),
-        seed=int(run.get("seed", 1)),
-    )
+    """Read an ExperimentConfig from a flat key=value file. Missing keys keep
+    their defaults; unknown sections and keys and bad values raise ValueError."""
+    # no header can name the empty default section, so [DEFAULT] is unknown too
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None, default_section="")
+    parser.read_string(Path(path).read_text())
+    cfg = ExperimentConfig()
+    top = {}
+    for section in parser.sections():
+        if section not in SECTIONS:
+            raise ValueError(f"unknown section [{section}]")
+        obj, names = _section_fields(cfg, section)
+        values = {}
+        for key, text in parser.items(section):
+            if key not in names:
+                raise ValueError(f"unknown key {key!r} in [{section}]")
+            name, default = names[key], getattr(obj, names[key])
+            parse = _PARSERS.get(name, _floats if isinstance(default, tuple) else type(default))
+            try:
+                values[name] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"bad value {text!r} for {key!r} in [{section}]: {exc}") from None
+        if obj is not cfg:
+            values = {SECTIONS[section]: dataclasses.replace(obj, **values)}
+        top.update(values)
+    return dataclasses.replace(cfg, **top)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    """Write a config back out as a flat key=value file."""
-    lines = [
-        "[signal]",
-        f"kind = {cfg.signal.kind}",
-        f"bandwidth_hz = {cfg.signal.bandwidth_hz:.0f}",
-        f"oversampling = {cfg.signal.oversampling}",
-        f"num_symbols = {cfg.signal.num_symbols}",
-        f"constellation = {cfg.signal.constellation}",
-        f"pulse = {cfg.signal.pulse}",
-        f"rolloff = {cfg.signal.rolloff}",
-        f"ofdm_fft_size = {cfg.signal.ofdm_fft_size}",
-        f"ofdm_used_carriers = {cfg.signal.ofdm_used_carriers}",
-        f"seed = {cfg.signal.seed}",
-        "",
-        "[channel]",
-        f"carrier_hz = {cfg.channel.carrier_hz:.0f}",
-        f"tx_gain_db = {cfg.channel.tx_gain_db}",
-    ]
-    if cfg.channel.taps_db_ns:
-        taps = ", ".join(f"{g}:{d}" for g, d in cfg.channel.taps_db_ns)
-        lines.append(f"taps = {taps}")
-    else:
-        lines += [
-            "reflector_distances_m = " + ", ".join(str(d) for d in cfg.channel.reflector_distances_m),
-            f"circulator_gain_db = {cfg.channel.circulator_gain_db}",
-            f"circulator_delay_ns = {cfg.channel.circulator_delay_ns}",
-            f"pathloss_cap_db = {cfg.channel.pathloss_cap_db}",
-            f"pathloss_alpha = {cfg.channel.pathloss_alpha}",
-            f"pathloss_calib_distance_m = {cfg.channel.pathloss_calib_distance_m}",
-            f"pathloss_calib_db = {cfg.channel.pathloss_calib_db}",
-        ]
-    lines += [
-        "",
-        "[impairments]",
-        f"noise_power = {cfg.impairments.noise_power}",
-        f"adc_bits = {cfg.impairments.adc_bits}",
-        f"sample_offset = {cfg.impairments.sample_offset}",
-        "",
-        "[rf]",
-        f"vm_bits = {cfg.vm_bits}",
-        f"detector_window = {cfg.detector_window}",
-        f"tune_budget = {cfg.tune_budget}",
-        "",
-        "[digital]",
-        f"order = {cfg.digital_order}",
-        f"train_len = {cfg.train_len}",
-        "",
-        "[run]",
-        f"output_dir = {cfg.output_dir}",
-        f"seed = {cfg.seed}",
-        "",
-    ]
+    """Write every field of a config; load_config reads it back equal. Text
+    that would not load back unchanged raises ValueError naming its key."""
+    lines = []
+    for section in SECTIONS:
+        obj, names = _section_fields(cfg, section)
+        texts = {key: _format(getattr(obj, name)) for key, name in names.items()}
+        for key, text in texts.items():
+            if text != text.strip() or "#" in text or not text.isprintable():
+                raise ValueError(f"cannot write {key!r} in [{section}]: {text!r}")
+        lines += [f"[{section}]", *(f"{key} = {text}" for key, text in texts.items()), ""]
     Path(path).write_text("\n".join(lines))

@@ -205,8 +205,7 @@ def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
     _atomic_write(out / "report.txt", "\n".join(lines) + "\n")
 
     trace = ["iteration,g1,g2,detector_db"]
-    states = res.tune.accepted_states or (res.tune.state,) * len(res.tune.detector_readings)
-    for i, (s, v) in enumerate(zip(states, res.tune.detector_readings)):
+    for i, (s, v) in enumerate(zip(res.tune.accepted_states, res.tune.detector_readings)):
         trace.append(f"{i},{s.g1:.8f},{s.g2:.8f},{10*np.log10(v + 1e-300):.2f}")
     _atomic_write(out / "tune_trace.csv", "\n".join(trace) + "\n")
     return out
@@ -221,12 +220,13 @@ def run_simulate(cfg: ExperimentConfig) -> CancellationReport:
 
 def run_sweep_bandwidth(cfg: ExperimentConfig, bw_list) -> list:
     """Per-bandwidth pipeline runs; returns (bw_hz, rf_db, digital_db,
-    total_db) rows and writes bandwidth_sweep.csv."""
+    total_db) rows and writes bandwidth_sweep.csv. Every point's config is
+    built, and so validated, before any point runs."""
+    point_cfgs = [dataclasses.replace(cfg, signal=dataclasses.replace(
+        cfg.signal, bandwidth_hz=float(bw))) for bw in bw_list]
     rows = []
-    for bw in bw_list:
-        spec = dataclasses.replace(cfg.signal, bandwidth_hz=float(bw))
-        res = run_pipeline(dataclasses.replace(cfg, signal=spec))
-        r = res.report
+    for bw, point_cfg in zip(bw_list, point_cfgs):
+        r = run_pipeline(point_cfg).report
         rows.append((float(bw), r.rf_cancellation_db, r.digital_cancellation_db,
                      r.total_db))
     out = Path(cfg.output_dir)

@@ -2,7 +2,8 @@
 
 Nothing here shares delay, convolution, or derivative code with the modules
 it checks: signals are evaluated from pulse closed forms, delays by direct
-periodic-kernel summation, and integrals by blockwise quadrature.
+periodic-kernel summation, and integrals by blockwise quadrature. Only the
+symbol alphabets come from `signals.draw_symbols`.
 """
 
 from __future__ import annotations
@@ -11,12 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BasebandSignal, SignalSpec, make_signal, rrc_pulse
+from .signals import BasebandSignal, SignalSpec, draw_symbols, make_signal, rrc_pulse
 
 # Symbol window half-width for the Monte Carlo pulse-train evaluation. The
 # truncation bias in the measured error power is O(1/SYMBOL_HALF_WINDOW) and
 # only ever lowers it.
 SYMBOL_HALF_WINDOW = 256
+
+# Default Monte Carlo draw of the pulse-train oracles; the frozen fixture
+# values in tests/data/oracle_frozen.txt come from this draw.
+ORACLE_TRIALS = 100_000
+ORACLE_SEED = 12345
 
 POISSON_N_MAX = 1000
 
@@ -52,6 +58,20 @@ def _lemma_sinc_deriv(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lemma_sinc_deriv2(x: np.ndarray) -> np.ndarray:
+    """d^2/dx^2 of sin(x)/x = 2 sin x / x^3 - sin x / x - 2 cos x / x^2,
+    with the series limit -1/3 at 0."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < 0.1
+    xs = x[small]
+    out[small] = -1.0 / 3.0 + xs**2 / 10.0 - xs**4 / 168.0 + xs**6 / 6480.0
+    xl = x[~small]
+    out[~small] = (2.0 * np.sin(xl) / xl**3 - np.sin(xl) / xl
+                   - 2.0 * np.cos(xl) / xl**2)
+    return out
+
+
 def lemma_kernel(x) -> np.ndarray:
     """Squared second derivative of sin(x)/x:
 
@@ -59,15 +79,7 @@ def lemma_kernel(x) -> np.ndarray:
 
     with the series limit f(0) = 1/9. Accepts scalars or arrays.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    small = np.abs(arr) < 0.1
-    xs = arr[small]
-    g2 = -1.0 / 3.0 + xs**2 / 10.0 - xs**4 / 168.0 + xs**6 / 6480.0
-    out[small] = g2**2
-    xl = arr[~small]
-    out[~small] = (2.0 * np.sin(xl) / xl**3 - np.sin(xl) / xl
-                   - 2.0 * np.cos(xl) / xl**2) ** 2
+    out = _lemma_sinc_deriv2(np.atleast_1d(x)) ** 2
     return out if np.ndim(x) else float(out[0])
 
 
@@ -168,8 +180,28 @@ def _pulse_functions(spec: SignalSpec):
     raise ValueError("oracle supports sinc and rrc pulses")
 
 
-def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = 100_000,
-                       seed: int = 12345) -> dict:
+def _pulse_train_powers(spec: SignalSpec, weights, trials: int, seed: int) -> list:
+    """Monte Carlo mean powers of sum_n s_n w(t - n) over random symbols s_n
+    and sampling instants t, relative to the power of the pulse train
+    x(t) = sum_n s_n g(t - n). `weights(v)` returns g(v) followed by each
+    w(v), for v = t - n."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    rng = np.random.default_rng(seed)
+    n_offsets = 256
+    n_trials = max(1, int(np.ceil(trials / n_offsets)))
+    n = np.arange(-SYMBOL_HALF_WINDOW, SYMBOL_HALF_WINDOW + 1)
+    t0 = rng.uniform(0.0, 1.0, size=n_offsets)
+    v = t0[:, None] - n[None, :]              # (offsets, symbols)
+    gv, *ws = weights(v)
+    # E|x|^2 = mean_t sum_n g^2 for unit-variance uncorrelated symbols
+    mean_power = float(np.mean(np.sum(gv**2, axis=1)))
+    syms = draw_symbols(rng, (n_trials, len(n)), spec.constellation)
+    return [float(np.mean(np.abs(syms @ w.T) ** 2) / mean_power) for w in ws]
+
+
+def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE_TRIALS,
+                       seed: int = ORACLE_SEED) -> dict:
     """Monte Carlo first-order Taylor error of a delayed pulse train.
 
     Draws random symbol sequences and sampling instants, evaluates
@@ -181,39 +213,36 @@ def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = 100_00
     for the unit-power normalized signal. For the sinc pulse sin(x)/x this
     is the quantity bounded by 0.075 (tau/T)^4.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     g, gd = _pulse_functions(spec)
     eps = float(tau_over_T)
-    rng = np.random.default_rng(seed)
 
-    n_offsets = 256
-    n_trials = max(1, int(np.ceil(trials / n_offsets)))
-    n = np.arange(-SYMBOL_HALF_WINDOW, SYMBOL_HALF_WINDOW + 1)
-    t0 = rng.uniform(0.0, 1.0, size=n_offsets)
-    v = t0[:, None] - n[None, :]              # (offsets, symbols)
+    def weights(v):
+        gv, dv = g(v), eps * gd(v)
+        return gv, g(v - eps) - gv + dv, dv
 
-    gv = g(v)
-    w_err = g(v - eps) - gv + eps * gd(v)
-    w_der = eps * gd(v)
+    err, der = _pulse_train_powers(spec, weights, trials, seed)
+    return {"err_power": err, "deriv_power": der}
 
-    # E|x|^2 = mean_t sum_n g^2 for unit-variance uncorrelated symbols
-    mean_power = float(np.mean(np.sum(gv**2, axis=1)))
-    if spec.constellation == "qpsk4":
-        pts = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-    else:
-        levels = np.array([-3.0, -1.0, 1.0, 3.0])
-        grid = (levels[:, None] + 1j * levels[None, :]).ravel()
-        pts = grid / np.sqrt(np.mean(np.abs(grid) ** 2))
-    syms = pts[rng.integers(0, len(pts), size=(n_trials, len(n)))]
 
-    err = syms @ w_err.T
-    der = syms @ w_der.T
-    return {
-        "err_power": float(np.mean(np.abs(err) ** 2) / mean_power),
-        "deriv_power": float(np.mean(np.abs(der) ** 2) / mean_power),
-        "samples": n_trials * n_offsets,
-    }
+def order2_remainder(spec: SignalSpec, tau_over_T: float) -> float:
+    """Monte Carlo power of the second-order Taylor remainder
+
+        x(t - tau) - x(t) + tau x'(t) - (tau^2 / 2) x''(t)
+
+    of the unit-power sinc pulse train, from the closed forms of sin(x)/x
+    and its derivatives, over exact_delay_oracle's default draw.
+    """
+    if spec.pulse != "sinc":
+        raise ValueError("order2_remainder supports the sinc pulse only")
+    eps = float(tau_over_T)
+
+    def weights(v):
+        gv = _lemma_sinc(v)
+        return gv, (_lemma_sinc(v - eps) - gv + eps * _lemma_sinc_deriv(v)
+                    - 0.5 * eps**2 * _lemma_sinc_deriv2(v))
+
+    (rem,) = _pulse_train_powers(spec, weights, ORACLE_TRIALS, ORACLE_SEED)
+    return rem
 
 
 def resample_delay_reference(signal: BasebandSignal, delay_s: float,

@@ -83,7 +83,7 @@ class TuneResult:
     iterations: int
     converged: bool
     # state visited at each accepted reading, aligned with detector_readings
-    accepted_states: tuple = ()
+    accepted_states: tuple
 
 
 def vm_apply(state: VmState, tapped: BasebandSignal) -> BasebandSignal:

@@ -74,10 +74,6 @@ class SignalSpec:
                 raise ValueError("ofdm_used_carriers must be < ofdm_fft_size")
 
     @property
-    def symbol_duration_s(self) -> float:
-        return 1.0 / self.bandwidth_hz
-
-    @property
     def sample_rate_hz(self) -> float:
         return self.oversampling * self.bandwidth_hz
 
@@ -117,7 +113,8 @@ def make_signal(samples: np.ndarray, sample_rate_hz: float) -> BasebandSignal:
                           sample_rate_hz=sample_rate_hz)
 
 
-def _draw_symbols(rng: np.random.Generator, n: int, constellation: str) -> np.ndarray:
+def draw_symbols(rng: np.random.Generator, size, constellation: str) -> np.ndarray:
+    """Uniform i.i.d. unit-power symbols of shape `size` from "qpsk4" or "qam16"."""
     if constellation == "qpsk4":
         pts = (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0))
     elif constellation == "qam16":
@@ -126,7 +123,7 @@ def _draw_symbols(rng: np.random.Generator, n: int, constellation: str) -> np.nd
         pts = grid / np.sqrt(np.mean(np.abs(grid) ** 2))
     else:
         raise ValueError(f"unknown constellation {constellation!r}")
-    return pts[rng.integers(0, len(pts), size=n)]
+    return pts[rng.integers(0, len(pts), size=size)]
 
 
 def sinc_pulse(t: np.ndarray) -> np.ndarray:
@@ -177,7 +174,7 @@ def gen_single_carrier(spec: SignalSpec) -> BasebandSignal:
                          "(derivative content would alias)")
     os_ = spec.oversampling
     rng = np.random.default_rng(spec.seed)
-    syms = _draw_symbols(rng, spec.num_symbols, spec.constellation)
+    syms = draw_symbols(rng, spec.num_symbols, spec.constellation)
 
     n_taps = 2 * PULSE_SPAN * os_ + 1
     t = (np.arange(n_taps) - PULSE_SPAN * os_) / os_
@@ -237,7 +234,7 @@ def gen_ofdm(spec: SignalSpec) -> BasebandSignal:
     frame = np.zeros(spec.num_symbols * sym_len, dtype=np.complex128)
     for s in range(spec.num_symbols):
         fd = np.zeros(body, dtype=np.complex128)
-        fd[bins % body] = _draw_symbols(rng, used, spec.constellation)
+        fd[bins % body] = draw_symbols(rng, used, spec.constellation)
         td = np.fft.ifft(fd) * np.sqrt(body)
         # cyclic head (ramp-up taper + CP), body, cyclic tail (ramp-down
         # taper); ramps overlap the neighbouring symbols on both sides

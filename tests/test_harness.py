@@ -1,11 +1,15 @@
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fdsic import harness
 from fdsic.channel import ReceiverImpairments
-from fdsic.config import ExperimentConfig, load_config, save_config
+from fdsic.config import ChannelConfig, ExperimentConfig, load_config, save_config
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
                            run_sweep_bandwidth, run_sweep_power, run_verify)
 from fdsic.signals import SignalSpec
@@ -24,7 +28,79 @@ def small_cfg(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# Random valid configs. sample_offset stays under 1 ns, below the shortest
+# sample period drawn here (1.25 ns at 100 MHz x 8).
+VALID_CONFIGS = st.builds(
+    ExperimentConfig,
+    signal=st.builds(
+        SignalSpec, kind=st.sampled_from(["ofdm", "single-carrier"]),
+        bandwidth_hz=_floats(1e3, 1e8), oversampling=st.integers(1, 8),
+        num_symbols=st.integers(1, 10**5), constellation=st.sampled_from(["qpsk4", "qam16"]),
+        pulse=st.sampled_from(["sinc", "rrc"]), rolloff=_floats(0.0, 1.0),
+        ofdm_fft_size=st.sampled_from([256, 1024]), ofdm_used_carriers=st.integers(1, 255),
+        seed=st.integers(0, 2**32)),
+    channel=st.builds(
+        ChannelConfig, carrier_hz=_floats(1e6, 1e11), tx_gain_db=_floats(-50.0, 50.0),
+        taps_db_ns=st.lists(st.tuples(_floats(-80.0, 0.0), _floats(0.0, 100.0)),
+                            max_size=3).map(tuple),
+        reflector_distances_m=st.lists(_floats(0.01, 10.0), max_size=3).map(tuple),
+        circulator_gain_db=st.none() | _floats(-60.0, 0.0),
+        circulator_delay_ns=_floats(0.0, 10.0), pathloss_cap_db=_floats(-60.0, 0.0),
+        pathloss_alpha=_floats(2.5, 6.0), pathloss_calib_distance_m=_floats(0.01, 10.0),
+        pathloss_calib_db=_floats(-90.0, 0.0)),
+    impairments=st.builds(
+        ReceiverImpairments, noise_power=_floats(0.0, 1.0),
+        adc_bits=st.sampled_from([0, 4, 12, 16]), sample_offset=_floats(0.0, 1e-9)),
+    vm_bits=st.integers(2, 24), detector_window=st.integers(1, 10**6),
+    tune_budget=st.integers(1, 5000), digital_order=st.sampled_from([1, 2]),
+    train_len=st.integers(100, 10**5), output_dir=st.sampled_from(["out", "runs/a b"]),
+    seed=st.integers(0, 2**32))
+
+
 class TestConfigIO:
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=VALID_CONFIGS)
+    def test_save_load_identity(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.cfg"
+            save_config(cfg, path)
+            assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("text, name", [
+        ("[chanel]\ncarrier_hz = 2e9\n", "[chanel]"),
+        ("[DEFAULT]\nseed = 3\n", "[DEFAULT]"),
+        ("[signal]\nbandwith_hz = 5e6\n", "'bandwith_hz'"),
+        ("[signal]\nbandwidth_hz = 5 MHz\n", "'bandwidth_hz'"),
+        ("[channel]\ntaps = -18.0\n", "'taps'"),
+        ("[rf]\nvm_bits = 16.5\n", "'vm_bits'"),
+    ])
+    def test_rejects_unknown_or_bad_entry(self, tmp_path, text, name):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(name)):
+            load_config(path)
+
+    def test_sample_offset_below_one_sample(self, tmp_path):
+        # default signal: 20 MHz x 4 = 80 MHz, so T_s = 12.5 ns
+        ExperimentConfig(impairments=ReceiverImpairments(sample_offset=12e-9))
+        path = tmp_path / "offset.cfg"
+        path.write_text("[impairments]\nsample_offset = 20e-9\n")
+        with pytest.raises(ValueError, match="sample_offset"):
+            load_config(path)
+        # checked against the file's own signal, whatever the section order
+        path.write_text("[impairments]\nsample_offset = 20e-9\n"
+                        "[signal]\nbandwidth_hz = 5e6\n")
+        assert load_config(path).impairments.sample_offset == 20e-9
+
+    @pytest.mark.parametrize("output_dir", ["runs #2", " out", "out ", "a\nb"])
+    def test_save_rejects_text_that_would_not_load_back(self, tmp_path, output_dir):
+        with pytest.raises(ValueError, match=re.escape("'output_dir' in [run]")):
+            save_config(ExperimentConfig(output_dir=output_dir), tmp_path / "exp.cfg")
+
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig()
         path = tmp_path / "exp.cfg"
@@ -105,6 +181,14 @@ class TestSweeps:
         rows = run_sweep_bandwidth(small_cfg(tmp_path), [5e6, 10e6, 15e6, 20e6])
         rf = [r[1] for r in rows]
         assert all(a > b for a, b in zip(rf, rf[1:]))
+
+    def test_bandwidth_sweep_validates_every_point_first(self, tmp_path, monkeypatch):
+        # 10 ns is below T_s = 12.5 ns at 20 MHz x 4, but not at 40 MHz x 4
+        cfg = small_cfg(tmp_path, impairments=ReceiverImpairments(sample_offset=10e-9))
+        monkeypatch.setattr(harness, "run_pipeline", lambda c: pytest.fail("point ran"))
+        with pytest.raises(ValueError, match="sample_offset"):
+            run_sweep_bandwidth(cfg, [20e6, 40e6])
+        assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
 
     def test_power_sweep_columns(self, tmp_path):
         cfg = small_cfg(tmp_path)

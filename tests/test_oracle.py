@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from fdsic.channel import fractional_delay
+from fdsic.harness import LEMMA_TAU_GRID
 from fdsic.oracle import (FHAT0_CLOSED, exact_delay_oracle,
                           kernel_fourier0_numeric, lemma_kernel,
-                          lemma_kernel_expanded, poisson_check,
+                          lemma_kernel_expanded, order2_remainder, poisson_check,
                           poisson_closed_form, resample_delay_reference)
 from fdsic.signals import SignalSpec, gen_frame, make_signal
+from fdsic.taylor import ORDER2_CONST
 
 SINC_SPEC = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
                        num_symbols=8, pulse="sinc", seed=1)
@@ -96,6 +98,12 @@ class TestExactDelayOracle:
                 oracle_frozen[f"lemma_err_power_tau_{tau}"], rel=1e-12)
             assert r["deriv_power"] == pytest.approx(
                 oracle_frozen[f"lemma_deriv_power_tau_{tau}"], rel=1e-12)
+
+    def test_order2_remainder_against_fixture(self, oracle_frozen):
+        for tau in LEMMA_TAU_GRID:
+            assert order2_remainder(SINC_SPEC, tau) == pytest.approx(
+                oracle_frozen[f"order2_remainder_tau_{tau}"], rel=1e-9)
+        assert ORDER2_CONST >= oracle_frozen["order2_constant_max"]
 
     def test_rrc_informational_path(self):
         spec = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
