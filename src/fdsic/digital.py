@@ -104,25 +104,20 @@ def filter_response(f: DerivativeFilter, normalized_freq_grid) -> np.ndarray:
     return (taps * np.exp(2j * np.pi * np.outer(grid, k))).sum(axis=-1)
 
 
-def _design_columns(x: BasebandSignal, order: int, filters) -> list:
-    cols = [x.samples]
-    d1 = deriv_filter(x, filters[0]).samples
-    cols.append(-d1)
+def _design_columns(x: BasebandSignal, order: int) -> list:
+    cols = [x.samples, -deriv_filter(x, D1_9TAP).samples]
     if order == 2:
-        d2 = deriv_filter(x, filters[1]).samples
-        cols.append(d2)
+        cols.append(deriv_filter(x, D2_9TAP).samples)
     return cols
 
 
-def edge_margin(order: int, filters=(D1_9TAP, D2_9TAP)) -> int:
-    m = len(filters[0]) // 2
-    if order == 2:
-        m = max(m, len(filters[1]) // 2)
-    return m
+def edge_margin(order: int) -> int:
+    """Half the longest filter of an order-`order` fit: samples dropped at
+    each end, where the filters see the zero padding."""
+    return max(len(f) for f in (D1_9TAP, D2_9TAP)[:order]) // 2
 
 
-def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int,
-           filters=(D1_9TAP, D2_9TAP)) -> LsEstimate:
+def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
     """Solve the normal equations for (a0, c1[, c2]) on the aligned window.
 
     Samples within half a filter length of either end are excluded from both
@@ -138,8 +133,8 @@ def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int,
     if x.mean_power == 0:
         raise ValueError("x has zero power")
 
-    cols = _design_columns(x, order, filters)
-    m = edge_margin(order, filters)
+    cols = _design_columns(x, order)
+    m = edge_margin(order)
     sl = slice(m, len(x.samples) - m)
     a = np.stack([c[sl] for c in cols], axis=1)
     b = y.samples[sl]
@@ -157,10 +152,9 @@ def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int,
                       c2=complex(coef[2]), order=2, residual_power_db=resid_db)
 
 
-def reconstruct_si(x: BasebandSignal, est: LsEstimate,
-                   filters=(D1_9TAP, D2_9TAP)) -> BasebandSignal:
+def reconstruct_si(x: BasebandSignal, est: LsEstimate) -> BasebandSignal:
     """a0 x - c1 x' (+ c2 x'') using the same filters as the fit."""
-    cols = _design_columns(x, est.order, filters)
+    cols = _design_columns(x, est.order)
     coef = [est.a0, est.c1] + ([est.c2] if est.order == 2 else [])
     acc = np.zeros(len(x.samples), dtype=np.complex128)
     for c, col in zip(coef, cols):
@@ -168,8 +162,7 @@ def reconstruct_si(x: BasebandSignal, est: LsEstimate,
     return make_signal(acc, x.sample_rate_hz)
 
 
-def cancel(y: BasebandSignal, x: BasebandSignal, est: LsEstimate,
-           filters=(D1_9TAP, D2_9TAP)) -> BasebandSignal:
+def cancel(y: BasebandSignal, x: BasebandSignal, est: LsEstimate) -> BasebandSignal:
     """Subtract the reconstructed SI from the received samples.
 
     Intended for evaluation outside the training window; the filter edge
@@ -177,7 +170,7 @@ def cancel(y: BasebandSignal, x: BasebandSignal, est: LsEstimate,
     """
     if len(y) != len(x):
         raise ValueError("y and x must be aligned and equal length")
-    si_hat = reconstruct_si(x, est, filters)
+    si_hat = reconstruct_si(x, est)
     return make_signal(y.samples - si_hat.samples, y.sample_rate_hz)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
-from .channel import apply_channel, impair
+from .channel import MultipathChannel, apply_channel, impair
 from .config import ExperimentConfig
 from .digital import D1_9TAP, D2_9TAP, cancel, ls_fit
 from .metrics import psd, slope_diagnostic
@@ -50,7 +50,7 @@ class CancellationReport:
 class PipelineResult:
     report: CancellationReport
     x: BasebandSignal
-    si: BasebandSignal
+    channel: MultipathChannel
     rx: BasebandSignal
     canceled: BasebandSignal
     estimate: digital.LsEstimate
@@ -60,6 +60,11 @@ class PipelineResult:
 
 def _power_db(samples: np.ndarray) -> float:
     return float(10.0 * np.log10(np.mean(np.abs(samples) ** 2) + 1e-300))
+
+
+def _psd(signal: BasebandSignal) -> metrics.Psd:
+    """PSD with the largest power-of-two segment up to 4096 samples."""
+    return psd(signal, segment_len=min(4096, 1 << int(np.log2(len(signal)))))
 
 
 def _occupied_band(spec: SignalSpec) -> tuple:
@@ -74,41 +79,44 @@ def _occupied_band(spec: SignalSpec) -> tuple:
     return (0.05 * edge, 0.9 * edge)
 
 
-def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
-    """Full chain: generate, channel, RF tune, impair, digital cancel."""
-    order = cfg.digital_order if digital_order is None else digital_order
+def _front_end(cfg: ExperimentConfig) -> tuple:
+    """The stages no digital order depends on: generate, channel, RF tune,
+    impair. Returns (x, channel, rx, tune result)."""
     if cfg.signal.oversampling < digital.MIN_OVERSAMPLING:
         raise ValueError("digital stage requires oversampling >= 4")
 
     x = gen_frame(cfg.signal)
+    n = len(x)
+    if n - 2 * EDGE_GUARD - cfg.train_len < 4 * EDGE_GUARD:
+        raise ValueError(f"train_len = {cfg.train_len} leaves fewer than "
+                         f"{4 * EDGE_GUARD} of the {n} frame samples to evaluate on")
+    if cfg.detector_window > n:
+        raise ValueError(f"detector_window = {cfg.detector_window} exceeds the {n}-sample frame")
     channel = cfg.channel.build()
     det = DetectorConfig(window_samples=cfg.detector_window,
                          symbol_samples=cfg.signal.oversampling)
     residual_rf, tune_res = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
     rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
+    return x, channel, rx, tune_res
 
-    n = len(x)
-    train_start = EDGE_GUARD
-    train_end = train_start + cfg.train_len
-    eval_start = train_end
-    eval_end = n - EDGE_GUARD
-    if eval_end - eval_start < 4 * EDGE_GUARD:
-        raise ValueError("frame too short for the train/eval split")
 
+def _back_end(cfg: ExperimentConfig, order: int, x: BasebandSignal,
+              channel: MultipathChannel, rx: BasebandSignal,
+              tune_res: rfstage.TuneResult) -> PipelineResult:
+    """Digital stage of one order on the front end's output, plus the report."""
+    train = slice(EDGE_GUARD, EDGE_GUARD + cfg.train_len)
+    ev = slice(train.stop, len(x) - EDGE_GUARD)
     fs = x.sample_rate_hz
-    x_train = make_signal(x.samples[train_start:train_end], fs)
-    y_train = make_signal(rx.samples[train_start:train_end], fs)
-    est = ls_fit(y_train, x_train, order)
+    est = ls_fit(make_signal(rx.samples[train], fs), make_signal(x.samples[train], fs), order)
 
-    x_eval = make_signal(x.samples[eval_start:eval_end], fs)
-    y_eval = make_signal(rx.samples[eval_start:eval_end], fs)
+    x_eval = make_signal(x.samples[ev], fs)
+    y_eval = make_signal(rx.samples[ev], fs)
     canceled = cancel(y_eval, x_eval, est)
     m = digital.edge_margin(order)
     inner = slice(m, len(canceled) - m)
 
-    si = apply_channel(channel, x)
-    tx_power_db = _power_db(np.sqrt(channel.tx_gain) * x.samples[eval_start:eval_end])
-    rf_residual_db = _power_db(rx.samples[eval_start:eval_end])
+    tx_power_db = _power_db(np.sqrt(channel.tx_gain) * x_eval.samples)
+    rf_residual_db = _power_db(y_eval.samples)
     digital_residual_db = _power_db(canceled.samples[inner])
     rf_c = tx_power_db - rf_residual_db
     dig_c = rf_residual_db - digital_residual_db
@@ -117,9 +125,7 @@ def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> Pip
     e_s = float(np.mean(np.abs(x_eval.samples[inner]) ** 2))
     e_d = float(np.mean(np.abs(d1.samples[inner] * fs) ** 2))
 
-    p_rf = psd(make_signal(rx.samples[eval_start:eval_end], fs),
-               segment_len=min(4096, 1 << int(np.log2(eval_end - eval_start))))
-    diag = slope_diagnostic(p_rf, _occupied_band(cfg.signal))
+    diag = slope_diagnostic(_psd(y_eval), _occupied_band(cfg.signal))
 
     report = CancellationReport(
         tx_power_db=tx_power_db,
@@ -133,9 +139,15 @@ def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> Pip
         slope_r2=diag["r2"],
         slope_db_per_decade=diag["slope_db_per_decade"],
     )
-    return PipelineResult(report=report, x=x, si=si, rx=rx, canceled=canceled,
-                          estimate=est, tune=tune_res,
-                          eval_slice=slice(eval_start, eval_end))
+    return PipelineResult(report=report, x=x, channel=channel, rx=rx,
+                          canceled=canceled, estimate=est, tune=tune_res,
+                          eval_slice=ev)
+
+
+def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
+    """Full chain: generate, channel, RF tune, impair, digital cancel."""
+    order = cfg.digital_order if digital_order is None else digital_order
+    return _back_end(cfg, order, *_front_end(cfg))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -156,7 +168,7 @@ def _stage_signal(res: PipelineResult, stage: str) -> BasebandSignal:
     fs = res.x.sample_rate_hz
     sl = res.eval_slice
     if stage == "pre":
-        return make_signal(res.si.samples[sl], fs)
+        return make_signal(apply_channel(res.channel, res.x).samples[sl], fs)
     if stage == "rf":
         return make_signal(res.rx.samples[sl], fs)
     if stage == "digital":
@@ -169,9 +181,8 @@ def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    seg = min(4096, 1 << int(np.log2(len(res.canceled))))
     for stage in ("pre", "rf", "digital"):
-        _write_psd_csv(out / f"{stage}.csv", psd(_stage_signal(res, stage), seg))
+        _write_psd_csv(out / f"{stage}.csv", _psd(_stage_signal(res, stage)))
 
     r = res.report
     est = res.estimate
@@ -254,13 +265,14 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
     for p_dbm in power_list_db:
         chan = dataclasses.replace(cfg.channel, tx_gain_db=float(p_dbm))
         point = dataclasses.replace(cfg, channel=chan)
-        res1 = run_pipeline(point, digital_order=1)
-        res2 = run_pipeline(point, digital_order=2)
+        front = _front_end(point)
+        res1 = _back_end(point, 1, *front)
+        res2 = _back_end(point, 2, *front)
         r1, r2 = res1.report, res2.report
         res0_db = _order0_residual_db(res2)
         split_signal = r2.rf_residual_db - res0_db
-        split_d1 = res0_db - res1.report.digital_residual_db
-        split_d2 = res1.report.digital_residual_db - r2.digital_residual_db
+        split_d1 = res0_db - r1.digital_residual_db
+        split_d2 = r1.digital_residual_db - r2.digital_residual_db
         rows.append((float(p_dbm), r2.rf_cancellation_db,
                      r1.digital_cancellation_db, r2.digital_cancellation_db,
                      r1.total_db, r2.total_db,
@@ -281,9 +293,8 @@ def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
     res = run_pipeline(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seg = min(4096, 1 << int(np.log2(len(res.canceled))))
     path = out / f"{stage}.csv"
-    _write_psd_csv(path, psd(_stage_signal(res, stage), seg))
+    _write_psd_csv(path, _psd(_stage_signal(res, stage)))
     return path
 
 

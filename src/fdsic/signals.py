@@ -7,7 +7,7 @@ unit mean power and are deterministic for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class BasebandSignal:
 
     samples: np.ndarray
     sample_rate_hz: float
-    mean_power: float = field(default=0.0)
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.complex128)
@@ -93,14 +92,13 @@ class BasebandSignal:
             raise ValueError("empty sample sequence")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        p = float(np.mean(np.abs(arr) ** 2))
-        if self.mean_power == 0.0:
-            object.__setattr__(self, "mean_power", p)
-        elif p > 0 and abs(self.mean_power - p) > 1e-12 * max(p, 1.0):
-            raise ValueError("mean_power inconsistent with samples")
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    @property
+    def mean_power(self) -> float:
+        return float(np.mean(np.abs(self.samples) ** 2))
 
     @property
     def duration_s(self) -> float:
@@ -108,7 +106,7 @@ class BasebandSignal:
 
 
 def make_signal(samples: np.ndarray, sample_rate_hz: float) -> BasebandSignal:
-    """Wrap raw samples, computing the power metadata."""
+    """Wrap raw samples as a complex128 signal."""
     return BasebandSignal(samples=np.asarray(samples, dtype=np.complex128),
                           sample_rate_hz=sample_rate_hz)
 

@@ -47,11 +47,10 @@ class TaylorChannel:
 @dataclass(frozen=True)
 class ErrorBudget:
     per_tap_bound: tuple   # linear power per tap
-    total_bound: float     # sum of per-tap bounds
 
-    def __post_init__(self):
-        if abs(self.total_bound - sum(self.per_tap_bound)) > 1e-12 * max(self.total_bound, 1e-300):
-            raise ValueError("total_bound must equal the sum of per-tap bounds")
+    @property
+    def total_bound(self) -> float:
+        return float(sum(self.per_tap_bound))
 
 
 def taylor_coeffs(channel: MultipathChannel, order: int) -> TaylorChannel:
@@ -116,7 +115,7 @@ def total_error_budget(channel: MultipathChannel, symbol_T: float,
         raise ValueError("symbol duration must be positive")
     per_tap = tuple(const * t.gain ** 2 * (t.delay_s / symbol_T) ** expo
                     for t in channel.taps)
-    return ErrorBudget(per_tap_bound=per_tap, total_bound=float(sum(per_tap)))
+    return ErrorBudget(per_tap_bound=per_tap)
 
 
 def distance_error_curve(model: PathLossModel, symbol_T: float, distances_m):

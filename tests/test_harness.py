@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import subprocess
 import sys
@@ -200,6 +201,34 @@ class TestSweeps:
             assert row[5] >= row[4] - 1e-9
         csv = (Path(cfg.output_dir) / "power_sweep.csv").read_text()
         assert csv.splitlines()[0].startswith("tx_power_dbm,rf_db")
+
+    def test_power_sweep_row_matches_unshared_pipeline(self, tmp_path):
+        # the sweep shares one front end between both orders; two full
+        # pipeline runs are the reference
+        cfg = small_cfg(tmp_path)
+        row = run_sweep_power(cfg, [0])[0]
+        point = dataclasses.replace(
+            cfg, channel=dataclasses.replace(cfg.channel, tx_gain_db=0.0))
+        res1 = run_pipeline(point, digital_order=1)
+        res2 = run_pipeline(point, digital_order=2)
+        r1, r2 = res1.report, res2.report
+        res0_db = harness._order0_residual_db(res2)
+        assert row == (0.0, r2.rf_cancellation_db,
+                       r1.digital_cancellation_db, r2.digital_cancellation_db,
+                       r1.total_db, r2.total_db,
+                       r2.rf_residual_db - res0_db,
+                       res0_db - r1.digital_residual_db,
+                       r1.digital_residual_db - r2.digital_residual_db)
+
+    # small_cfg's frame has 36,864 samples: 36,500 training samples leave
+    # fewer than 256 to evaluate on
+    @pytest.mark.parametrize("key, value", [("train_len", 36_500),
+                                            ("detector_window", 36_865)])
+    def test_frame_limits_fail_before_tuning(self, tmp_path, monkeypatch, key, value):
+        cfg = small_cfg(tmp_path, **{key: value})
+        monkeypatch.setattr(harness, "rf_stage", lambda *a: pytest.fail("RF stage ran"))
+        with pytest.raises(ValueError, match=key):
+            run_pipeline(cfg)
 
     def test_power_sweep_digital_grows_with_power_under_fixed_noise(self, tmp_path):
         cfg = small_cfg(tmp_path,
