@@ -141,7 +141,10 @@ def load_config(path) -> ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"bad value {text!r} for {key!r} in [{section}]: {exc}") from None
         if obj is not cfg:
-            values = {SECTIONS[section]: dataclasses.replace(obj, **values)}
+            try:
+                values = {SECTIONS[section]: dataclasses.replace(obj, **values)}
+            except ValueError as exc:
+                raise ValueError(f"invalid [{section}]: {exc}") from None
         top.update(values)
     return dataclasses.replace(cfg, **top)
 

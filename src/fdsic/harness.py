@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
-from .channel import MultipathChannel, apply_channel, impair
+from .channel import MultipathChannel, impair
 from .config import ExperimentConfig
 from .digital import D1_9TAP, D2_9TAP, cancel, ls_fit
 from .metrics import psd, slope_diagnostic
@@ -50,7 +50,7 @@ class CancellationReport:
 class PipelineResult:
     report: CancellationReport
     x: BasebandSignal
-    channel: MultipathChannel
+    si: BasebandSignal
     rx: BasebandSignal
     canceled: BasebandSignal
     estimate: digital.LsEstimate
@@ -81,7 +81,7 @@ def _occupied_band(spec: SignalSpec) -> tuple:
 
 def _front_end(cfg: ExperimentConfig) -> tuple:
     """The stages no digital order depends on: generate, channel, RF tune,
-    impair. Returns (x, channel, rx, tune result)."""
+    impair. Returns (x, channel, si, rx, tune result)."""
     if cfg.signal.oversampling < digital.MIN_OVERSAMPLING:
         raise ValueError("digital stage requires oversampling >= 4")
 
@@ -95,13 +95,13 @@ def _front_end(cfg: ExperimentConfig) -> tuple:
     channel = cfg.channel.build()
     det = DetectorConfig(window_samples=cfg.detector_window,
                          symbol_samples=cfg.signal.oversampling)
-    residual_rf, tune_res = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
+    residual_rf, tune_res, si = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
     rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
-    return x, channel, rx, tune_res
+    return x, channel, si, rx, tune_res
 
 
 def _back_end(cfg: ExperimentConfig, order: int, x: BasebandSignal,
-              channel: MultipathChannel, rx: BasebandSignal,
+              channel: MultipathChannel, si: BasebandSignal, rx: BasebandSignal,
               tune_res: rfstage.TuneResult) -> PipelineResult:
     """Digital stage of one order on the front end's output, plus the report."""
     train = slice(EDGE_GUARD, EDGE_GUARD + cfg.train_len)
@@ -139,7 +139,7 @@ def _back_end(cfg: ExperimentConfig, order: int, x: BasebandSignal,
         slope_r2=diag["r2"],
         slope_db_per_decade=diag["slope_db_per_decade"],
     )
-    return PipelineResult(report=report, x=x, channel=channel, rx=rx,
+    return PipelineResult(report=report, x=x, si=si, rx=rx,
                           canceled=canceled, estimate=est, tune=tune_res,
                           eval_slice=ev)
 
@@ -168,7 +168,7 @@ def _stage_signal(res: PipelineResult, stage: str) -> BasebandSignal:
     fs = res.x.sample_rate_hz
     sl = res.eval_slice
     if stage == "pre":
-        return make_signal(apply_channel(res.channel, res.x).samples[sl], fs)
+        return make_signal(res.si.samples[sl], fs)
     if stage == "rf":
         return make_signal(res.rx.samples[sl], fs)
     if stage == "digital":

@@ -9,6 +9,7 @@ and survives this stage by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,11 @@ def _quant_step(bits: int) -> float:
 
 
 def _quantize(v: float, bits: int) -> float:
-    """Mid-tread grid of 2^bits levels covering [-1, 1 - step]."""
+    """Mid-tread grid of 2^bits levels covering [-1, 1 - step]. Rounds half
+    to even and keeps the sign of a zero, as np.round does; plain float
+    arithmetic, since the tuner quantizes on every probe."""
     step = _quant_step(bits)
-    return float(np.clip(np.round(v / step) * step, -1.0, 1.0 - step))
+    return min(max(math.copysign(round(v / step) * step, v), -1.0), 1.0 - step)
 
 
 @dataclass(frozen=True)
@@ -166,20 +169,40 @@ def tune(env, init: VmState, budget: int) -> TuneResult:
                       accepted_states=tuple(states))
 
 
+def detector_env(si: BasebandSignal, tap: BasebandSignal, cfg: DetectorConfig):
+    """The detector reading of combine(si, vm_apply(state, tap)) as a function
+    of the VM state, for the tuner.
+
+    Over the window the reading is a quadratic in the VM gain g,
+    2 (|s|^2 + 2 Re(g <s, t>) + |g|^2 |t|^2) / W, so each call is scalar
+    arithmetic on three inner products computed once. power_detect on the
+    combined signal is the reference it replaces.
+    """
+    w = cfg.window_samples
+    if len(si) < w:
+        raise ValueError("residual shorter than the detector window")
+    s_w, t_w = si.samples[-w:], tap.samples[-w:]
+    ss = np.vdot(s_w, s_w).real
+    st = np.vdot(s_w, t_w)
+    tt = np.vdot(t_w, t_w).real
+
+    def env(state: VmState) -> float:
+        g = state.complex_gain
+        return float(2.0 * (ss + 2.0 * (g * st).real + abs(g) ** 2 * tt) / w)
+
+    return env
+
+
 def rf_stage(x: BasebandSignal, channel: MultipathChannel, vm_bits: int,
              detector_cfg: DetectorConfig, budget: int):
-    """Train the vector modulator against the simulated SI and return the
-    residual under the best state found.
+    """Train the vector modulator against the simulated SI; return the
+    residual under the best state found, the tune result and the SI.
 
     The VM input is an exact, noiseless tap of the transmit signal scaled by
     sqrt(G_t) (coupler losses are folded into G_t).
     """
     si = apply_channel(channel, x)
     tap = make_signal(np.sqrt(channel.tx_gain) * x.samples, x.sample_rate_hz)
-
-    def env(state: VmState) -> float:
-        return power_detect(combine(si, vm_apply(state, tap)), detector_cfg)
-
-    result = tune(env, VmState(0.0, 0.0, vm_bits), budget)
+    result = tune(detector_env(si, tap, detector_cfg), VmState(0.0, 0.0, vm_bits), budget)
     residual = combine(si, vm_apply(result.state, tap))
-    return residual, result
+    return residual, result, si

@@ -132,7 +132,7 @@ def default_cfg(tmp_path_factory):
 def _rf_cancellation(channel_cfg, bw, seed=1, vm_bits=16):
     x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=bw, num_symbols=12, seed=seed))
     det = DetectorConfig(window_samples=16384, symbol_samples=4)
-    residual, _ = rf_stage(x, channel_cfg.build(), vm_bits, det, budget=1200)
+    residual, _, _ = rf_stage(x, channel_cfg.build(), vm_bits, det, budget=1200)
     return -10 * np.log10(residual.mean_power)
 
 

@@ -78,6 +78,9 @@ class TestConfigIO:
         ("[signal]\nbandwidth_hz = 5 MHz\n", "'bandwidth_hz'"),
         ("[channel]\ntaps = -18.0\n", "'taps'"),
         ("[rf]\nvm_bits = 16.5\n", "'vm_bits'"),
+        # rejected by the section's dataclass: its message, under the section
+        ("[signal]\nkind = foo\n", "[signal]: unknown signal kind 'foo'"),
+        ("[impairments]\nnoise_power = -1.0\n", "[impairments]: noise_power must be >= 0"),
     ])
     def test_rejects_unknown_or_bad_entry(self, tmp_path, text, name):
         path = tmp_path / "bad.cfg"

@@ -1,14 +1,24 @@
+import dataclasses
+import functools
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fdsic import rfstage
 from fdsic.channel import ChannelTap, MultipathChannel, apply_channel
+from fdsic.config import ExperimentConfig, load_config
 from fdsic.metrics import psd, slope_diagnostic
-from fdsic.rfstage import (DetectorConfig, VmState, combine, power_detect,
-                           rf_stage, tune, vm_apply)
+from fdsic.rfstage import (DetectorConfig, VmState, combine, detector_env,
+                           power_detect, rf_stage, tune, vm_apply)
 from fdsic.signals import SignalSpec, gen_frame, gen_single_carrier, make_signal
 from fdsic.taylor import taylor_coeffs
 
 FC = 2.395e9
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = ("ofdm_20mhz.cfg", "single_carrier_10mhz.cfg")
 
 
 def tone(n=32768, fs=80e6, f0=1.1e6):
@@ -20,6 +30,26 @@ def narrowband_training_signal(w_hz=1e6, nsym=4096, seed=5):
     spec = SignalSpec(kind="single-carrier", bandwidth_hz=w_hz, oversampling=4,
                       num_symbols=nsym, pulse="sinc", seed=seed)
     return gen_single_carrier(spec)
+
+
+@functools.lru_cache(maxsize=1)
+def shipped_tuning_inputs(name, seed, tx_gain_db=0.0):
+    """(config, SI, VM tap, detector config) of a shipped config's frame at
+    a signal seed, as rf_stage builds them. Cached because the property test
+    asks for the same inputs on every example."""
+    cfg = load_config(CONFIGS / name)
+    x = gen_frame(dataclasses.replace(cfg.signal, seed=seed))
+    ch = dataclasses.replace(cfg.channel, tx_gain_db=tx_gain_db).build()
+    tap = make_signal(np.sqrt(ch.tx_gain) * x.samples, x.sample_rate_hz)
+    det = DetectorConfig(window_samples=cfg.detector_window,
+                         symbol_samples=cfg.signal.oversampling)
+    return cfg, apply_channel(ch, x), tap, det
+
+
+def slow_env(si, tap, det):
+    """The detector reading built sample by sample: the reference for
+    detector_env."""
+    return lambda state: power_detect(combine(si, vm_apply(state, tap)), det)
 
 
 class TestVmApply:
@@ -34,6 +64,16 @@ class TestVmApply:
         y = vm_apply(VmState(0.0, 1.0, bits=16), x)
         step = 2.0 / (1 << 16)
         assert np.max(np.abs(y.samples - 1j * x.samples)) <= 1.5 * step * np.max(np.abs(x.samples))
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.one_of(st.floats(-1.5, 1.5), st.sampled_from([0.0, -0.0, -1e-300])),
+           half=st.integers(-(1 << 12), 1 << 12), bits=st.integers(1, 24))
+    def test_quantize_matches_numpy_rounding(self, v, half, bits):
+        step = 2.0 / (1 << bits)
+        for u in (v, (half + 0.5) * step):  # an arbitrary value and a tie
+            ref = float(np.clip(np.round(u / step) * step, -1.0, 1.0 - step))
+            got = rfstage._quantize(u, bits)
+            assert (got, math.copysign(1.0, got)) == (ref, math.copysign(1.0, ref))
 
     def test_grid_contains_zero_exactly(self):
         s = VmState(0.0, 0.0, bits=16).quantized()
@@ -161,15 +201,62 @@ class TestTune:
         assert 10 * np.log10(res.detector_readings[-1] / untuned) <= -60.0
 
 
+class TestDetectorEnv:
+    @settings(max_examples=200, deadline=None)
+    @given(g1=st.floats(-1.0, 1.0), g2=st.floats(-1.0, 1.0), bits=st.integers(1, 24))
+    def test_matches_power_detect(self, g1, g2, bits):
+        _, si, tap, det = shipped_tuning_inputs(SHIPPED[0], 1, tx_gain_db=7.0)
+        state = VmState(g1, g2, bits).quantized()
+        assert detector_env(si, tap, det)(state) == pytest.approx(
+            slow_env(si, tap, det)(state), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_tune_path_matches_power_detect(self, name, seed):
+        cfg, si, tap, det = shipped_tuning_inputs(name, seed)
+        init = VmState(0.0, 0.0, cfg.vm_bits)
+        fast = tune(detector_env(si, tap, det), init, cfg.tune_budget)
+        slow = tune(slow_env(si, tap, det), init, cfg.tune_budget)
+        assert (fast.state, fast.iterations, fast.converged, fast.accepted_states) == \
+            (slow.state, slow.iterations, slow.converged, slow.accepted_states)
+        assert fast.detector_readings == pytest.approx(slow.detector_readings, rel=1e-9)
+
+    def test_short_si_rejected(self):
+        with pytest.raises(ValueError, match="detector window"):
+            detector_env(tone(1000), tone(1000), TestPowerDetect.CFG)
+
+
 class TestRfStage:
     CFG = DetectorConfig(window_samples=16384, symbol_samples=4)
+
+    def test_probes_build_no_signal(self, monkeypatch):
+        # each probe is scalar arithmetic: only the final residual is built
+        calls = dict.fromkeys(("combine", "vm_apply", "power_detect"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(rfstage, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(rfstage, name, counted)
+        cfg = ExperimentConfig()
+        det = DetectorConfig(window_samples=cfg.detector_window,
+                             symbol_samples=cfg.signal.oversampling)
+        _, res, _ = rf_stage(gen_frame(cfg.signal), cfg.channel.build(), cfg.vm_bits,
+                             det, cfg.tune_budget)
+        assert res.iterations > 1
+        assert calls == {"combine": 1, "vm_apply": 1, "power_detect": 0}
+
+    def test_returns_the_si(self, default_channel):
+        x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=12, seed=1))
+        _, _, si = rf_stage(x, default_channel, vm_bits=16, detector_cfg=self.CFG,
+                            budget=50)
+        assert np.array_equal(si.samples, apply_channel(default_channel, x).samples)
 
     def test_residual_slope_single_tap_ideal_bits(self):
         spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=12, seed=4)
         x = gen_frame(spec)
         ch = MultipathChannel(taps=(ChannelTap(10 ** (-18 / 20), 0.8e-9),),
                               carrier_hz=FC)
-        residual, _ = rf_stage(x, ch, vm_bits=24, detector_cfg=self.CFG, budget=2000)
+        residual, _, _ = rf_stage(x, ch, vm_bits=24, detector_cfg=self.CFG, budget=2000)
         p = psd(residual, 4096)
         edge = (spec.ofdm_used_carriers / 2 + 3) / spec.ofdm_fft_size * spec.bandwidth_hz
         diag = slope_diagnostic(p, (0.05 * edge, 0.9 * edge))
@@ -177,8 +264,8 @@ class TestRfStage:
 
     def test_ofdm_20mhz_cancellation(self, default_channel):
         x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=12, seed=1))
-        residual, res = rf_stage(x, default_channel, vm_bits=16,
-                                 detector_cfg=self.CFG, budget=1200)
+        residual, res, _ = rf_stage(x, default_channel, vm_bits=16,
+                                    detector_cfg=self.CFG, budget=1200)
         cancellation = -10 * np.log10(residual.mean_power)
         assert cancellation >= 50.0
         assert res.converged
@@ -187,8 +274,8 @@ class TestRfStage:
         drops = []
         for bw in (5e6, 10e6, 15e6, 20e6):
             x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=bw, num_symbols=12, seed=1))
-            residual, _ = rf_stage(x, default_channel, vm_bits=16,
-                                   detector_cfg=self.CFG, budget=1200)
+            residual, _, _ = rf_stage(x, default_channel, vm_bits=16,
+                                      detector_cfg=self.CFG, budget=1200)
             drops.append(-10 * np.log10(residual.mean_power))
         assert all(a > b for a, b in zip(drops, drops[1:]))
 
@@ -197,8 +284,8 @@ class TestRfStage:
         # smaller than the component of the SI orthogonal to x
         x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=12, seed=6))
         si = apply_channel(default_channel, x)
-        residual, _ = rf_stage(x, default_channel, vm_bits=16,
-                               detector_cfg=self.CFG, budget=1200)
+        residual, _, _ = rf_stage(x, default_channel, vm_bits=16,
+                                  detector_cfg=self.CFG, budget=1200)
         proj = np.vdot(x.samples, si.samples) / np.vdot(x.samples, x.samples)
         floor = np.mean(np.abs(si.samples - proj * x.samples) ** 2)
         assert residual.mean_power >= floor * (1 - 1e-9)
@@ -211,8 +298,8 @@ class TestRfStage:
             for seed in range(10):
                 x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=20e6,
                                          num_symbols=12, seed=seed))
-                _, res = rf_stage(x, default_channel, vm_bits=bits,
-                                  detector_cfg=self.CFG, budget=1200)
+                _, res, _ = rf_stage(x, default_channel, vm_bits=bits,
+                                     detector_cfg=self.CFG, budget=1200)
                 finals.append(res.detector_readings[-1])
             medians.append(float(np.median(finals)))
         assert medians[0] >= medians[1] >= medians[2]
