@@ -1,4 +1,5 @@
 import dataclasses
+import platform
 import re
 import subprocess
 import sys
@@ -311,3 +312,22 @@ class TestCli:
         proc = self._run("spectrum", "--config", str(cfg_path), "--stage", "pre")
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "pre.csv").exists()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_repeat_run_reuses_freed_memory(self, tmp_path):
+        # A second simulate in the same process finds its ~1 MB arrays in the
+        # heap the first one freed: without fixed malloc thresholds it
+        # page-faults about 4,600 pages back in (OFDM config), with them none.
+        script = (
+            "import resource, sys\n"
+            "from fdsic import cli\n"
+            "def run():\n"
+            "    cli.main(['simulate', '--config', sys.argv[1], '--output-dir', sys.argv[2]])\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "first = run()\n"
+            "print(run() - first)\n")
+        proc = subprocess.run([sys.executable, "-c", script,
+                               str(REPO / "configs" / "ofdm_20mhz.cfg"), str(tmp_path)],
+                              capture_output=True, text=True, cwd=REPO)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 500
