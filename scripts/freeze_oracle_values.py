@@ -18,7 +18,8 @@ from fdsic.signals import SignalSpec
 FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "data" / "oracle_frozen.txt"
 
 
-def main():
+def render() -> str:
+    """The fixture text, from a fresh run of the oracle."""
     spec = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
                       num_symbols=8, pulse="sinc", seed=1)
     lines = ["# frozen oracle outputs; regenerate with scripts/freeze_oracle_values.py"]
@@ -38,8 +39,12 @@ def main():
         consts.append(r2 / tau ** 6)
         lines.append(f"order2_remainder_tau_{tau} = {r2:.12e}")
     lines.append(f"order2_constant_max = {max(consts):.12e}")
+    return "\n".join(lines) + "\n"
+
+
+def main():
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text("\n".join(lines) + "\n")
+    FIXTURE.write_text(render())
     print(f"wrote {FIXTURE}")
 
 

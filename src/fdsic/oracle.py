@@ -102,12 +102,11 @@ def _gauss_blocks(lo_block: int, hi_block: int, nodes: int = 32) -> float:
     """Integral of the kernel over [lo_block*pi, hi_block*pi) by per-block
     Gauss-Legendre quadrature."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
-    total = 0.0
     edges = np.arange(lo_block, hi_block + 1) * np.pi
-    for a, b in zip(edges[:-1], edges[1:]):
-        xm = 0.5 * (a + b) + 0.5 * (b - a) * gl_x
-        total += 0.5 * (b - a) * np.dot(gl_w, lemma_kernel(xm))
-    return total
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    xm = (0.5 * (a + b))[:, None] + half[:, None] * gl_x   # (blocks, nodes)
+    return float(np.sum(half * (lemma_kernel(xm) @ gl_w)))
 
 
 def kernel_fourier0_numeric() -> float:
@@ -197,7 +196,9 @@ def _pulse_train_powers(spec: SignalSpec, weights, trials: int, seed: int) -> li
     # E|x|^2 = mean_t sum_n g^2 for unit-variance uncorrelated symbols
     mean_power = float(np.mean(np.sum(gv**2, axis=1)))
     syms = draw_symbols(rng, (n_trials, len(n)), spec.constellation)
-    return [float(np.mean(np.abs(syms @ w.T) ** 2) / mean_power) for w in ws]
+    # w is real, so |syms @ w.T|^2 splits into two real products
+    re, im = syms.real, syms.imag
+    return [float(np.mean((re @ w.T) ** 2 + (im @ w.T) ** 2) / mean_power) for w in ws]
 
 
 def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE_TRIALS,
@@ -273,6 +274,6 @@ def resample_delay_reference(signal: BasebandSignal, delay_s: float,
                 * np.exp(-1j * np.pi * u / n_len))
     kern = np.where(np.abs(u) < 1e-9, 1.0 + 0.0j, kern)
 
-    lin = np.convolve(np.concatenate([x, x]), kern)
-    y = lin[n_len:2 * n_len]
+    # y[m] = sum_k x[k] kern[(m - k) mod N], only the N kept outputs
+    y = np.convolve(np.concatenate([x, x])[1:], kern, "valid")
     return make_signal(y, signal.sample_rate_hz)

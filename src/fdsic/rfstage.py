@@ -59,14 +59,6 @@ class VmState:
         q = self.quantized()
         return q.g1 + 1j * q.g2
 
-    @property
-    def beta(self) -> float:
-        return abs(self.complex_gain)
-
-    @property
-    def theta(self) -> float:
-        return float(np.angle(self.complex_gain))
-
 
 @dataclass(frozen=True)
 class DetectorConfig:

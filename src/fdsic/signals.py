@@ -163,7 +163,7 @@ def gen_single_carrier(spec: SignalSpec) -> BasebandSignal:
 
     The frame carries the full truncated pulse tails: symbol m is centred at
     sample (PULSE_SPAN + m) * oversampling, and the frame length is
-    (num_symbols + 2 * PULSE_SPAN) * oversampling samples.
+    (num_symbols - 1 + 2 * PULSE_SPAN) * oversampling + 1 samples.
     """
     if spec.kind != "single-carrier":
         raise ValueError("spec.kind must be 'single-carrier'")

@@ -1,17 +1,66 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fdsic import oracle
 from fdsic.channel import fractional_delay
 from fdsic.harness import LEMMA_TAU_GRID
-from fdsic.oracle import (FHAT0_CLOSED, exact_delay_oracle,
-                          kernel_fourier0_numeric, lemma_kernel,
+from fdsic.oracle import (FHAT0_CLOSED, ORACLE_SEED, SYMBOL_HALF_WINDOW,
+                          exact_delay_oracle, kernel_fourier0_numeric, lemma_kernel,
                           lemma_kernel_expanded, order2_remainder, poisson_check,
                           poisson_closed_form, resample_delay_reference)
-from fdsic.signals import SignalSpec, gen_frame, make_signal
+from fdsic.signals import SignalSpec, draw_symbols, gen_frame, make_signal
 from fdsic.taylor import ORDER2_CONST
+
+REPO = Path(__file__).resolve().parents[1]
 
 SINC_SPEC = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
                        num_symbols=8, pulse="sinc", seed=1)
+RRC_SPEC = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
+                      num_symbols=8, pulse="rrc", rolloff=0.3, seed=1)
+
+
+# Slow forms the oracle's vectorized paths replaced, kept as references.
+
+def _gauss_blocks_loop(lo_block, hi_block, nodes=32):
+    """Kernel integral over [lo_block*pi, hi_block*pi), one block at a time."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    edges = np.arange(lo_block, hi_block + 1) * np.pi
+    for a, b in zip(edges[:-1], edges[1:]):
+        xm = 0.5 * (a + b) + 0.5 * (b - a) * gl_x
+        total += 0.5 * (b - a) * np.dot(gl_w, lemma_kernel(xm))
+    return total
+
+
+def _delay_full_convolution(x, d):
+    """Periodic-kernel delay by `d` samples: the full linear convolution of
+    the doubled frame, cut to its middle N outputs."""
+    n_len = len(x)
+    u = np.arange(n_len, dtype=float) - d
+    u = (u + n_len / 2.0) % n_len - n_len / 2.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kern = (np.sin(np.pi * u) / (n_len * np.sin(np.pi * u / n_len))
+                * np.exp(-1j * np.pi * u / n_len))
+    kern = np.where(np.abs(u) < 1e-9, 1.0 + 0.0j, kern)
+    return np.convolve(np.concatenate([x, x]), kern)[n_len:2 * n_len]
+
+
+def _delay_powers_complex_product(spec, tau, trials):
+    """exact_delay_oracle's two powers from one complex product per weight."""
+    g, gd = oracle._pulse_functions(spec)
+    rng = np.random.default_rng(ORACLE_SEED)
+    n_offsets = 256
+    n_trials = max(1, int(np.ceil(trials / n_offsets)))
+    n = np.arange(-SYMBOL_HALF_WINDOW, SYMBOL_HALF_WINDOW + 1)
+    v = rng.uniform(0.0, 1.0, size=n_offsets)[:, None] - n[None, :]
+    gv, dv = g(v), tau * gd(v)
+    mean_power = float(np.mean(np.sum(gv**2, axis=1)))
+    syms = draw_symbols(rng, (n_trials, len(n)), spec.constellation)
+    return [float(np.mean(np.abs(syms @ w.T) ** 2) / mean_power)
+            for w in (g(v - tau) - gv + dv, dv)]
 
 
 class TestLemmaKernel:
@@ -44,6 +93,11 @@ class TestKernelFourier:
     def test_frozen_value(self, oracle_frozen):
         assert kernel_fourier0_numeric() == pytest.approx(
             oracle_frozen["fhat0_numeric"], abs=1e-12)
+
+    @pytest.mark.parametrize("blocks", [(0, 1024), (1024, 2048), (2048, 4096)])
+    def test_vectorized_blocks_match_block_loop(self, blocks):
+        assert oracle._gauss_blocks(*blocks) == pytest.approx(
+            _gauss_blocks_loop(*blocks), rel=1e-13)
 
 
 class TestPoissonCheck:
@@ -112,6 +166,13 @@ class TestExactDelayOracle:
         assert r["err_power"] > 0.0
         assert r["deriv_power"] > r["err_power"]
 
+    @pytest.mark.parametrize("tau", [0.01, 0.1])
+    def test_real_split_matches_complex_product(self, tau):
+        r = exact_delay_oracle(RRC_SPEC, tau, trials=20_000)
+        err, der = _delay_powers_complex_product(RRC_SPEC, tau, 20_000)
+        assert r["err_power"] == pytest.approx(err, rel=1e-12)
+        assert r["deriv_power"] == pytest.approx(der, rel=1e-12)
+
 
 class TestResampleDelayReference:
     def test_zero_delay_identity(self):
@@ -144,7 +205,24 @@ class TestResampleDelayReference:
             resid = np.mean(np.abs(a.samples - b.samples) ** 2) / x.mean_power
             assert 10 * np.log10(resid + 1e-300) <= -100.0
 
+    @pytest.mark.parametrize("fft_size", [256, 512])
+    @pytest.mark.parametrize("d_fine", [0, 64 * 7, 37])
+    def test_kept_window_equals_full_convolution(self, fft_size, d_fine):
+        x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=1,
+                                 ofdm_fft_size=fft_size,
+                                 ofdm_used_carriers=fft_size // 2, seed=5))
+        y = resample_delay_reference(x, d_fine / (64 * x.sample_rate_hz))
+        assert np.array_equal(y.samples, _delay_full_convolution(x.samples, d_fine / 64))
+
     def test_odd_length_rejected(self):
         x = make_signal(np.ones(255, dtype=complex), 1.0)
         with pytest.raises(ValueError, match="even"):
             resample_delay_reference(x, 0.0)
+
+
+def test_freeze_script_reproduces_fixture():
+    path = REPO / "scripts" / "freeze_oracle_values.py"
+    module_spec = importlib.util.spec_from_file_location("freeze_oracle_values", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    assert module.render() == (REPO / "tests" / "data" / "oracle_frozen.txt").read_text()

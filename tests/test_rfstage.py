@@ -79,11 +79,6 @@ class TestVmApply:
         s = VmState(0.0, 0.0, bits=16).quantized()
         assert s.g1 == 0.0 and s.g2 == 0.0
 
-    def test_beta_theta(self):
-        s = VmState(0.5, 0.5, bits=16)
-        assert s.beta == pytest.approx(np.sqrt(0.5), rel=1e-4)
-        assert s.theta == pytest.approx(np.pi / 4, rel=1e-4)
-
     def test_minus_c0_cancels_single_tap(self):
         x = narrowband_training_signal(w_hz=1e6)
         ch = MultipathChannel(taps=(ChannelTap(10 ** (-18 / 20), 0.2e-9),),

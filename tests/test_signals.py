@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fdsic.config import load_config
 from fdsic.metrics import psd
-from fdsic.signals import (SINC_CONFINEMENT_EPS, BasebandSignal, SignalSpec,
-                           gen_ofdm, gen_single_carrier, make_signal, papr_db,
-                           sinc_pulse)
+from fdsic.signals import (PULSE_SPAN, SINC_CONFINEMENT_EPS, BasebandSignal,
+                           SignalSpec, gen_frame, gen_ofdm, gen_single_carrier,
+                           make_signal, papr_db, sinc_pulse)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def sc_spec(**kw):
@@ -113,6 +118,27 @@ class TestOfdm:
         # constant phase increment within the symbol
         ph = np.angle(x.samples[1:] * np.conj(x.samples[:-1]))
         assert np.max(np.abs(ph - ph[0])) <= 1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    load_config(CONFIGS / "ofdm_20mhz.cfg").signal,
+    load_config(CONFIGS / "single_carrier_10mhz.cfg").signal,
+    SignalSpec(kind="single-carrier", oversampling=1, num_symbols=1),
+    SignalSpec(kind="single-carrier", oversampling=2, num_symbols=5, pulse="sinc"),
+    SignalSpec(kind="single-carrier", oversampling=3, num_symbols=64),
+    SignalSpec(kind="ofdm", oversampling=1, num_symbols=1, ofdm_fft_size=64,
+               ofdm_used_carriers=32),
+    SignalSpec(kind="ofdm", oversampling=2, num_symbols=3, ofdm_fft_size=256,
+               ofdm_used_carriers=128),
+], ids=lambda spec: f"{spec.kind}-os{spec.oversampling}-n{spec.num_symbols}")
+def test_frame_length_closed_form(spec):
+    os_ = spec.oversampling
+    if spec.kind == "single-carrier":
+        expected = (spec.num_symbols - 1 + 2 * PULSE_SPAN) * os_ + 1
+    else:
+        nfft = spec.ofdm_fft_size
+        expected = spec.num_symbols * (nfft + nfft // 8) * os_
+    assert len(gen_frame(spec)) == expected
 
 
 class TestPapr:
