@@ -149,13 +149,27 @@ def fractional_delay(signal: BasebandSignal, delay_s: float) -> BasebandSignal:
 
 
 def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSignal:
-    """Baseband-equivalent SI: sqrt(G_t) * sum_k a_k e^{-j2 pi f_c tau_k} x(t - tau_k)."""
+    """Baseband-equivalent SI: sqrt(G_t) * sum_k a_k e^{-j2 pi f_c tau_k} x(t - tau_k).
+
+    Each tap is fractional_delay's phase ramp on one shared forward FFT, so
+    the result equals the per-tap fractional_delay sum bit for bit.
+    """
     if channel.carrier_hz < 2.5 * x.sample_rate_hz:
         raise ValueError("carrier must be >> signal bandwidth (f_c >= 10 W)")
+    if any(tap.delay_s > MAX_DELAY_FRACTION * x.duration_s for tap in channel.taps):
+        raise ValueError("delay exceeds 10% of the signal duration")
+    freqs = np.fft.fftfreq(len(x), d=1.0 / x.sample_rate_hz)
+    X = np.fft.fft(x.samples)
     acc = np.zeros(len(x), dtype=np.complex128)
     for tap in channel.taps:
         phase = np.exp(-2j * np.pi * channel.carrier_hz * tap.delay_s)
-        acc += tap.gain * phase * fractional_delay(x, tap.delay_s).samples
+        if tap.delay_s == 0.0:
+            delayed = x.samples
+        else:
+            ramp = np.exp(-2j * np.pi * freqs * tap.delay_s)
+            # X * ramp, operands in fractional_delay's order, into ramp's buffer
+            delayed = np.fft.ifft(np.multiply(X, ramp, out=ramp))
+        acc += tap.gain * phase * delayed
     acc *= np.sqrt(channel.tx_gain)
     return make_signal(acc, x.sample_rate_hz)
 

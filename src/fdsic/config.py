@@ -76,6 +76,10 @@ class ExperimentConfig:
         if self.impairments.sample_offset >= 1.0 / self.signal.sample_rate_hz:
             raise ValueError("sample_offset must be below one sample period, "
                              f"{1.0 / self.signal.sample_rate_hz:g} s")
+        # the same bound apply_channel enforces, checked before any frame is made
+        if self.channel.carrier_hz < 2.5 * self.signal.sample_rate_hz:
+            raise ValueError(f"carrier_hz = {self.channel.carrier_hz:g} must be at least "
+                             f"2.5 x the sample rate, {2.5 * self.signal.sample_rate_hz:g} Hz")
 
 
 # File sections in file order. Each fills either the nested dataclass field

@@ -56,6 +56,7 @@ class PipelineResult:
     estimate: digital.LsEstimate
     tune: rfstage.TuneResult
     eval_slice: slice
+    rf_psd: metrics.Psd  # PSD of rx over eval_slice
 
 
 def _power_db(samples: np.ndarray) -> float:
@@ -79,9 +80,16 @@ def _occupied_band(spec: SignalSpec) -> tuple:
     return (0.05 * edge, 0.9 * edge)
 
 
+def _slices(cfg: ExperimentConfig, n: int) -> tuple:
+    """(training, evaluation) slices of an n-sample frame."""
+    train = slice(EDGE_GUARD, EDGE_GUARD + cfg.train_len)
+    return train, slice(train.stop, n - EDGE_GUARD)
+
+
 def _front_end(cfg: ExperimentConfig) -> tuple:
     """The stages no digital order depends on: generate, channel, RF tune,
-    impair. Returns (x, channel, si, rx, tune result)."""
+    impair, and the PSD of the RF residual over the evaluation slice.
+    Returns (x, channel, si, rx, tune result, rf PSD)."""
     if cfg.signal.oversampling < digital.MIN_OVERSAMPLING:
         raise ValueError("digital stage requires oversampling >= 4")
 
@@ -97,15 +105,15 @@ def _front_end(cfg: ExperimentConfig) -> tuple:
                          symbol_samples=cfg.signal.oversampling)
     residual_rf, tune_res, si = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
     rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
-    return x, channel, si, rx, tune_res
+    rf_psd = _psd(make_signal(rx.samples[_slices(cfg, n)[1]], x.sample_rate_hz))
+    return x, channel, si, rx, tune_res, rf_psd
 
 
 def _back_end(cfg: ExperimentConfig, order: int, x: BasebandSignal,
               channel: MultipathChannel, si: BasebandSignal, rx: BasebandSignal,
-              tune_res: rfstage.TuneResult) -> PipelineResult:
+              tune_res: rfstage.TuneResult, rf_psd: metrics.Psd) -> PipelineResult:
     """Digital stage of one order on the front end's output, plus the report."""
-    train = slice(EDGE_GUARD, EDGE_GUARD + cfg.train_len)
-    ev = slice(train.stop, len(x) - EDGE_GUARD)
+    train, ev = _slices(cfg, len(x))
     fs = x.sample_rate_hz
     est = ls_fit(make_signal(rx.samples[train], fs), make_signal(x.samples[train], fs), order)
 
@@ -125,7 +133,7 @@ def _back_end(cfg: ExperimentConfig, order: int, x: BasebandSignal,
     e_s = float(np.mean(np.abs(x_eval.samples[inner]) ** 2))
     e_d = float(np.mean(np.abs(d1.samples[inner] * fs) ** 2))
 
-    diag = slope_diagnostic(_psd(y_eval), _occupied_band(cfg.signal))
+    diag = slope_diagnostic(rf_psd, _occupied_band(cfg.signal))
 
     report = CancellationReport(
         tx_power_db=tx_power_db,
@@ -141,7 +149,7 @@ def _back_end(cfg: ExperimentConfig, order: int, x: BasebandSignal,
     )
     return PipelineResult(report=report, x=x, si=si, rx=rx,
                           canceled=canceled, estimate=est, tune=tune_res,
-                          eval_slice=ev)
+                          eval_slice=ev, rf_psd=rf_psd)
 
 
 def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
@@ -157,22 +165,24 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _write_psd_csv(path: Path, p: metrics.Psd) -> None:
-    lines = ["freq_hz,power_db"]
-    for f, v in zip(p.freqs_hz, p.power_db):
-        f_txt = f"{int(round(f))}" if abs(f - round(f)) < 1e-6 else f"{f:.3f}"
-        lines.append(f"{f_txt},{v:.2f}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """One row per bin; a frequency within 1e-6 Hz of an integer is written
+    as that integer (nearest, ties to even), any other with 3 decimals."""
+    f = p.freqs_hz
+    r = np.round(f)
+    isint = np.abs(f - r) < 1e-6
+    rows = [f"{int(ri)},{v:.2f}" if ii else f"{fi:.3f},{v:.2f}"
+            for fi, ri, ii, v in zip(f.tolist(), r.tolist(), isint.tolist(),
+                                     p.power_db.tolist())]
+    _atomic_write(path, "\n".join(["freq_hz,power_db", *rows]) + "\n")
 
 
-def _stage_signal(res: PipelineResult, stage: str) -> BasebandSignal:
-    fs = res.x.sample_rate_hz
-    sl = res.eval_slice
+def _stage_psd(res: PipelineResult, stage: str) -> metrics.Psd:
     if stage == "pre":
-        return make_signal(res.si.samples[sl], fs)
+        return _psd(make_signal(res.si.samples[res.eval_slice], res.x.sample_rate_hz))
     if stage == "rf":
-        return make_signal(res.rx.samples[sl], fs)
+        return res.rf_psd
     if stage == "digital":
-        return res.canceled
+        return _psd(res.canceled)
     raise ValueError(f"unknown stage {stage!r}")
 
 
@@ -182,7 +192,7 @@ def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
     out.mkdir(parents=True, exist_ok=True)
 
     for stage in ("pre", "rf", "digital"):
-        _write_psd_csv(out / f"{stage}.csv", _psd(_stage_signal(res, stage)))
+        _write_psd_csv(out / f"{stage}.csv", _stage_psd(res, stage))
 
     r = res.report
     est = res.estimate
@@ -294,7 +304,7 @@ def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{stage}.csv"
-    _write_psd_csv(path, _psd(_stage_signal(res, stage)))
+    _write_psd_csv(path, _stage_psd(res, stage))
     return path
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +8,12 @@ from fdsic.channel import (SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
                            PathLossModel, ReceiverImpairments, apply_channel,
                            default_path_loss, fractional_delay, impair,
                            path_loss, taps_from_geometry)
+from fdsic.config import load_config
 from fdsic.oracle import resample_delay_reference
-from fdsic.signals import SignalSpec, gen_ofdm, make_signal
+from fdsic.signals import SignalSpec, gen_frame, gen_ofdm, make_signal
 
 FS = 80e6
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def bandlimited_noise(n, fs, frac=0.1, seed=0):
@@ -147,6 +151,38 @@ class TestApplyChannel:
                               carrier_hz=fc)
         y = apply_channel(ch, x)
         assert 10 * np.log10(y.mean_power / x.mean_power + 1e-300) <= -120.0
+
+    @staticmethod
+    def per_tap_sum(channel, x):
+        """The per-tap fractional_delay sum apply_channel replaced, kept as
+        its oracle."""
+        acc = np.zeros(len(x), dtype=np.complex128)
+        for tap in channel.taps:
+            phase = np.exp(-2j * np.pi * channel.carrier_hz * tap.delay_s)
+            acc += tap.gain * phase * fractional_delay(x, tap.delay_s).samples
+        acc *= np.sqrt(channel.tx_gain)
+        return acc
+
+    @pytest.mark.parametrize("name", ["ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"])
+    def test_equals_per_tap_delay_sum_on_shipped_configs(self, name):
+        cfg = load_config(CONFIGS / name)
+        x = gen_frame(cfg.signal)
+        ch = cfg.channel.build()
+        assert np.array_equal(apply_channel(ch, x).samples, self.per_tap_sum(ch, x))
+
+    def test_equals_per_tap_delay_sum_with_zero_delay_tap(self):
+        x = bandlimited_noise(4096, FS, seed=3)
+        ch = MultipathChannel(taps=(ChannelTap(0.5, 0.0), ChannelTap(0.3, 1.1e-9),
+                                    ChannelTap(0.1, 2.7e-9)), carrier_hz=2.4e9, tx_gain=2.0)
+        assert np.array_equal(apply_channel(ch, x).samples, self.per_tap_sum(ch, x))
+
+    def test_tap_delay_beyond_tenth_of_frame_rejected(self):
+        x = bandlimited_noise(1024, FS)
+        ch = MultipathChannel(taps=(ChannelTap(1.0, 0.0),
+                                    ChannelTap(0.1, 0.11 * x.duration_s)), carrier_hz=2.4e9)
+        for run in (apply_channel, self.per_tap_sum):
+            with pytest.raises(ValueError, match="delay exceeds 10% of the signal duration"):
+                run(ch, x)
 
     def test_carrier_bandwidth_guard(self):
         x = bandlimited_noise(1024, FS)

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import platform
 import re
 import subprocess
@@ -9,14 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdsic import harness
+from fdsic import cli, harness
 from fdsic.channel import ReceiverImpairments
 from fdsic.config import ChannelConfig, ExperimentConfig, load_config, save_config
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
                            run_sweep_bandwidth, run_sweep_power, run_verify)
-from fdsic.signals import SignalSpec
+from fdsic.metrics import Psd
+from fdsic.signals import SignalSpec, make_signal
 
 REPO = Path(__file__).resolve().parents[1]
+SHIPPED = {"ofdm": "ofdm_20mhz.cfg", "sc": "single_carrier_10mhz.cfg"}
 
 
 def small_cfg(tmp_path, **kw):
@@ -34,10 +38,10 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-# Random valid configs. sample_offset stays under 1 ns, below the shortest
-# sample period drawn here (1.25 ns at 100 MHz x 8).
-VALID_CONFIGS = st.builds(
-    ExperimentConfig,
+# Random config fields. sample_offset stays under 1 ns, below the shortest
+# sample period drawn here (1.25 ns at 100 MHz x 8); the carrier is drawn
+# freely, so some draws fall below 2.5 x the sample rate.
+CONFIG_FIELDS = st.fixed_dictionaries(dict(
     signal=st.builds(
         SignalSpec, kind=st.sampled_from(["ofdm", "single-carrier"]),
         bandwidth_hz=_floats(1e3, 1e8), oversampling=st.integers(1, 8),
@@ -60,7 +64,15 @@ VALID_CONFIGS = st.builds(
     vm_bits=st.integers(2, 24), detector_window=st.integers(1, 10**6),
     tune_budget=st.integers(1, 5000), digital_order=st.sampled_from([1, 2]),
     train_len=st.integers(100, 10**5), output_dir=st.sampled_from(["out", "runs/a b"]),
-    seed=st.integers(0, 2**32))
+    seed=st.integers(0, 2**32)))
+
+
+def _carrier_ok(fields):
+    return fields["channel"].carrier_hz >= 2.5 * fields["signal"].sample_rate_hz
+
+
+VALID_CONFIGS = CONFIG_FIELDS.filter(_carrier_ok).map(lambda fields: ExperimentConfig(**fields))
+LOW_CARRIER_FIELDS = CONFIG_FIELDS.filter(lambda fields: not _carrier_ok(fields))
 
 
 class TestConfigIO:
@@ -82,6 +94,8 @@ class TestConfigIO:
         # rejected by the section's dataclass: its message, under the section
         ("[signal]\nkind = foo\n", "[signal]: unknown signal kind 'foo'"),
         ("[impairments]\nnoise_power = -1.0\n", "[impairments]: noise_power must be >= 0"),
+        # below 2.5 x the default 80 MHz sample rate
+        ("[channel]\ncarrier_hz = 1e8\n", "carrier_hz = 1e+08"),
     ])
     def test_rejects_unknown_or_bad_entry(self, tmp_path, text, name):
         path = tmp_path / "bad.cfg"
@@ -100,6 +114,12 @@ class TestConfigIO:
         path.write_text("[impairments]\nsample_offset = 20e-9\n"
                         "[signal]\nbandwidth_hz = 5e6\n")
         assert load_config(path).impairments.sample_offset == 20e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(fields=LOW_CARRIER_FIELDS)
+    def test_rejects_carrier_below_2_5_sample_rates(self, fields):
+        with pytest.raises(ValueError, match="carrier_hz"):
+            ExperimentConfig(**fields)
 
     @pytest.mark.parametrize("output_dir", ["runs #2", " out", "out ", "a\nb"])
     def test_save_rejects_text_that_would_not_load_back(self, tmp_path, output_dir):
@@ -195,6 +215,14 @@ class TestSweeps:
             run_sweep_bandwidth(cfg, [20e6, 40e6])
         assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
 
+    def test_bandwidth_sweep_checks_carrier_before_any_point(self, tmp_path, monkeypatch):
+        # 2.395 GHz clears 2.5 x 80 MHz (20 MHz x 4), but not 2.5 x 1.2 GHz
+        cfg = small_cfg(tmp_path)
+        monkeypatch.setattr(harness, "run_pipeline", lambda c: pytest.fail("point ran"))
+        with pytest.raises(ValueError, match="carrier_hz"):
+            run_sweep_bandwidth(cfg, [20e6, 300e6])
+        assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
+
     def test_power_sweep_columns(self, tmp_path):
         cfg = small_cfg(tmp_path)
         rows = run_sweep_power(cfg, [-10, 0, 10])
@@ -240,6 +268,98 @@ class TestSweeps:
         rows = run_sweep_power(cfg, [-10, 0, 10, 19])
         dig2 = [row[3] for row in rows]
         assert all(a < b for a, b in zip(dig2, dig2[1:]))
+
+
+def _psd_csv_loop(p):
+    """The per-row loop _write_psd_csv replaced, kept as its oracle."""
+    lines = ["freq_hz,power_db"]
+    for f, v in zip(p.freqs_hz, p.power_db):
+        f_txt = f"{int(round(f))}" if abs(f - round(f)) < 1e-6 else f"{f:.3f}"
+        lines.append(f"{f_txt},{v:.2f}")
+    return "\n".join(lines) + "\n"
+
+
+def _psd_csv_text(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "psd.csv"
+        harness._write_psd_csv(path, p)
+        return path.read_text()
+
+
+@pytest.fixture(scope="module")
+def shipped_results():
+    return {tag: run_pipeline(load_config(REPO / "configs" / name))
+            for tag, name in SHIPPED.items()}
+
+
+# integers, offsets just inside and outside the 1e-6 integer test, and
+# half-integers (ties round to even), besides -0.0 and arbitrary values
+PSD_FREQS = st.one_of(
+    st.builds(lambda k, d: k + d, st.integers(-10**8, 10**8),
+              st.sampled_from([0.0, 0.5e-6, -0.5e-6, 1.5e-6, -1.5e-6, 0.5, -0.5])),
+    st.just(-0.0), _floats(-1e8, 1e8))
+
+
+class TestPsdCsv:
+    @pytest.mark.parametrize("stage", ["pre", "rf", "digital"])
+    @pytest.mark.parametrize("tag", sorted(SHIPPED))
+    def test_matches_row_loop_on_shipped_stages(self, shipped_results, tag, stage):
+        p = harness._stage_psd(shipped_results[tag], stage)
+        assert _psd_csv_text(p) == _psd_csv_loop(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(freqs=st.lists(PSD_FREQS, min_size=1, max_size=40, unique=True),
+           power=st.lists(_floats(-400.0, 100.0), min_size=40, max_size=40))
+    def test_matches_row_loop(self, freqs, power):
+        freqs = sorted(freqs)
+        p = Psd(freqs_hz=freqs, power_db=power[:len(freqs)], rbw_hz=1.0)
+        assert _psd_csv_text(p) == _psd_csv_loop(p)
+
+
+class TestComputeOnce:
+    @staticmethod
+    def count_psd(monkeypatch):
+        calls = []
+        real = harness.psd
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(harness, "psd", counting)
+        return calls
+
+    def test_simulate_computes_three_psds(self, tmp_path, monkeypatch):
+        calls = self.count_psd(monkeypatch)
+        cfg = small_cfg(tmp_path)
+        run_simulate(cfg)
+        # pre, digital, and rf shared by the slope diagnostic and rf.csv
+        assert len(calls) == 3
+        res = run_pipeline(cfg)
+        rx_eval = make_signal(res.rx.samples[res.eval_slice], res.x.sample_rate_hz)
+        harness._write_psd_csv(tmp_path / "rf_expected.csv", harness._psd(rx_eval))
+        assert ((Path(cfg.output_dir) / "rf.csv").read_text()
+                == (tmp_path / "rf_expected.csv").read_text())
+
+    def test_power_sweep_point_computes_one_psd(self, tmp_path, monkeypatch):
+        calls = self.count_psd(monkeypatch)
+        run_sweep_power(small_cfg(tmp_path), [0])
+        assert len(calls) == 1
+
+
+class TestSimulateReference:
+    def test_csv_outputs_match_benchmark_reference(self, tmp_path):
+        # Seed 1 of the benchmark runs the shipped configs. report.txt is left
+        # out: its 12-digit ls_* fields depend on the BLAS thread count.
+        ref = json.loads((REPO / "perfbench" / "reference.json").read_text())
+        assert ref["seed"] == 1
+        for tag, name in SHIPPED.items():
+            assert cli.main(["simulate", "--config", str(REPO / "configs" / name),
+                             "--output-dir", str(tmp_path / tag)]) == 0
+        for tag in SHIPPED:
+            for stage in ("pre", "rf", "digital", "tune_trace"):
+                key = f"{tag}/{stage}.csv"
+                digest = hashlib.sha256((tmp_path / key).read_bytes()).hexdigest()
+                assert digest == ref["simulate"]["0"][key], key
 
 
 class TestVerify:
