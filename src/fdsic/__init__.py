@@ -3,21 +3,8 @@
 Models the multipath SI channel, its two-parameter linearization
 H(f) = C0 + C1 f, an RF vector-modulator cancellation stage driven by a
 power detector, and a derivative-filter least-squares digital stage.
-"""
 
-from .signals import BasebandSignal, SignalSpec, gen_ofdm, gen_single_carrier, papr_db
-from .channel import (ChannelTap, MultipathChannel, PathLossModel,
-                      ReceiverImpairments, apply_channel, fractional_delay,
-                      impair, path_loss, taps_from_geometry)
-from .taylor import (ErrorBudget, TaylorChannel, distance_error_curve,
-                     lemma_bound, reconstruct, taylor_coeffs, total_error_budget)
-from .rfstage import (DetectorConfig, TuneResult, VmState, combine,
-                      power_detect, rf_stage, tune, vm_apply)
-from .digital import (D1_3TAP, D1_9TAP, D2_9TAP, DerivativeFilter, LsEstimate,
-                      cancel, complexity, deriv_filter, filter_response, ls_fit)
-from .metrics import Psd, cancellation_db, psd, slope_diagnostic
-from .config import ChannelConfig, ExperimentConfig, load_config, save_config
-from .harness import (CancellationReport, run_simulate, run_spectrum,
-                      run_sweep_bandwidth, run_sweep_power, run_verify)
+The submodules are the API; the package exports only `__version__`.
+"""
 
 __version__ = "0.1.0"

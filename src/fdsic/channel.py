@@ -48,12 +48,6 @@ class PathLossModel:
         return cls(cap_delta=10.0 ** (cap_db / 10.0), k_const=k, alpha=alpha)
 
 
-def default_path_loss() -> PathLossModel:
-    """Indoor 2.4 GHz-band model: -30 dB at 0.25 m round trip, -20 dB cap."""
-    return PathLossModel.calibrated(cap_db=-20.0, ref_distance_m=0.25,
-                                    ref_loss_db=-30.0, alpha=4.0)
-
-
 def path_loss(model: PathLossModel, distance_m: float) -> float:
     """Linear power gain at the given (round-trip) distance; d = 0 hits the cap."""
     if distance_m < 0:

@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from .config import ExperimentConfig, load_config
-from .harness import (run_simulate, run_spectrum, run_sweep_bandwidth,
+from .harness import (format_dbm, run_simulate, run_spectrum, run_sweep_bandwidth,
                       run_sweep_power, run_verify, VERIFY_SUITES)
 
 
@@ -43,51 +43,48 @@ def _keep_freed_memory() -> None:
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "output_dir", None):
+    if args.output_dir:
         cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
     return cfg
 
 
-def _parse_bw_list(text: str) -> list:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_dbm_range(text: str) -> list:
+def _sweep_points(text: str) -> list:
+    """Sweep points: an inclusive integer range lo..hi, or comma-separated
+    numbers. Text that gives no point is a usage error."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [float(v) for v in text.split(",") if v.strip()]
+        points = list(range(int(lo), int(hi) + 1))
+    else:
+        points = [float(v) for v in text.split(",") if v.strip()]
+    if not points:
+        raise argparse.ArgumentTypeError(f"{text!r} gives no points")
+    return points
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fdsic",
                                      description="Self-interference cancellation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="path to a key=value config file")
+    run.add_argument("--output-dir", dest="output_dir")
 
-    p_sim = sub.add_parser("simulate", help="run the full pipeline once")
-    p_sim.add_argument("--config", help="path to a key=value config file")
-    p_sim.add_argument("--output-dir", dest="output_dir")
+    sub.add_parser("simulate", parents=[run], help="run the full pipeline once")
 
-    p_bw = sub.add_parser("sweep-bandwidth", help="cancellation vs bandwidth")
-    p_bw.add_argument("--config")
-    p_bw.add_argument("--bw", default="5e6,10e6,15e6,20e6",
+    p_bw = sub.add_parser("sweep-bandwidth", parents=[run], help="cancellation vs bandwidth")
+    p_bw.add_argument("--bw", default="5e6,10e6,15e6,20e6", type=_sweep_points,
                       help="comma-separated bandwidths in Hz")
-    p_bw.add_argument("--output-dir", dest="output_dir")
 
-    p_pw = sub.add_parser("sweep-power", help="cancellation vs transmit power")
-    p_pw.add_argument("--config")
-    p_pw.add_argument("--dbm", default="-10..19",
+    p_pw = sub.add_parser("sweep-power", parents=[run], help="cancellation vs transmit power")
+    p_pw.add_argument("--dbm", default="-10..19", type=_sweep_points,
                       help="range lo..hi or comma-separated dBm values")
-    p_pw.add_argument("--output-dir", dest="output_dir")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", required=True, choices=sorted(VERIFY_SUITES))
     p_ver.add_argument("--output-dir", dest="output_dir", default="out")
 
-    p_spec = sub.add_parser("spectrum", help="PSD of one pipeline stage")
-    p_spec.add_argument("--config")
+    p_spec = sub.add_parser("spectrum", parents=[run], help="PSD of one pipeline stage")
     p_spec.add_argument("--stage", required=True, choices=["pre", "rf", "digital"])
-    p_spec.add_argument("--output-dir", dest="output_dir")
 
     args = parser.parse_args(argv)
     _keep_freed_memory()
@@ -100,15 +97,15 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep-bandwidth":
-        rows = run_sweep_bandwidth(_load(args), _parse_bw_list(args.bw))
+        rows = run_sweep_bandwidth(_load(args), args.bw)
         for bw, rf_db, dig_db, tot in rows:
             print(f"{bw/1e6:.0f} MHz: rf={rf_db:.2f} dB digital={dig_db:.2f} dB total={tot:.2f} dB")
         return 0
 
     if args.command == "sweep-power":
-        rows = run_sweep_power(_load(args), _parse_dbm_range(args.dbm))
+        rows = run_sweep_power(_load(args), args.dbm)
         for row in rows:
-            print(f"{row[0]:.0f} dBm: rf={row[1]:.2f} dB total(order2)={row[5]:.2f} dB")
+            print(f"{format_dbm(row[0])} dBm: rf={row[1]:.2f} dB total(order2)={row[5]:.2f} dB")
         return 0
 
     if args.command == "verify":
@@ -120,8 +117,6 @@ def main(argv=None) -> int:
         path = run_spectrum(_load(args), args.stage)
         print(f"wrote {path}")
         return 0
-
-    return 2
 
 
 if __name__ == "__main__":

@@ -30,6 +30,9 @@ MIN_FIT_SAMPLES = 100
 
 CONDITION_LIMIT = 1e12
 
+# LsEstimate coefficient names, in design-column order; an order-n fit has n + 1.
+LS_TERMS = ("a0", "c1", "c2")
+
 
 class IllConditionedFitError(ValueError):
     """Gram matrix of the normal equations is numerically singular."""
@@ -145,17 +148,14 @@ def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
     coef = np.linalg.solve(gram, a.conj().T @ b)
     resid = b - a @ coef
     resid_db = float(10.0 * np.log10(np.mean(np.abs(resid) ** 2) + 1e-300))
-    if order == 1:
-        return LsEstimate(a0=complex(coef[0]), c1=complex(coef[1]),
-                          order=1, residual_power_db=resid_db)
-    return LsEstimate(a0=complex(coef[0]), c1=complex(coef[1]),
-                      c2=complex(coef[2]), order=2, residual_power_db=resid_db)
+    return LsEstimate(order=order, residual_power_db=resid_db,
+                      **{name: complex(c) for name, c in zip(LS_TERMS, coef)})
 
 
 def reconstruct_si(x: BasebandSignal, est: LsEstimate) -> BasebandSignal:
     """a0 x - c1 x' (+ c2 x'') using the same filters as the fit."""
     cols = _design_columns(x, est.order)
-    coef = [est.a0, est.c1] + ([est.c2] if est.order == 2 else [])
+    coef = [getattr(est, name) for name in LS_TERMS[:est.order + 1]]
     acc = np.zeros(len(x.samples), dtype=np.complex128)
     for c, col in zip(coef, cols):
         acc += c * col

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
-from .channel import MultipathChannel, impair
+from .channel import MultipathChannel, fractional_delay, impair
 from .config import ExperimentConfig
 from .digital import D1_9TAP, D2_9TAP, cancel, ls_fit
 from .metrics import psd, slope_diagnostic
@@ -30,6 +30,9 @@ LEMMA_TAU_GRID = (0.001, 0.005, 0.01, 0.05, 0.1)
 # i.e. 0.15 cycles/sample.
 FILTER_CHECK_MAX_CPS = 0.15
 FILTER_CHECK_TOL = 0.02
+
+# Bound on the supremum over delta of the kernel periodization (criterion 3b).
+POISSON_SUP_MAX = 0.3
 
 
 @dataclass(frozen=True)
@@ -158,9 +161,11 @@ def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> Pip
     return _back_end(cfg, order, *_front_end(cfg))
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, lines) -> None:
+    """Write newline-terminated lines to path, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
@@ -173,7 +178,7 @@ def _write_psd_csv(path: Path, p: metrics.Psd) -> None:
     rows = [f"{int(ri)},{v:.2f}" if ii else f"{fi:.3f},{v:.2f}"
             for fi, ri, ii, v in zip(f.tolist(), r.tolist(), isint.tolist(),
                                      p.power_db.tolist())]
-    _atomic_write(path, "\n".join(["freq_hz,power_db", *rows]) + "\n")
+    _atomic_write(path, ["freq_hz,power_db", *rows])
 
 
 def _stage_psd(res: PipelineResult, stage: str) -> metrics.Psd:
@@ -186,36 +191,24 @@ def _stage_psd(res: PipelineResult, stage: str) -> metrics.Psd:
     raise ValueError(f"unknown stage {stage!r}")
 
 
+# report.txt format of each CancellationReport field not written as .2f
+REPORT_FORMATS = {"signal_power_E_s": ".6e", "derivative_power_E_d": ".6e",
+                  "slope_r2": ".4f"}
+
+
 def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
     """Write report.txt, per-stage PSD CSVs and the tune trace."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     for stage in ("pre", "rf", "digital"):
         _write_psd_csv(out / f"{stage}.csv", _stage_psd(res, stage))
 
-    r = res.report
     est = res.estimate
-    lines = [
-        f"tx_power_db = {r.tx_power_db:.2f}",
-        f"rf_residual_db = {r.rf_residual_db:.2f}",
-        f"digital_residual_db = {r.digital_residual_db:.2f}",
-        f"rf_cancellation_db = {r.rf_cancellation_db:.2f}",
-        f"digital_cancellation_db = {r.digital_cancellation_db:.2f}",
-        f"total_db = {r.total_db:.2f}",
-        f"signal_power_E_s = {r.signal_power_E_s:.6e}",
-        f"derivative_power_E_d = {r.derivative_power_E_d:.6e}",
-        f"slope_r2 = {r.slope_r2:.4f}",
-        f"slope_db_per_decade = {r.slope_db_per_decade:.2f}",
-        f"ls_order = {est.order}",
-        f"ls_a0_re = {est.a0.real:.12e}",
-        f"ls_a0_im = {est.a0.imag:.12e}",
-        f"ls_c1_re = {est.c1.real:.12e}",
-        f"ls_c1_im = {est.c1.imag:.12e}",
-    ]
-    if est.order == 2:
-        lines += [f"ls_c2_re = {est.c2.real:.12e}",
-                  f"ls_c2_im = {est.c2.imag:.12e}"]
+    lines = [f"{f.name} = {getattr(res.report, f.name):{REPORT_FORMATS.get(f.name, '.2f')}}"
+             for f in dataclasses.fields(CancellationReport)]
+    lines.append(f"ls_order = {est.order}")
+    for name in digital.LS_TERMS[:est.order + 1]:
+        c = getattr(est, name)
+        lines += [f"ls_{name}_re = {c.real:.12e}", f"ls_{name}_im = {c.imag:.12e}"]
     lines += [
         f"ls_residual_db = {est.residual_power_db:.2f}",
         f"tune_iterations = {res.tune.iterations}",
@@ -223,12 +216,12 @@ def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
         f"vm_g1 = {res.tune.state.g1:.8f}",
         f"vm_g2 = {res.tune.state.g2:.8f}",
     ]
-    _atomic_write(out / "report.txt", "\n".join(lines) + "\n")
+    _atomic_write(out / "report.txt", lines)
 
     trace = ["iteration,g1,g2,detector_db"]
     for i, (s, v) in enumerate(zip(res.tune.accepted_states, res.tune.detector_readings)):
         trace.append(f"{i},{s.g1:.8f},{s.g2:.8f},{10*np.log10(v + 1e-300):.2f}")
-    _atomic_write(out / "tune_trace.csv", "\n".join(trace) + "\n")
+    _atomic_write(out / "tune_trace.csv", trace)
     return out
 
 
@@ -250,12 +243,10 @@ def run_sweep_bandwidth(cfg: ExperimentConfig, bw_list) -> list:
         r = run_pipeline(point_cfg).report
         rows.append((float(bw), r.rf_cancellation_db, r.digital_cancellation_db,
                      r.total_db))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["bandwidth_hz,rf_db,digital_db,total_db"]
     for bw, rf_db, dig_db, tot in rows:
         lines.append(f"{int(bw)},{rf_db:.2f},{dig_db:.2f},{tot:.2f}")
-    _atomic_write(out / "bandwidth_sweep.csv", "\n".join(lines) + "\n")
+    _atomic_write(Path(cfg.output_dir) / "bandwidth_sweep.csv", lines)
     return rows
 
 
@@ -266,6 +257,11 @@ def _order0_residual_db(res: PipelineResult) -> float:
     y = res.rx.samples[sl]
     a0 = np.vdot(x, y) / np.vdot(x, x)
     return _power_db(y - a0 * x)
+
+
+def format_dbm(p_dbm: float) -> str:
+    """Transmit-power label: an integer without decimals, any other value in full."""
+    return f"{p_dbm:.0f}" if float(p_dbm).is_integer() else repr(float(p_dbm))
 
 
 def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
@@ -287,24 +283,19 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
                      r1.digital_cancellation_db, r2.digital_cancellation_db,
                      r1.total_db, r2.total_db,
                      split_signal, split_d1, split_d2))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["tx_power_dbm,rf_db,digital_db_order1,digital_db_order2,"
              "total_db_order1,total_db_order2,"
              "split_signal_db,split_deriv1_db,split_deriv2_db"]
     for row in rows:
-        lines.append(f"{row[0]:.0f}," + ",".join(f"{v:.2f}" for v in row[1:]))
-    _atomic_write(out / "power_sweep.csv", "\n".join(lines) + "\n")
+        lines.append(f"{format_dbm(row[0])}," + ",".join(f"{v:.2f}" for v in row[1:]))
+    _atomic_write(Path(cfg.output_dir) / "power_sweep.csv", lines)
     return rows
 
 
 def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
     """Write the PSD CSV of one pipeline stage."""
-    res = run_pipeline(cfg)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{stage}.csv"
-    _write_psd_csv(path, _stage_psd(res, stage))
+    path = Path(cfg.output_dir) / f"{stage}.csv"
+    _write_psd_csv(path, _stage_psd(run_pipeline(cfg), stage))
     return path
 
 
@@ -347,7 +338,6 @@ def _verify_filters() -> tuple:
 
 
 def _verify_oracle_delay() -> tuple:
-    from .channel import fractional_delay
     ok = True
     lines = {}
     fs = 80e6
@@ -374,13 +364,13 @@ def _verify_poisson() -> tuple:
     grid = np.linspace(0.0, 1.0, 100)
     checks = [oracle.poisson_check(d) for d in grid]
     max_gap = max(abs(c.direct_sum - c.closed_form) for c in checks)
-    match_ok = max_gap <= 1e-6
+    match_ok = all(c.matches for c in checks)
     lines["direct_vs_closed_max_gap"] = f"{max_gap:.6f} {'pass' if match_ok else 'fail'}"
     sup_direct = max(c.direct_sum for c in checks)
     sup_closed = max(c.closed_form for c in checks)
-    sup_ok = sup_direct <= 0.3
+    sup_ok = sup_direct <= POISSON_SUP_MAX
     lines["sup_direct_sum"] = f"{sup_direct:.6f} {'pass' if sup_ok else 'fail'}"
-    lines["sup_closed_form"] = f"{sup_closed:.6f} {'pass' if sup_closed <= 0.3 else 'fail'}"
+    lines["sup_closed_form"] = f"{sup_closed:.6f} {'pass' if sup_closed <= POISSON_SUP_MAX else 'fail'}"
     return ok0 and match_ok and sup_ok, lines
 
 
@@ -397,10 +387,8 @@ def run_verify(suite: str, output_dir: str = "out") -> bool:
     if suite not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(VERIFY_SUITES)}")
     ok, lines = VERIFY_SUITES[suite]()
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     text = [f"suite = {suite}"]
     text += [f"{k} = {v}" for k, v in lines.items()]
     text.append(f"overall = {'pass' if ok else 'fail'}")
-    _atomic_write(out / f"verdict_{suite}.txt", "\n".join(text) + "\n")
+    _atomic_write(Path(output_dir) / f"verdict_{suite}.txt", text)
     return ok

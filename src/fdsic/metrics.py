@@ -1,5 +1,5 @@
-"""Measurement utilities: cancellation ratios, Welch PSDs, and the
-residual-slope diagnostic that evidences a derivative-shaped residual.
+"""Measurement utilities: Welch PSDs and the residual-slope diagnostic that
+evidences a derivative-shaped residual.
 """
 
 from __future__ import annotations
@@ -10,9 +10,6 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from .signals import BasebandSignal
-
-CANCELLATION_CAP_DB = 200.0
-
 
 @dataclass(frozen=True)
 class Psd:
@@ -33,17 +30,6 @@ class Psd:
     @property
     def power_linear(self) -> np.ndarray:
         return 10.0 ** (self.power_db / 10.0)
-
-
-def cancellation_db(before: BasebandSignal, after: BasebandSignal) -> float:
-    """10 log10(P_before / P_after); positive when power was removed."""
-    pb = float(np.mean(np.abs(before.samples) ** 2))
-    pa = float(np.mean(np.abs(after.samples) ** 2))
-    if pb == 0:
-        raise ValueError("zero before-power")
-    if pa == 0:
-        return CANCELLATION_CAP_DB
-    return float(min(10.0 * np.log10(pb / pa), CANCELLATION_CAP_DB))
 
 
 def psd(signal: BasebandSignal, segment_len: int = 1024,

@@ -34,42 +34,35 @@ FHAT0_CLOSED = 0.2 * np.sqrt(np.pi / 2.0)
 FHAT1_CLOSED = (1.0 / 60.0) * np.sqrt(np.pi / 2.0)
 
 
-def _lemma_sinc(x: np.ndarray) -> np.ndarray:
-    """Pulse sin(x)/x whose second derivative squared is the lemma kernel."""
+def _series_or_closed(x, cutoff: float, series, closed) -> np.ndarray:
+    """series(x) where |x| < cutoff, closed(x) elsewhere."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = 1.0 - xs**2 / 6.0 + xs**4 / 120.0
-    xl = x[~small]
-    out[~small] = np.sin(xl) / xl
+    small = np.abs(x) < cutoff
+    out[small] = series(x[small])
+    out[~small] = closed(x[~small])
     return out
+
+
+def _lemma_sinc(x: np.ndarray) -> np.ndarray:
+    """Pulse sin(x)/x whose second derivative squared is the lemma kernel."""
+    return _series_or_closed(x, 1e-4, lambda xs: 1.0 - xs**2 / 6.0 + xs**4 / 120.0,
+                             lambda xl: np.sin(xl) / xl)
 
 
 def _lemma_sinc_deriv(x: np.ndarray) -> np.ndarray:
     """d/dx of sin(x)/x."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 1e-4
-    xs = x[small]
-    out[small] = -xs / 3.0 + xs**3 / 30.0 - xs**5 / 840.0
-    xl = x[~small]
-    out[~small] = np.cos(xl) / xl - np.sin(xl) / xl**2
-    return out
+    return _series_or_closed(x, 1e-4, lambda xs: -xs / 3.0 + xs**3 / 30.0 - xs**5 / 840.0,
+                             lambda xl: np.cos(xl) / xl - np.sin(xl) / xl**2)
 
 
 def _lemma_sinc_deriv2(x: np.ndarray) -> np.ndarray:
     """d^2/dx^2 of sin(x)/x = 2 sin x / x^3 - sin x / x - 2 cos x / x^2,
     with the series limit -1/3 at 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 0.1
-    xs = x[small]
-    out[small] = -1.0 / 3.0 + xs**2 / 10.0 - xs**4 / 168.0 + xs**6 / 6480.0
-    xl = x[~small]
-    out[~small] = (2.0 * np.sin(xl) / xl**3 - np.sin(xl) / xl
-                   - 2.0 * np.cos(xl) / xl**2)
-    return out
+    return _series_or_closed(
+        x, 0.1, lambda xs: -1.0 / 3.0 + xs**2 / 10.0 - xs**4 / 168.0 + xs**6 / 6480.0,
+        lambda xl: (2.0 * np.sin(xl) / xl**3 - np.sin(xl) / xl
+                    - 2.0 * np.cos(xl) / xl**2))
 
 
 def lemma_kernel(x) -> np.ndarray:

@@ -256,10 +256,7 @@ def gen_frame(spec: SignalSpec) -> BasebandSignal:
 
 def papr_db(signal: BasebandSignal) -> float:
     """Peak-to-average power ratio, 10 log10(max|x|^2 / mean|x|^2)."""
-    x = signal.samples
-    if x.size == 0:
-        raise ValueError("empty signal")
-    p = np.abs(x) ** 2
+    p = np.abs(signal.samples) ** 2
     mean = p.mean()
     if mean == 0:
         raise ValueError("zero-power signal")

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .channel import MultipathChannel, ChannelTap, PathLossModel, path_loss, SPEED_OF_LIGHT
+from .channel import MultipathChannel, PathLossModel, path_loss, SPEED_OF_LIGHT
 from .signals import BasebandSignal, make_signal
 
 MAX_ORDER = 4
@@ -72,30 +72,18 @@ def taylor_coeffs(channel: MultipathChannel, order: int) -> TaylorChannel:
 def reconstruct(tc: TaylorChannel, x: BasebandSignal, derivatives=()) -> BasebandSignal:
     """Model-side SI: sum_n (-1)^n C_n x^(n)(t), alternating signs.
 
-    derivatives[i] must hold the (i+1)-th time derivative of x, in units of
-    1/s^(i+1); C_n already contains the 1/n! factor.
+    derivatives[i] is a BasebandSignal holding the (i+1)-th time derivative
+    of x, in units of 1/s^(i+1); C_n already contains the 1/n! factor.
     """
     if len(derivatives) < tc.order:
         raise ValueError(f"need {tc.order} derivative(s), got {len(derivatives)}")
     acc = tc.coeffs[0] * x.samples
     for n in range(1, tc.order + 1):
-        d = derivatives[n - 1]
-        samples = d.samples if isinstance(d, BasebandSignal) else np.asarray(d)
+        samples = derivatives[n - 1].samples
         if len(samples) != len(x.samples):
             raise ValueError("derivative length mismatch")
         acc = acc + (-1) ** n * tc.coeffs[n] * samples
     return make_signal(acc, x.sample_rate_hz)
-
-
-def lemma_bound(tap: ChannelTap, symbol_T: float, pulse: str = "sinc") -> float:
-    """First-order error-power bound 0.075 a^2 (tau/T)^4 for one tap.
-
-    Derived for sinc pulses; for other pulses the same figure is reported but
-    carries no guarantee (callers should treat it as indicative only).
-    """
-    if symbol_T <= 0:
-        raise ValueError("symbol duration must be positive")
-    return LEMMA_CONST * tap.gain ** 2 * (tap.delay_s / symbol_T) ** 4
 
 
 def total_error_budget(channel: MultipathChannel, symbol_T: float,

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from fdsic.channel import ChannelTap, default_path_loss, taps_from_geometry
+from fdsic.config import ChannelConfig
 from fdsic.signals import SignalSpec, gen_ofdm
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -25,9 +25,7 @@ def oracle_frozen():
 @pytest.fixture(scope="session")
 def default_channel():
     """Circulator tap plus reflectors at 12.5 cm and 30 cm at 2.395 GHz."""
-    circ = ChannelTap(gain=10 ** (-18 / 20), delay_s=0.5e-9)
-    return taps_from_geometry([0.125, 0.30], default_path_loss(), 2.395e9,
-                              extra_taps=[circ])
+    return ChannelConfig().build()
 
 
 @pytest.fixture(scope="session")

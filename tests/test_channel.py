@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from fdsic.channel import (SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
                            PathLossModel, ReceiverImpairments, apply_channel,
-                           default_path_loss, fractional_delay, impair,
-                           path_loss, taps_from_geometry)
-from fdsic.config import load_config
+                           fractional_delay, impair, path_loss,
+                           taps_from_geometry)
+from fdsic.config import ChannelConfig, load_config
 from fdsic.oracle import resample_delay_reference
 from fdsic.signals import SignalSpec, gen_frame, gen_ofdm, make_signal
 
@@ -30,20 +30,20 @@ def bandlimited_noise(n, fs, frac=0.1, seed=0):
 
 class TestPathLoss:
     def test_zero_distance_returns_cap(self):
-        m = default_path_loss()
+        m = ChannelConfig().path_loss_model()
         assert path_loss(m, 0.0) == m.cap_delta
 
     def test_calibration_point(self):
-        m = default_path_loss()
+        m = ChannelConfig().path_loss_model()
         assert abs(10 * np.log10(path_loss(m, 0.25)) + 30.0) <= 0.5
 
     def test_quartic_law_below_cap(self):
-        m = default_path_loss()
+        m = ChannelConfig().path_loss_model()
         d = 1.0
         assert path_loss(m, 2 * d) / path_loss(m, d) == pytest.approx(1 / 16, rel=1e-12)
 
     def test_non_increasing(self):
-        m = default_path_loss()
+        m = ChannelConfig().path_loss_model()
         d = np.linspace(0.01, 5.0, 200)
         vals = [path_loss(m, x) for x in d]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -56,24 +56,24 @@ class TestPathLoss:
 
 class TestTapsFromGeometry:
     def test_reflector_delay_830ps(self):
-        ch = taps_from_geometry([0.125], default_path_loss(), 2.395e9)
+        ch = taps_from_geometry([0.125], ChannelConfig().path_loss_model(), 2.395e9)
         assert ch.taps[0].delay_s == pytest.approx(0.25 / SPEED_OF_LIGHT)
         assert ch.taps[0].delay_s == pytest.approx(830e-12, rel=0.01)
 
     def test_circulator_only(self):
         circ = ChannelTap(gain=10 ** (-18 / 20), delay_s=0.5e-9)
-        ch = taps_from_geometry([], default_path_loss(), 2.395e9, extra_taps=[circ])
+        ch = taps_from_geometry([], ChannelConfig().path_loss_model(), 2.395e9, extra_taps=[circ])
         assert len(ch.taps) == 1
         assert ch.taps[0].gain == pytest.approx(10 ** (-18 / 20))
 
     def test_equal_distances_stable_order(self):
-        ch = taps_from_geometry([0.2, 0.2], default_path_loss(), 2.395e9)
+        ch = taps_from_geometry([0.2, 0.2], ChannelConfig().path_loss_model(), 2.395e9)
         assert ch.taps[0].gain == ch.taps[1].gain
         assert ch.taps[0].delay_s == ch.taps[1].delay_s
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            taps_from_geometry([], default_path_loss(), 2.395e9)
+            taps_from_geometry([], ChannelConfig().path_loss_model(), 2.395e9)
 
     def test_taps_sorted_by_gain(self, default_channel):
         gains = [t.gain for t in default_channel.taps]

@@ -262,6 +262,21 @@ class TestSweeps:
         with pytest.raises(ValueError, match=key):
             run_pipeline(cfg)
 
+    def test_non_integer_power_points_keep_their_value(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        save_config(small_cfg(tmp_path), cfg_path)
+        assert cli.main(["sweep-power", "--config", str(cfg_path), "--dbm", "0.4,0.5"]) == 0
+        csv = (tmp_path / "out" / "power_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in csv[1:]] == ["0.4", "0.5"]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(" dBm")[0] for line in printed] == ["0.4", "0.5"]
+
+    @pytest.mark.parametrize("p_dbm, label", [(-10, "-10"), (19.0, "19"), (-0.0, "-0"),
+                                              (0.4, "0.4"), (-2.25, "-2.25")])
+    def test_power_label(self, p_dbm, label):
+        # integer points keep the .0f label of the benchmark reference
+        assert harness.format_dbm(p_dbm) == label
+
     def test_power_sweep_digital_grows_with_power_under_fixed_noise(self, tmp_path):
         cfg = small_cfg(tmp_path,
                         impairments=ReceiverImpairments(noise_power=1e-10))
@@ -344,6 +359,53 @@ class TestComputeOnce:
         calls = self.count_psd(monkeypatch)
         run_sweep_power(small_cfg(tmp_path), [0])
         assert len(calls) == 1
+
+
+def _report_text_by_hand(res):
+    """The hand-kept report.txt list write_outputs replaced, kept as its oracle."""
+    r = res.report
+    est = res.estimate
+    lines = [
+        f"tx_power_db = {r.tx_power_db:.2f}",
+        f"rf_residual_db = {r.rf_residual_db:.2f}",
+        f"digital_residual_db = {r.digital_residual_db:.2f}",
+        f"rf_cancellation_db = {r.rf_cancellation_db:.2f}",
+        f"digital_cancellation_db = {r.digital_cancellation_db:.2f}",
+        f"total_db = {r.total_db:.2f}",
+        f"signal_power_E_s = {r.signal_power_E_s:.6e}",
+        f"derivative_power_E_d = {r.derivative_power_E_d:.6e}",
+        f"slope_r2 = {r.slope_r2:.4f}",
+        f"slope_db_per_decade = {r.slope_db_per_decade:.2f}",
+        f"ls_order = {est.order}",
+        f"ls_a0_re = {est.a0.real:.12e}",
+        f"ls_a0_im = {est.a0.imag:.12e}",
+        f"ls_c1_re = {est.c1.real:.12e}",
+        f"ls_c1_im = {est.c1.imag:.12e}",
+    ]
+    if est.order == 2:
+        lines += [f"ls_c2_re = {est.c2.real:.12e}",
+                  f"ls_c2_im = {est.c2.imag:.12e}"]
+    lines += [
+        f"ls_residual_db = {est.residual_power_db:.2f}",
+        f"tune_iterations = {res.tune.iterations}",
+        f"tune_converged = {str(res.tune.converged).lower()}",
+        f"vm_g1 = {res.tune.state.g1:.8f}",
+        f"vm_g2 = {res.tune.state.g2:.8f}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestReportTxt:
+    # Both sides format the same PipelineResult, so the comparison does not
+    # depend on the BLAS thread count behind the ls_* digits.
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("tag", sorted(SHIPPED))
+    def test_matches_hand_kept_list(self, tmp_path, tag, order):
+        cfg = dataclasses.replace(load_config(REPO / "configs" / SHIPPED[tag]),
+                                  output_dir=str(tmp_path))
+        res = run_pipeline(cfg, digital_order=order)
+        harness.write_outputs(cfg, res)
+        assert (tmp_path / "report.txt").read_text() == _report_text_by_hand(res)
 
 
 class TestSimulateReference:
@@ -432,6 +494,18 @@ class TestCli:
         proc = self._run("spectrum", "--config", str(cfg_path), "--stage", "pre")
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "pre.csv").exists()
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("sweep-power", "--dbm", "5..-3"),      # reversed range
+        ("sweep-power", "--dbm", "1.5..3"),     # non-integer range
+        ("sweep-bandwidth", "--bw", ","),       # empty list
+    ])
+    def test_bad_sweep_list_is_usage_error(self, tmp_path, capsys, command, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, f"{flag}={text}", "--output-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_repeat_run_reuses_freed_memory(self, tmp_path):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from fdsic.metrics import Psd, cancellation_db, psd, slope_diagnostic
+from fdsic.metrics import Psd, psd, slope_diagnostic
 from fdsic.signals import make_signal
 
 FS = 80e6
@@ -12,34 +11,6 @@ def white_noise(n, power=1.0, seed=0):
     rng = np.random.default_rng(seed)
     x = np.sqrt(power / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return make_signal(x, FS)
-
-
-class TestCancellationDb:
-    def test_identity_is_zero(self):
-        x = white_noise(1024)
-        assert cancellation_db(x, x) == 0.0
-
-    def test_tenth_amplitude_is_20db(self):
-        x = white_noise(1024)
-        y = make_signal(x.samples / 10, FS)
-        assert cancellation_db(x, y) == pytest.approx(20.0, abs=1e-9)
-
-    @pytest.mark.parametrize("k", [0, 20, 40])
-    def test_exact_steps(self, k):
-        x = white_noise(2048, seed=2)
-        y = make_signal(x.samples * 10 ** (-k / 20), FS)
-        assert cancellation_db(x, y) == pytest.approx(float(k), abs=1e-9)
-
-    def test_zero_residual_capped(self):
-        x = white_noise(512)
-        y = make_signal(np.zeros(512, dtype=complex), FS)
-        assert cancellation_db(x, y) == 200.0
-
-    def test_zero_before_rejected(self):
-        z = make_signal(np.zeros(512, dtype=complex), FS)
-        x = white_noise(512)
-        with pytest.raises(ValueError):
-            cancellation_db(z, x)
 
 
 class TestPsd:
@@ -125,14 +96,6 @@ class TestSlopeDiagnostic:
             slope_diagnostic(p, (0.0, 1e6))
         with pytest.raises(ValueError):
             slope_diagnostic(p, (45e6, 50e6))
-
-
-@given(k=st.floats(0.0, 100.0))
-@settings(max_examples=25, deadline=None)
-def test_cancellation_scaling_property(k):
-    x = white_noise(256, seed=7)
-    y = make_signal(x.samples * 10 ** (-k / 20), FS)
-    assert cancellation_db(x, y) == pytest.approx(k, abs=1e-6)
 
 
 def test_psd_invariants_dataclass():

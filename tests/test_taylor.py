@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdsic.channel import ChannelTap, MultipathChannel, apply_channel, default_path_loss
+from fdsic.channel import ChannelTap, MultipathChannel, apply_channel
+from fdsic.config import ChannelConfig
 from fdsic.signals import make_signal
-from fdsic.taylor import (TaylorChannel, distance_error_curve,
-                          lemma_bound, reconstruct, taylor_coeffs,
-                          total_error_budget)
+from fdsic.taylor import (TaylorChannel, distance_error_curve, reconstruct,
+                          taylor_coeffs, total_error_budget)
 
 FC = 2.395e9
 
@@ -124,31 +124,38 @@ class TestReconstruct:
         tc = taylor_coeffs(ch, 1)
         model = reconstruct(tc, x, [make_signal(d1, fs)])
         err = np.mean(np.abs(truth.samples - model.samples) ** 2)
-        assert err <= lemma_bound(ch.taps[0], T)
+        assert err <= total_error_budget(ch, T, 1).total_bound
+
+
+def one_tap_bound(tap, symbol_T):
+    """First-order budget of a channel holding only `tap`: the per-tap
+    bound 0.075 a^2 (tau/T)^4."""
+    ch = MultipathChannel(taps=(tap,), carrier_hz=FC)
+    return total_error_budget(ch, symbol_T, 1).total_bound
 
 
 class TestLemmaBound:
     def test_reference_value(self):
-        assert lemma_bound(ChannelTap(1.0, 0.01), 1.0) == pytest.approx(7.5e-10)
+        assert one_tap_bound(ChannelTap(1.0, 0.01), 1.0) == pytest.approx(7.5e-10)
 
     def test_zero_delay(self):
-        assert lemma_bound(ChannelTap(1.0, 0.0), 1.0) == 0.0
+        assert one_tap_bound(ChannelTap(1.0, 0.0), 1.0) == 0.0
 
     def test_quartic_scaling(self):
-        b1 = lemma_bound(ChannelTap(1.0, 1e-9), 1e-7)
-        b2 = lemma_bound(ChannelTap(1.0, 2e-9), 1e-7)
+        b1 = one_tap_bound(ChannelTap(1.0, 1e-9), 1e-7)
+        b2 = one_tap_bound(ChannelTap(1.0, 2e-9), 1e-7)
         assert b2 / b1 == pytest.approx(16.0)
 
     def test_rejects_bad_T(self):
         with pytest.raises(ValueError):
-            lemma_bound(ChannelTap(1.0, 1e-9), 0.0)
+            one_tap_bound(ChannelTap(1.0, 1e-9), 0.0)
 
 
 class TestTotalErrorBudget:
     def test_additivity_order1(self, default_channel):
         T = 1 / 20e6
         budget = total_error_budget(default_channel, T, 1)
-        direct = sum(lemma_bound(t, T) for t in default_channel.taps)
+        direct = sum(one_tap_bound(t, T) for t in default_channel.taps)
         assert budget.total_bound == pytest.approx(direct, rel=1e-12)
 
     def test_ct_minus4_reference(self):
@@ -172,7 +179,7 @@ class TestTotalErrorBudget:
 
 class TestDistanceErrorCurve:
     def test_flat_in_power_law_region(self):
-        model = default_path_loss()
+        model = ChannelConfig().path_loss_model()
         T = 1 / 20e6
         # all distances beyond the cap crossover: alpha = 4 makes the curve flat
         pts = distance_error_curve(model, T, [0.2, 0.5, 1.0, 2.0])
@@ -180,14 +187,14 @@ class TestDistanceErrorCurve:
         assert max(vals) - min(vals) <= 1e-9
 
     def test_max_below_minus_100db(self):
-        model = default_path_loss()
+        model = ChannelConfig().path_loss_model()
         T = 1 / 20e6
         d = np.linspace(0.05, 5.0, 400)
         vals = [v for _, v in distance_error_curve(model, T, d)]
         assert max(vals) <= -100.0
 
     def test_halving_T_raises_12db(self):
-        model = default_path_loss()
+        model = ChannelConfig().path_loss_model()
         d = [0.1, 0.4, 1.0]
         a = dict(distance_error_curve(model, 1 / 20e6, d))
         b = dict(distance_error_curve(model, 1 / 40e6, d))
@@ -196,4 +203,4 @@ class TestDistanceErrorCurve:
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
-            distance_error_curve(default_path_loss(), 1e-7, [0.0])
+            distance_error_curve(ChannelConfig().path_loss_model(), 1e-7, [0.0])
