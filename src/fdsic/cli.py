@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from .config import ExperimentConfig, load_config
-from .harness import (format_dbm, run_simulate, run_spectrum, run_sweep_bandwidth,
+from .harness import (format_point, run_simulate, run_spectrum, run_sweep_bandwidth,
                       run_sweep_power, run_verify, VERIFY_SUITES)
 
 
@@ -99,13 +99,14 @@ def main(argv=None) -> int:
     if args.command == "sweep-bandwidth":
         rows = run_sweep_bandwidth(_load(args), args.bw)
         for bw, rf_db, dig_db, tot in rows:
-            print(f"{bw/1e6:.0f} MHz: rf={rf_db:.2f} dB digital={dig_db:.2f} dB total={tot:.2f} dB")
+            print(f"{format_point(bw / 1e6)} MHz: rf={rf_db:.2f} dB "
+                  f"digital={dig_db:.2f} dB total={tot:.2f} dB")
         return 0
 
     if args.command == "sweep-power":
         rows = run_sweep_power(_load(args), args.dbm)
         for row in rows:
-            print(f"{format_dbm(row[0])} dBm: rf={row[1]:.2f} dB total(order2)={row[5]:.2f} dB")
+            print(f"{format_point(row[0])} dBm: rf={row[1]:.2f} dB total(order2)={row[5]:.2f} dB")
         return 0
 
     if args.command == "verify":

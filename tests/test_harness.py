@@ -1,23 +1,27 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import platform
 import re
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdsic import cli, harness
-from fdsic.channel import ReceiverImpairments
+from fdsic import cli, harness, oracle
+from fdsic.channel import ReceiverImpairments, fractional_delay
 from fdsic.config import ChannelConfig, ExperimentConfig, load_config, save_config
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
                            run_sweep_bandwidth, run_sweep_power, run_verify)
 from fdsic.metrics import Psd
-from fdsic.signals import SignalSpec, make_signal
+from fdsic.signals import SignalSpec, gen_frame, make_signal
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = {"ofdm": "ofdm_20mhz.cfg", "sc": "single_carrier_10mhz.cfg"}
@@ -275,7 +279,24 @@ class TestSweeps:
                                               (0.4, "0.4"), (-2.25, "-2.25")])
     def test_power_label(self, p_dbm, label):
         # integer points keep the .0f label of the benchmark reference
-        assert harness.format_dbm(p_dbm) == label
+        assert harness.format_point(p_dbm) == label
+
+    @pytest.mark.parametrize("bw_hz, label", [
+        (5e6, "5000000"), (7.5e6, "7500000"), (7500000.5, "7500000.5"),
+        (20e6 / 3, "6666666.666666667")])
+    def test_bandwidth_label(self, bw_hz, label):
+        # integer-Hz points keep the int(bw) label written before
+        assert harness.format_point(bw_hz) == label
+
+    @pytest.mark.parametrize("source, labels", [("csv", ["5000000", "7500000"]),
+                                                ("stdout", ["5 MHz", "7.5 MHz"])])
+    def test_bandwidth_sweep_labels(self, bandwidth_sweep_output, source, labels):
+        csv, printed = bandwidth_sweep_output
+        if source == "csv":
+            assert csv[0] == "bandwidth_hz,rf_db,digital_db,total_db"
+            assert [line.split(",")[0] for line in csv[1:]] == labels
+        else:
+            assert [line.split(":")[0] for line in printed] == labels
 
     def test_power_sweep_digital_grows_with_power_under_fixed_noise(self, tmp_path):
         cfg = small_cfg(tmp_path,
@@ -283,6 +304,18 @@ class TestSweeps:
         rows = run_sweep_power(cfg, [-10, 0, 10, 19])
         dig2 = [row[3] for row in rows]
         assert all(a < b for a, b in zip(dig2, dig2[1:]))
+
+
+@pytest.fixture(scope="module")
+def bandwidth_sweep_output(tmp_path_factory):
+    """(bandwidth_sweep.csv lines, printed lines) of a 5 and 7.5 MHz sweep of
+    the single-carrier config."""
+    out = tmp_path_factory.mktemp("bw_sweep")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main(["sweep-bandwidth", "--config", str(REPO / "configs" / SHIPPED["sc"]),
+                         "--bw", "5e6,7.5e6", "--output-dir", str(out)]) == 0
+    return (out / "bandwidth_sweep.csv").read_text().splitlines(), printed.getvalue().splitlines()
 
 
 def _psd_csv_loop(p):
@@ -424,7 +457,73 @@ class TestSimulateReference:
                 assert digest == ref["simulate"]["0"][key], key
 
 
+class TestVerifyReference:
+    def test_verdicts_match_benchmark_reference(self, tmp_path):
+        # criterion 3b fails on purpose, so the poisson suite exits 1
+        ref = json.loads((REPO / "perfbench" / "reference.json").read_text())["verify"]["0"]
+        for suite in ("lemma", "filters", "oracle-delay", "poisson"):
+            code = cli.main(["verify", "--suite", suite, "--output-dir", str(tmp_path)])
+            assert code == (1 if suite == "poisson" else 0), suite
+            name = f"verdict_{suite}.txt"
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == ref[name], name
+
+
+def _oracle_delay_serial_loop():
+    """The one-thread frame loop _verify_oracle_delay replaced, kept as its oracle."""
+    ok = True
+    lines = {}
+    fs = 80e6
+    for i in range(10):
+        spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=2,
+                          ofdm_fft_size=1024, ofdm_used_carriers=620, seed=100 + i)
+        x = gen_frame(spec)
+        delay = (17 + 13 * i) / (64 * fs)
+        a = fractional_delay(x, delay)
+        b = oracle.resample_delay_reference(x, delay)
+        resid = np.mean(np.abs(a.samples - b.samples) ** 2) / x.mean_power
+        db = 10 * np.log10(resid + 1e-300)
+        holds = db <= -100.0
+        ok &= holds
+        lines[f"frame_{i}"] = f"{db:.1f} dB {'pass' if holds else 'fail'}"
+    return ok, lines
+
+
 class TestVerify:
+    def test_oracle_delay_pool_matches_serial_loop(self):
+        ok, lines = harness._verify_oracle_delay()
+        assert ok
+        assert (ok, lines) == _oracle_delay_serial_loop()
+
+    def test_oracle_delay_independent_of_worker_count(self, monkeypatch):
+        pool_sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        results = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(harness.os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)))
+            results.append(harness._verify_oracle_delay())
+        assert pool_sizes == [1, 3]
+        assert results[0] == results[1]
+
+    def test_oracle_delay_frame_error_reaches_caller(self, tmp_path, monkeypatch):
+        real = oracle.resample_delay_reference
+        bad_delay = (17 + 13 * 4) / (64 * 80e6)
+
+        def failing(signal, delay_s):
+            if delay_s == bad_delay:
+                raise RuntimeError("frame 4 failed")
+            return real(signal, delay_s)
+        monkeypatch.setattr(oracle, "resample_delay_reference", failing)
+        with pytest.raises(RuntimeError, match="frame 4 failed"):
+            run_verify("oracle-delay", output_dir=str(tmp_path))
+        assert not (tmp_path / "verdict_oracle-delay.txt").exists()
+
     def test_filters_suite_passes(self, tmp_path):
         assert run_verify("filters", output_dir=str(tmp_path))
         text = (tmp_path / "verdict_filters.txt").read_text()
