@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BasebandSignal, make_signal
+from .signals import BasebandSignal
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -139,7 +139,7 @@ def fractional_delay(signal: BasebandSignal, delay_s: float) -> BasebandSignal:
     freqs = np.fft.fftfreq(len(x), d=1.0 / signal.sample_rate_hz)
     ramp = np.exp(-2j * np.pi * freqs * delay_s)
     y = np.fft.ifft(np.fft.fft(x) * ramp)
-    return make_signal(y, signal.sample_rate_hz)
+    return BasebandSignal(y, signal.sample_rate_hz)
 
 
 def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSignal:
@@ -149,7 +149,8 @@ def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSigna
     the result equals the per-tap fractional_delay sum bit for bit.
     """
     if channel.carrier_hz < 2.5 * x.sample_rate_hz:
-        raise ValueError("carrier must be >> signal bandwidth (f_c >= 10 W)")
+        raise ValueError(f"carrier_hz = {channel.carrier_hz:g} must be at least "
+                         f"2.5 x the sample rate, {2.5 * x.sample_rate_hz:g} Hz")
     if any(tap.delay_s > MAX_DELAY_FRACTION * x.duration_s for tap in channel.taps):
         raise ValueError("delay exceeds 10% of the signal duration")
     freqs = np.fft.fftfreq(len(x), d=1.0 / x.sample_rate_hz)
@@ -165,7 +166,7 @@ def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSigna
             delayed = np.fft.ifft(np.multiply(X, ramp, out=ramp))
         acc += tap.gain * phase * delayed
     acc *= np.sqrt(channel.tx_gain)
-    return make_signal(acc, x.sample_rate_hz)
+    return BasebandSignal(acc, x.sample_rate_hz)
 
 
 def impair(rx: BasebandSignal, imp: ReceiverImpairments, seed: int = 0) -> BasebandSignal:
@@ -191,4 +192,4 @@ def impair(rx: BasebandSignal, imp: ReceiverImpairments, seed: int = 0) -> Baseb
                 return np.clip(np.round(v / step) * step,
                                -full_scale, full_scale - step)
             samples = q(samples.real) + 1j * q(samples.imag)
-    return make_signal(samples, rx.sample_rate_hz)
+    return BasebandSignal(samples, rx.sample_rate_hz)

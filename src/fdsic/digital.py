@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .signals import BasebandSignal, make_signal
+from .signals import BasebandSignal
 
 # Exact tap numerators / denominators; divide at use, not at storage.
 _FILTER_TABLE = {
@@ -94,7 +94,7 @@ def deriv_filter(x: BasebandSignal, f: DerivativeFilter) -> BasebandSignal:
     if len(x) <= len(f):
         raise ValueError("signal must be longer than the filter")
     y = np.convolve(x.samples, f.taps[::-1], mode="same")
-    return make_signal(y, x.sample_rate_hz)
+    return BasebandSignal(y, x.sample_rate_hz)
 
 
 def filter_response(f: DerivativeFilter, normalized_freq_grid) -> np.ndarray:
@@ -159,7 +159,7 @@ def reconstruct_si(x: BasebandSignal, est: LsEstimate) -> BasebandSignal:
     acc = np.zeros(len(x.samples), dtype=np.complex128)
     for c, col in zip(coef, cols):
         acc += c * col
-    return make_signal(acc, x.sample_rate_hz)
+    return BasebandSignal(acc, x.sample_rate_hz)
 
 
 def cancel(y: BasebandSignal, x: BasebandSignal, est: LsEstimate) -> BasebandSignal:
@@ -171,7 +171,7 @@ def cancel(y: BasebandSignal, x: BasebandSignal, est: LsEstimate) -> BasebandSig
     if len(y) != len(x):
         raise ValueError("y and x must be aligned and equal length")
     si_hat = reconstruct_si(x, est)
-    return make_signal(y.samples - si_hat.samples, y.sample_rate_hz)
+    return BasebandSignal(y.samples - si_hat.samples, y.sample_rate_hz)
 
 
 def complexity(n: int, filter_len: int, tapline_taps: int) -> dict:

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
-from .channel import MultipathChannel, fractional_delay, impair
+from .channel import fractional_delay, impair
 from .config import ExperimentConfig
 from .digital import D1_9TAP, D2_9TAP, cancel, ls_fit
 from .metrics import psd, slope_diagnostic
 from .rfstage import DetectorConfig, rf_stage
-from .signals import BasebandSignal, SignalSpec, gen_frame, make_signal
+from .signals import BasebandSignal, SignalSpec, gen_frame
 
 # Samples dropped at both frame ends before any power measurement: covers the
 # FIR edge convention and the wrap vicinity of the periodic delay.
@@ -90,12 +90,24 @@ def _slices(cfg: ExperimentConfig, n: int) -> tuple:
     return train, slice(train.stop, n - EDGE_GUARD)
 
 
-def _front_end(cfg: ExperimentConfig) -> tuple:
-    """The stages no digital order depends on: generate, channel, RF tune,
-    impair, and the PSD of the RF residual over the evaluation slice.
-    Returns (x, channel, si, rx, tune result, rf PSD)."""
+def _fit_cancel(x: BasebandSignal, rx: BasebandSignal, train: slice,
+                x_eval: BasebandSignal, y_eval: BasebandSignal, order: int) -> tuple:
+    """Digital stage of one order: LS fit of rx on x over the training slice,
+    then cancellation of the evaluation pair. Returns (estimate, canceled,
+    power in dB of the canceled samples clear of the filter edges)."""
+    fs = x.sample_rate_hz
+    est = ls_fit(BasebandSignal(rx.samples[train], fs), BasebandSignal(x.samples[train], fs),
+                 order)
+    canceled = cancel(y_eval, x_eval, est)
+    m = digital.edge_margin(order)
+    return est, canceled, _power_db(canceled.samples[m:len(canceled) - m])
+
+
+def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
+    """Full chain: generate, channel, RF tune, impair, digital cancel, report."""
     if cfg.signal.oversampling < digital.MIN_OVERSAMPLING:
-        raise ValueError("digital stage requires oversampling >= 4")
+        raise ValueError(f"digital stage requires oversampling >= {digital.MIN_OVERSAMPLING}")
+    order = cfg.digital_order if digital_order is None else digital_order
 
     x = gen_frame(cfg.signal)
     n = len(x)
@@ -109,27 +121,17 @@ def _front_end(cfg: ExperimentConfig) -> tuple:
                          symbol_samples=cfg.signal.oversampling)
     residual_rf, tune_res, si = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
     rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
-    rf_psd = _psd(make_signal(rx.samples[_slices(cfg, n)[1]], x.sample_rate_hz))
-    return x, channel, si, rx, tune_res, rf_psd
 
-
-def _back_end(cfg: ExperimentConfig, order: int, x: BasebandSignal,
-              channel: MultipathChannel, si: BasebandSignal, rx: BasebandSignal,
-              tune_res: rfstage.TuneResult, rf_psd: metrics.Psd) -> PipelineResult:
-    """Digital stage of one order on the front end's output, plus the report."""
-    train, ev = _slices(cfg, len(x))
+    train, ev = _slices(cfg, n)
     fs = x.sample_rate_hz
-    est = ls_fit(make_signal(rx.samples[train], fs), make_signal(x.samples[train], fs), order)
-
-    x_eval = make_signal(x.samples[ev], fs)
-    y_eval = make_signal(rx.samples[ev], fs)
-    canceled = cancel(y_eval, x_eval, est)
+    x_eval = BasebandSignal(x.samples[ev], fs)
+    y_eval = BasebandSignal(rx.samples[ev], fs)
+    est, canceled, digital_residual_db = _fit_cancel(x, rx, train, x_eval, y_eval, order)
     m = digital.edge_margin(order)
     inner = slice(m, len(canceled) - m)
 
     tx_power_db = _power_db(np.sqrt(channel.tx_gain) * x_eval.samples)
     rf_residual_db = _power_db(y_eval.samples)
-    digital_residual_db = _power_db(canceled.samples[inner])
     rf_c = tx_power_db - rf_residual_db
     dig_c = rf_residual_db - digital_residual_db
 
@@ -137,6 +139,7 @@ def _back_end(cfg: ExperimentConfig, order: int, x: BasebandSignal,
     e_s = float(np.mean(np.abs(x_eval.samples[inner]) ** 2))
     e_d = float(np.mean(np.abs(d1.samples[inner] * fs) ** 2))
 
+    rf_psd = _psd(y_eval)
     diag = slope_diagnostic(rf_psd, _occupied_band(cfg.signal))
 
     report = CancellationReport(
@@ -154,12 +157,6 @@ def _back_end(cfg: ExperimentConfig, order: int, x: BasebandSignal,
     return PipelineResult(report=report, x=x, si=si, rx=rx,
                           canceled=canceled, estimate=est, tune=tune_res,
                           eval_slice=ev, rf_psd=rf_psd)
-
-
-def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
-    """Full chain: generate, channel, RF tune, impair, digital cancel."""
-    order = cfg.digital_order if digital_order is None else digital_order
-    return _back_end(cfg, order, *_front_end(cfg))
 
 
 def _atomic_write(path: Path, lines) -> None:
@@ -184,7 +181,7 @@ def _write_psd_csv(path: Path, p: metrics.Psd) -> None:
 
 def _stage_psd(res: PipelineResult, stage: str) -> metrics.Psd:
     if stage == "pre":
-        return _psd(make_signal(res.si.samples[res.eval_slice], res.x.sample_rate_hz))
+        return _psd(BasebandSignal(res.si.samples[res.eval_slice], res.x.sample_rate_hz))
     if stage == "rf":
         return res.rf_psd
     if stage == "digital":
@@ -266,24 +263,27 @@ def _order0_residual_db(res: PipelineResult) -> float:
 
 
 def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
-    """Transmit-power sweep; fits both digital orders on each point's RF
-    residual and reports the per-term split of the digital cancellation."""
+    """Transmit-power sweep. Each point is one order-2 pipeline run, plus an
+    order-1 and a signal-only fit on its RF residual, which give the per-term
+    split of the digital cancellation."""
     rows = []
     for p_dbm in power_list_db:
         chan = dataclasses.replace(cfg.channel, tx_gain_db=float(p_dbm))
         point = dataclasses.replace(cfg, channel=chan)
-        front = _front_end(point)
-        res1 = _back_end(point, 1, *front)
-        res2 = _back_end(point, 2, *front)
-        r1, r2 = res1.report, res2.report
-        res0_db = _order0_residual_db(res2)
-        split_signal = r2.rf_residual_db - res0_db
-        split_d1 = res0_db - r1.digital_residual_db
-        split_d2 = r1.digital_residual_db - r2.digital_residual_db
+        res = run_pipeline(point, digital_order=2)
+        r2 = res.report
+        fs = res.x.sample_rate_hz
+        ev = res.eval_slice
+        _, _, res1_db = _fit_cancel(res.x, res.rx, _slices(point, len(res.x))[0],
+                                    BasebandSignal(res.x.samples[ev], fs),
+                                    BasebandSignal(res.rx.samples[ev], fs), 1)
+        res0_db = _order0_residual_db(res)
+        dig1 = r2.rf_residual_db - res1_db
         rows.append((float(p_dbm), r2.rf_cancellation_db,
-                     r1.digital_cancellation_db, r2.digital_cancellation_db,
-                     r1.total_db, r2.total_db,
-                     split_signal, split_d1, split_d2))
+                     dig1, r2.digital_cancellation_db,
+                     r2.rf_cancellation_db + dig1, r2.total_db,
+                     r2.rf_residual_db - res0_db, res0_db - res1_db,
+                     res1_db - r2.digital_residual_db))
     lines = ["tx_power_dbm,rf_db,digital_db_order1,digital_db_order2,"
              "total_db_order1,total_db_order2,"
              "split_signal_db,split_deriv1_db,split_deriv2_db"]

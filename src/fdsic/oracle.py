@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BasebandSignal, SignalSpec, draw_symbols, make_signal, rrc_pulse
+from .signals import BasebandSignal, SignalSpec, draw_symbols, rrc_pulse
 
 # Symbol window half-width for the Monte Carlo pulse-train evaluation. The
 # truncation bias in the measured error power is O(1/SYMBOL_HALF_WINDOW) and
@@ -269,4 +269,4 @@ def resample_delay_reference(signal: BasebandSignal, delay_s: float,
 
     # y[m] = sum_k x[k] kern[(m - k) mod N], only the N kept outputs
     y = np.convolve(np.concatenate([x, x])[1:], kern, "valid")
-    return make_signal(y, signal.sample_rate_hz)
+    return BasebandSignal(y, signal.sample_rate_hz)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MultipathChannel, apply_channel
-from .signals import BasebandSignal, make_signal
+from .signals import BasebandSignal
 
 # Minimum detector window, in symbol durations, for the averaged power to
 # approximate the long-integration limit.
@@ -83,14 +83,14 @@ class TuneResult:
 
 def vm_apply(state: VmState, tapped: BasebandSignal) -> BasebandSignal:
     """Apply the quantized control pair as a complex gain."""
-    return make_signal(state.complex_gain * tapped.samples, tapped.sample_rate_hz)
+    return BasebandSignal(state.complex_gain * tapped.samples, tapped.sample_rate_hz)
 
 
 def combine(si: BasebandSignal, vm_out: BasebandSignal) -> BasebandSignal:
     """Ideal power combiner: sample-wise sum."""
     if len(si) != len(vm_out) or si.sample_rate_hz != vm_out.sample_rate_hz:
         raise ValueError("combiner inputs must share length and rate")
-    return make_signal(si.samples + vm_out.samples, si.sample_rate_hz)
+    return BasebandSignal(si.samples + vm_out.samples, si.sample_rate_hz)
 
 
 def power_detect(residual: BasebandSignal, cfg: DetectorConfig) -> float:
@@ -194,7 +194,7 @@ def rf_stage(x: BasebandSignal, channel: MultipathChannel, vm_bits: int,
     sqrt(G_t) (coupler losses are folded into G_t).
     """
     si = apply_channel(channel, x)
-    tap = make_signal(np.sqrt(channel.tx_gain) * x.samples, x.sample_rate_hz)
+    tap = BasebandSignal(np.sqrt(channel.tx_gain) * x.samples, x.sample_rate_hz)
     result = tune(detector_env(si, tap, detector_cfg), VmState(0.0, 0.0, vm_bits), budget)
     residual = combine(si, vm_apply(result.state, tap))
     return residual, result, si

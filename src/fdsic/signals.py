@@ -80,7 +80,7 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class BasebandSignal:
-    """Uniformly sampled complex baseband sequence."""
+    """Uniformly sampled complex baseband sequence, stored as complex128."""
 
     samples: np.ndarray
     sample_rate_hz: float
@@ -103,12 +103,6 @@ class BasebandSignal:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
-
-
-def make_signal(samples: np.ndarray, sample_rate_hz: float) -> BasebandSignal:
-    """Wrap raw samples as a complex128 signal."""
-    return BasebandSignal(samples=np.asarray(samples, dtype=np.complex128),
-                          sample_rate_hz=sample_rate_hz)
 
 
 def draw_symbols(rng: np.random.Generator, size, constellation: str) -> np.ndarray:
@@ -184,7 +178,7 @@ def gen_single_carrier(spec: SignalSpec) -> BasebandSignal:
     train = np.zeros((spec.num_symbols - 1) * os_ + 1, dtype=np.complex128)
     train[::os_] = syms
     x = np.convolve(train, h.astype(np.complex128), mode="full")
-    return make_signal(_normalize(x), spec.sample_rate_hz)
+    return BasebandSignal(_normalize(x), spec.sample_rate_hz)
 
 
 def _ofdm_used_bins(fft_size: int, used: int) -> np.ndarray:
@@ -244,7 +238,7 @@ def gen_ofdm(spec: SignalSpec) -> BasebandSignal:
         start = s * sym_len - taper
         idx = (start + np.arange(len(ext))) % len(frame)
         np.add.at(frame, idx, ext * win)
-    return make_signal(_normalize(frame), spec.sample_rate_hz)
+    return BasebandSignal(_normalize(frame), spec.sample_rate_hz)
 
 
 def gen_frame(spec: SignalSpec) -> BasebandSignal:

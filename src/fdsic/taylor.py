@@ -14,7 +14,7 @@ from math import factorial
 import numpy as np
 
 from .channel import MultipathChannel, PathLossModel, path_loss, SPEED_OF_LIGHT
-from .signals import BasebandSignal, make_signal
+from .signals import BasebandSignal
 
 MAX_ORDER = 4
 
@@ -83,7 +83,7 @@ def reconstruct(tc: TaylorChannel, x: BasebandSignal, derivatives=()) -> Baseban
         if len(samples) != len(x.samples):
             raise ValueError("derivative length mismatch")
         acc = acc + (-1) ** n * tc.coeffs[n] * samples
-    return make_signal(acc, x.sample_rate_hz)
+    return BasebandSignal(acc, x.sample_rate_hz)
 
 
 def total_error_budget(channel: MultipathChannel, symbol_T: float,

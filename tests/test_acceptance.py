@@ -21,7 +21,7 @@ from fdsic.oracle import (FHAT0_CLOSED, exact_delay_oracle,
                           kernel_fourier0_numeric, poisson_check,
                           resample_delay_reference)
 from fdsic.rfstage import DetectorConfig, rf_stage
-from fdsic.signals import SignalSpec, gen_frame, make_signal
+from fdsic.signals import BasebandSignal, SignalSpec, gen_frame
 from fdsic.taylor import LEMMA_CONST, total_error_budget
 from fdsic.channel import fractional_delay
 
@@ -107,10 +107,10 @@ def test_criterion_5_ls_exactness():
     mask = np.abs(freqs) <= 0.08
     spectrum[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
     base = np.fft.ifft(spectrum)
-    x = make_signal(base / np.sqrt(np.mean(np.abs(base) ** 2)), 80e6)
+    x = BasebandSignal(base / np.sqrt(np.mean(np.abs(base) ** 2)), 80e6)
     a0, c1 = 0.8 - 0.3j, 0.05 + 0.02j
     d1 = deriv_filter(x, D1_9TAP)
-    y = make_signal(a0 * x.samples - c1 * d1.samples, 80e6)
+    y = BasebandSignal(a0 * x.samples - c1 * d1.samples, 80e6)
     est = ls_fit(y, x, order=1)
     rel_a0 = abs(est.a0 - a0) / abs(a0)
     rel_c1 = abs(est.c1 - c1) / abs(c1)

@@ -10,7 +10,7 @@ from fdsic.channel import (SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
                            taps_from_geometry)
 from fdsic.config import ChannelConfig, load_config
 from fdsic.oracle import resample_delay_reference
-from fdsic.signals import SignalSpec, gen_frame, gen_ofdm, make_signal
+from fdsic.signals import BasebandSignal, SignalSpec, gen_frame, gen_ofdm
 
 FS = 80e6
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -25,7 +25,7 @@ def bandlimited_noise(n, fs, frac=0.1, seed=0):
     spectrum[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
     x = np.fft.ifft(spectrum)
     x /= np.sqrt(np.mean(np.abs(x) ** 2))
-    return make_signal(x, fs)
+    return BasebandSignal(x, fs)
 
 
 class TestPathLoss:
@@ -94,7 +94,7 @@ class TestFractionalDelay:
     def test_tone_phase(self):
         f0 = 1.25e6
         n = np.arange(8192)
-        tone = make_signal(np.exp(2j * np.pi * f0 * n / FS), FS)
+        tone = BasebandSignal(np.exp(2j * np.pi * f0 * n / FS), FS)
         tau = 3.7e-9
         y = fractional_delay(tone, tau)
         expected = tone.samples * np.exp(-2j * np.pi * f0 * tau)
@@ -146,7 +146,7 @@ class TestApplyChannel:
         fc = 2.4e9
         tau = 0.9e-9
         tau2 = tau + 0.5 / fc
-        x = make_signal(np.ones(4096, dtype=complex), FS)
+        x = BasebandSignal(np.ones(4096, dtype=complex), FS)
         ch = MultipathChannel(taps=(ChannelTap(1.0, tau), ChannelTap(1.0, tau2)),
                               carrier_hz=fc)
         y = apply_channel(ch, x)
@@ -190,6 +190,15 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="carrier"):
             apply_channel(ch, x)
 
+    def test_carrier_guard_names_the_sample_rate_bound(self):
+        # 20 MHz x 8 = 160 MHz: 300 MHz clears ten bandwidths but not 2.5 x fs
+        x = gen_ofdm(SignalSpec(kind="ofdm", bandwidth_hz=20e6, oversampling=8,
+                                num_symbols=1, seed=1))
+        ch = MultipathChannel(taps=(ChannelTap(1.0, 0.0),), carrier_hz=300e6)
+        with pytest.raises(ValueError, match=r"^carrier_hz = 3e\+08 must be at least "
+                                             r"2\.5 x the sample rate, 4e\+08 Hz$"):
+            apply_channel(ch, x)
+
 
 @given(alpha=st.complex_numbers(min_magnitude=1e-3, max_magnitude=3.0,
                                 allow_nan=False, allow_infinity=False),
@@ -199,7 +208,7 @@ class TestApplyChannel:
 def test_apply_channel_linearity(alpha, beta, default_channel):
     x = bandlimited_noise(2048, FS, seed=7)
     y = bandlimited_noise(2048, FS, seed=8)
-    mix = make_signal(alpha * x.samples + beta * y.samples, FS)
+    mix = BasebandSignal(alpha * x.samples + beta * y.samples, FS)
     lhs = apply_channel(default_channel, mix).samples
     rhs = (alpha * apply_channel(default_channel, x).samples
            + beta * apply_channel(default_channel, y).samples)
@@ -214,14 +223,14 @@ class TestImpair:
         assert np.array_equal(y.samples, x.samples)
 
     def test_noise_power(self):
-        zero = make_signal(np.full(200_000, 1e-30, dtype=complex), FS)
+        zero = BasebandSignal(np.full(200_000, 1e-30, dtype=complex), FS)
         p = 0.37
         y = impair(zero, ReceiverImpairments(noise_power=p), seed=1)
         assert y.mean_power == pytest.approx(p, rel=0.05)
 
     def test_adc_sqnr_tone(self):
         n = np.arange(200_000)
-        tone = make_signal(np.exp(2j * np.pi * 0.011 * n), 1.0)
+        tone = BasebandSignal(np.exp(2j * np.pi * 0.011 * n), 1.0)
         bits = 12
         y = impair(tone, ReceiverImpairments(adc_bits=bits), seed=0)
         noise = y.samples - tone.samples

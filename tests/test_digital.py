@@ -8,7 +8,7 @@ from fdsic.digital import (D1_3TAP, D1_9TAP, D2_9TAP, DerivativeFilter,
                            IllConditionedFitError, LsEstimate, cancel,
                            complexity, deriv_filter, filter_response, ls_fit,
                            reconstruct_si)
-from fdsic.signals import make_signal
+from fdsic.signals import BasebandSignal
 
 FS = 80e6
 
@@ -20,7 +20,7 @@ def bandlimited_noise(n, frac=0.08, seed=0):
     mask = np.abs(freqs) <= frac
     spectrum[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
     x = np.fft.ifft(spectrum)
-    return make_signal(x / np.sqrt(np.mean(np.abs(x) ** 2)), FS)
+    return BasebandSignal(x / np.sqrt(np.mean(np.abs(x) ** 2)), FS)
 
 
 class TestFilterTaps:
@@ -48,12 +48,12 @@ class TestFilterTaps:
 
 class TestDerivFilter:
     def test_ramp_gives_two(self):
-        x = make_signal(np.arange(64, dtype=float) + 0j, FS)
+        x = BasebandSignal(np.arange(64, dtype=float) + 0j, FS)
         y = deriv_filter(x, D1_3TAP)
         assert np.allclose(y.samples[1:-1], 2.0)
 
     def test_dc_gives_zero(self):
-        x = make_signal(np.full(64, 3.3 + 0j), FS)
+        x = BasebandSignal(np.full(64, 3.3 + 0j), FS)
         for f in (D1_3TAP, D1_9TAP):
             y = deriv_filter(x, f)
             m = len(f) // 2
@@ -62,14 +62,14 @@ class TestDerivFilter:
     def test_tone_matches_dtft(self):
         nu = 0.1  # cycles/sample
         n = np.arange(2048)
-        x = make_signal(np.exp(2j * np.pi * nu * n), FS)
+        x = BasebandSignal(np.exp(2j * np.pi * nu * n), FS)
         y = deriv_filter(x, D1_9TAP)
         gain = filter_response(D1_9TAP, [nu])[0]
         expected = gain * x.samples
         assert np.max(np.abs(y.samples[8:-8] - expected[8:-8])) <= 1e-12
 
     def test_short_signal_rejected(self):
-        x = make_signal(np.ones(5, dtype=complex), FS)
+        x = BasebandSignal(np.ones(5, dtype=complex), FS)
         with pytest.raises(ValueError):
             deriv_filter(x, D1_9TAP)
 
@@ -99,7 +99,7 @@ class TestFilterResponse:
 class TestLsFit:
     def test_pure_scaling(self):
         x = bandlimited_noise(4096, seed=1)
-        y = make_signal(2.0 * x.samples, FS)
+        y = BasebandSignal(2.0 * x.samples, FS)
         est = ls_fit(y, x, order=1)
         assert est.a0 == pytest.approx(2.0, abs=1e-10)
         assert abs(est.c1) <= 1e-10
@@ -108,7 +108,7 @@ class TestLsFit:
         x = bandlimited_noise(8192, seed=2)
         a0, c1 = 0.8 - 0.3j, 0.05 + 0.02j
         d1 = deriv_filter(x, D1_9TAP)
-        y = make_signal(a0 * x.samples - c1 * d1.samples, FS)
+        y = BasebandSignal(a0 * x.samples - c1 * d1.samples, FS)
         est = ls_fit(y, x, order=1)
         assert abs(est.a0 - a0) / abs(a0) <= 1e-10
         assert abs(est.c1 - c1) / abs(c1) <= 1e-10
@@ -119,7 +119,7 @@ class TestLsFit:
         a0, c1, c2 = 0.9 + 0.1j, 0.04 - 0.01j, 0.002 + 0.005j
         d1 = deriv_filter(x, D1_9TAP)
         d2 = deriv_filter(x, D2_9TAP)
-        y = make_signal(a0 * x.samples - c1 * d1.samples + c2 * d2.samples, FS)
+        y = BasebandSignal(a0 * x.samples - c1 * d1.samples + c2 * d2.samples, FS)
         est = ls_fit(y, x, order=2)
         assert abs(est.a0 - a0) / abs(a0) <= 1e-10
         assert abs(est.c1 - c1) / abs(c1) <= 1e-10
@@ -134,14 +134,14 @@ class TestLsFit:
         assert e2.residual_power_db < e1.residual_power_db
 
     def test_singular_gram_distinct_error(self):
-        x = make_signal(np.ones(4096, dtype=complex), FS)  # x' = 0
-        y = make_signal(np.ones(4096, dtype=complex), FS)
+        x = BasebandSignal(np.ones(4096, dtype=complex), FS)  # x' = 0
+        y = BasebandSignal(np.ones(4096, dtype=complex), FS)
         with pytest.raises(IllConditionedFitError):
             ls_fit(y, x, order=1)
 
     def test_short_input_rejected(self):
         x = bandlimited_noise(4096, seed=5)
-        short = make_signal(x.samples[:50], FS)
+        short = BasebandSignal(x.samples[:50], FS)
         with pytest.raises(ValueError):
             ls_fit(short, short, order=1)
 
@@ -155,9 +155,9 @@ class TestLsFit:
         d1 = deriv_filter(x, D1_9TAP)
         rng = np.random.default_rng(8)
         noise = 1e-3 * (rng.standard_normal(8192) + 1j * rng.standard_normal(8192))
-        y = make_signal(0.7 * x.samples - 0.03 * d1.samples + noise, FS)
+        y = BasebandSignal(0.7 * x.samples - 0.03 * d1.samples + noise, FS)
         alpha = 3.0 - 4.0j
-        ya = make_signal(alpha * y.samples, FS)
+        ya = BasebandSignal(alpha * y.samples, FS)
         e = ls_fit(y, x, order=1)
         ea = ls_fit(ya, x, order=1)
         assert ea.a0 == pytest.approx(alpha * e.a0, rel=1e-9)
@@ -173,7 +173,7 @@ class TestLsFit:
             noise = 0.01 * (rng.standard_normal(4096) + 1j * rng.standard_normal(4096))
             a0 = 1.0 + 0.5j
             c1 = 0.3 - 0.2j
-            y = make_signal(a0 * x.samples - c1 * d1.samples + noise, FS)
+            y = BasebandSignal(a0 * x.samples - c1 * d1.samples + noise, FS)
             est = ls_fit(y, x, order=1)
 
             def resid_power(a, c):
@@ -191,12 +191,12 @@ class TestLsFit:
         x = bandlimited_noise(32768, seed=10)
         rng = np.random.default_rng(11)
         noise = 1e-4 * (rng.standard_normal(32768) + 1j * rng.standard_normal(32768))
-        y_full = make_signal(fractional_delay(x, 0.03 / FS).samples * 0.9 + noise, FS)
+        y_full = BasebandSignal(fractional_delay(x, 0.03 / FS).samples * 0.9 + noise, FS)
         half = 16384
-        xa = make_signal(x.samples[:half], FS)
-        ya = make_signal(y_full.samples[:half], FS)
-        xb = make_signal(x.samples[half:], FS)
-        yb = make_signal(y_full.samples[half:], FS)
+        xa = BasebandSignal(x.samples[:half], FS)
+        ya = BasebandSignal(y_full.samples[:half], FS)
+        xb = BasebandSignal(x.samples[half:], FS)
+        yb = BasebandSignal(y_full.samples[half:], FS)
         est = ls_fit(ya, xa, order=2)
         out = cancel(yb, xb, est)
         eval_db = 10 * np.log10(np.mean(np.abs(out.samples[8:-8]) ** 2))
@@ -208,7 +208,7 @@ class TestCancel:
         x = bandlimited_noise(8192, seed=12)
         d1 = deriv_filter(x, D1_9TAP)
         a0, c1 = 1.1 - 0.2j, 0.07 + 0.01j
-        y = make_signal(a0 * x.samples - c1 * d1.samples, FS)
+        y = BasebandSignal(a0 * x.samples - c1 * d1.samples, FS)
         est = ls_fit(y, x, order=1)
         out = cancel(y, x, est)
         db = 10 * np.log10(np.mean(np.abs(out.samples[8:-8]) ** 2))

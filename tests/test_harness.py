@@ -21,7 +21,7 @@ from fdsic.config import ChannelConfig, ExperimentConfig, load_config, save_conf
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
                            run_sweep_bandwidth, run_sweep_power, run_verify)
 from fdsic.metrics import Psd
-from fdsic.signals import SignalSpec, gen_frame, make_signal
+from fdsic.signals import BasebandSignal, SignalSpec, gen_frame
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = {"ofdm": "ofdm_20mhz.cfg", "sc": "single_carrier_10mhz.cfg"}
@@ -366,32 +366,38 @@ class TestPsdCsv:
 
 class TestComputeOnce:
     @staticmethod
-    def count_psd(monkeypatch):
+    def count_calls(monkeypatch, name):
         calls = []
-        real = harness.psd
+        real = getattr(harness, name)
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
-        monkeypatch.setattr(harness, "psd", counting)
+        monkeypatch.setattr(harness, name, counting)
         return calls
 
     def test_simulate_computes_three_psds(self, tmp_path, monkeypatch):
-        calls = self.count_psd(monkeypatch)
+        calls = self.count_calls(monkeypatch, "psd")
         cfg = small_cfg(tmp_path)
         run_simulate(cfg)
         # pre, digital, and rf shared by the slope diagnostic and rf.csv
         assert len(calls) == 3
         res = run_pipeline(cfg)
-        rx_eval = make_signal(res.rx.samples[res.eval_slice], res.x.sample_rate_hz)
+        rx_eval = BasebandSignal(res.rx.samples[res.eval_slice], res.x.sample_rate_hz)
         harness._write_psd_csv(tmp_path / "rf_expected.csv", harness._psd(rx_eval))
         assert ((Path(cfg.output_dir) / "rf.csv").read_text()
                 == (tmp_path / "rf_expected.csv").read_text())
 
     def test_power_sweep_point_computes_one_psd(self, tmp_path, monkeypatch):
-        calls = self.count_psd(monkeypatch)
+        calls = self.count_calls(monkeypatch, "psd")
         run_sweep_power(small_cfg(tmp_path), [0])
         assert len(calls) == 1
+
+    def test_power_sweep_point_runs_one_pipeline(self, tmp_path, monkeypatch):
+        pipelines = self.count_calls(monkeypatch, "run_pipeline")
+        diagnostics = self.count_calls(monkeypatch, "slope_diagnostic")
+        run_sweep_power(small_cfg(tmp_path), [0])
+        assert (len(pipelines), len(diagnostics)) == (1, 1)
 
 
 def _report_text_by_hand(res):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdsic.metrics import Psd, psd, slope_diagnostic
-from fdsic.signals import make_signal
+from fdsic.signals import BasebandSignal
 
 FS = 80e6
 
@@ -10,14 +10,14 @@ FS = 80e6
 def white_noise(n, power=1.0, seed=0):
     rng = np.random.default_rng(seed)
     x = np.sqrt(power / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return make_signal(x, FS)
+    return BasebandSignal(x, FS)
 
 
 class TestPsd:
     def test_tone_peak(self):
         f0 = 2.5e6
         n = np.arange(65536)
-        x = make_signal(np.exp(2j * np.pi * f0 * n / FS), FS)
+        x = BasebandSignal(np.exp(2j * np.pi * f0 * n / FS), FS)
         p = psd(x, 1024)
         peak_bin = np.argmax(p.power_db)
         assert abs(p.freqs_hz[peak_bin] - f0) <= p.rbw_hz
@@ -40,7 +40,7 @@ class TestPsd:
 
     def test_phase_rotation_invariance(self):
         x = white_noise(16384, seed=4)
-        y = make_signal(x.samples * np.exp(1j * 1.1), FS)
+        y = BasebandSignal(x.samples * np.exp(1j * 1.1), FS)
         pa, pb = psd(x, 1024), psd(y, 1024)
         assert np.allclose(pa.power_db, pb.power_db, atol=1e-9)
 
@@ -65,7 +65,7 @@ def spectra_signal(shape, n=1 << 18, seed=5):
     w = (rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum()))
     spectrum[mask] = w * np.abs(freqs[mask]) ** shape
     x = np.fft.ifft(spectrum)
-    return make_signal(x / np.sqrt(np.mean(np.abs(x) ** 2)), FS)
+    return BasebandSignal(x / np.sqrt(np.mean(np.abs(x) ** 2)), FS)
 
 
 class TestSlopeDiagnostic:
@@ -84,7 +84,7 @@ class TestSlopeDiagnostic:
 
     def test_amplitude_scale_invariance(self):
         x = spectra_signal(1.0, seed=6)
-        y = make_signal(x.samples * 123.0, FS)
+        y = BasebandSignal(x.samples * 123.0, FS)
         da = slope_diagnostic(psd(x, 4096), self.BAND)
         db = slope_diagnostic(psd(y, 4096), self.BAND)
         assert da["r2"] == pytest.approx(db["r2"], abs=1e-9)

@@ -11,7 +11,7 @@ from fdsic.oracle import (FHAT0_CLOSED, ORACLE_SEED, SYMBOL_HALF_WINDOW,
                           exact_delay_oracle, kernel_fourier0_numeric, lemma_kernel,
                           lemma_kernel_expanded, order2_remainder, poisson_check,
                           poisson_closed_form, resample_delay_reference)
-from fdsic.signals import SignalSpec, draw_symbols, gen_frame, make_signal
+from fdsic.signals import BasebandSignal, SignalSpec, draw_symbols, gen_frame
 from fdsic.taylor import ORDER2_CONST
 
 REPO = Path(__file__).resolve().parents[1]
@@ -215,7 +215,7 @@ class TestResampleDelayReference:
         assert np.array_equal(y.samples, _delay_full_convolution(x.samples, d_fine / 64))
 
     def test_odd_length_rejected(self):
-        x = make_signal(np.ones(255, dtype=complex), 1.0)
+        x = BasebandSignal(np.ones(255, dtype=complex), 1.0)
         with pytest.raises(ValueError, match="even"):
             resample_delay_reference(x, 0.0)
 

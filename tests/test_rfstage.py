@@ -13,7 +13,7 @@ from fdsic.config import ExperimentConfig, load_config
 from fdsic.metrics import psd, slope_diagnostic
 from fdsic.rfstage import (DetectorConfig, VmState, combine, detector_env,
                            power_detect, rf_stage, tune, vm_apply)
-from fdsic.signals import SignalSpec, gen_frame, gen_single_carrier, make_signal
+from fdsic.signals import BasebandSignal, SignalSpec, gen_frame, gen_single_carrier
 from fdsic.taylor import taylor_coeffs
 
 FC = 2.395e9
@@ -23,7 +23,7 @@ SHIPPED = ("ofdm_20mhz.cfg", "single_carrier_10mhz.cfg")
 
 def tone(n=32768, fs=80e6, f0=1.1e6):
     t = np.arange(n) / fs
-    return make_signal(np.exp(2j * np.pi * f0 * t), fs)
+    return BasebandSignal(np.exp(2j * np.pi * f0 * t), fs)
 
 
 def narrowband_training_signal(w_hz=1e6, nsym=4096, seed=5):
@@ -40,7 +40,7 @@ def shipped_tuning_inputs(name, seed, tx_gain_db=0.0):
     cfg = load_config(CONFIGS / name)
     x = gen_frame(dataclasses.replace(cfg.signal, seed=seed))
     ch = dataclasses.replace(cfg.channel, tx_gain_db=tx_gain_db).build()
-    tap = make_signal(np.sqrt(ch.tx_gain) * x.samples, x.sample_rate_hz)
+    tap = BasebandSignal(np.sqrt(ch.tx_gain) * x.samples, x.sample_rate_hz)
     det = DetectorConfig(window_samples=cfg.detector_window,
                          symbol_samples=cfg.signal.oversampling)
     return cfg, apply_channel(ch, x), tap, det
@@ -93,18 +93,18 @@ class TestVmApply:
 class TestCombine:
     def test_cancellation(self):
         x = tone(2048)
-        minus = make_signal(-x.samples, x.sample_rate_hz)
+        minus = BasebandSignal(-x.samples, x.sample_rate_hz)
         assert np.max(np.abs(combine(x, minus).samples)) == 0.0
 
     def test_zero_addition(self):
         x = tone(2048)
-        zero = make_signal(np.full(2048, 1e-300, dtype=complex), x.sample_rate_hz)
+        zero = BasebandSignal(np.full(2048, 1e-300, dtype=complex), x.sample_rate_hz)
         assert np.max(np.abs(combine(x, zero).samples - x.samples)) <= 1e-299
 
     def test_independent_powers_add(self):
         rng = np.random.default_rng(0)
-        a = make_signal(rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000), 1.0)
-        b = make_signal(rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000), 1.0)
+        a = BasebandSignal(rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000), 1.0)
+        b = BasebandSignal(rng.standard_normal(200_000) + 1j * rng.standard_normal(200_000), 1.0)
         total = combine(a, b).mean_power
         assert abs(10 * np.log10(total / (a.mean_power + b.mean_power))) <= 0.5
 
@@ -117,7 +117,7 @@ class TestPowerDetect:
     CFG = DetectorConfig(window_samples=16384, symbol_samples=4)
 
     def test_zero_input(self):
-        zero = make_signal(np.full(20000, 1e-300, dtype=complex), 80e6)
+        zero = BasebandSignal(np.full(20000, 1e-300, dtype=complex), 80e6)
         assert power_detect(zero, self.CFG) <= 1e-200
 
     def test_unit_power_reads_two(self):
@@ -127,7 +127,7 @@ class TestPowerDetect:
         x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=12, seed=2))
         c0 = 0.05 - 0.02j
         v = 0.01 + 0.03j
-        resid = make_signal((c0 + v) * x.samples, x.sample_rate_hz)
+        resid = BasebandSignal((c0 + v) * x.samples, x.sample_rate_hz)
         reading = power_detect(resid, DetectorConfig(window_samples=49152, symbol_samples=4))
         assert reading == pytest.approx(2 * abs(c0 + v) ** 2, rel=0.02)
 

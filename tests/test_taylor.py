@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdsic.channel import ChannelTap, MultipathChannel, apply_channel
 from fdsic.config import ChannelConfig
-from fdsic.signals import make_signal
+from fdsic.signals import BasebandSignal
 from fdsic.taylor import (TaylorChannel, distance_error_curve, reconstruct,
                           taylor_coeffs, total_error_budget)
 
@@ -89,22 +89,22 @@ def periodic_flat_noise(n, fs, half_band_hz, seed=0):
 
 class TestReconstruct:
     def test_order_zero(self):
-        x = make_signal(np.exp(2j * np.pi * 0.01 * np.arange(1024)), 80e6)
+        x = BasebandSignal(np.exp(2j * np.pi * 0.01 * np.arange(1024)), 80e6)
         tc = TaylorChannel(coeffs=(0.5 - 0.2j,))
         y = reconstruct(tc, x)
         assert np.max(np.abs(y.samples - (0.5 - 0.2j) * x.samples)) <= 1e-12
 
     def test_zero_c1_ignores_derivative(self):
-        x = make_signal(np.exp(2j * np.pi * 0.01 * np.arange(1024)), 80e6)
-        junk = make_signal(np.random.default_rng(0).standard_normal(1024) + 0j, 80e6)
-        zero = make_signal(np.full(1024, 1e-300, dtype=complex), 80e6)
+        x = BasebandSignal(np.exp(2j * np.pi * 0.01 * np.arange(1024)), 80e6)
+        junk = BasebandSignal(np.random.default_rng(0).standard_normal(1024) + 0j, 80e6)
+        zero = BasebandSignal(np.full(1024, 1e-300, dtype=complex), 80e6)
         tc = TaylorChannel(coeffs=(1.0, 0.0))
         ya = reconstruct(tc, x, [junk])
         yb = reconstruct(tc, x, [zero])
         assert np.array_equal(ya.samples, yb.samples)
 
     def test_missing_derivatives_rejected(self):
-        x = make_signal(np.ones(256, dtype=complex), 80e6)
+        x = BasebandSignal(np.ones(256, dtype=complex), 80e6)
         tc = TaylorChannel(coeffs=(1.0, 0.1))
         with pytest.raises(ValueError):
             reconstruct(tc, x)
@@ -117,12 +117,12 @@ class TestReconstruct:
         T = 1 / W
         half_band = 1 / (2 * np.pi * T)
         xs, d1, _ = periodic_flat_noise(65536, fs, half_band, seed=12)
-        x = make_signal(xs, fs)
+        x = BasebandSignal(xs, fs)
         tau = 0.01 * T
         ch = single_tap_channel(1.0, tau, fc=2.395e9)
         truth = apply_channel(ch, x)
         tc = taylor_coeffs(ch, 1)
-        model = reconstruct(tc, x, [make_signal(d1, fs)])
+        model = reconstruct(tc, x, [BasebandSignal(d1, fs)])
         err = np.mean(np.abs(truth.samples - model.samples) ** 2)
         assert err <= total_error_budget(ch, T, 1).total_bound
 
