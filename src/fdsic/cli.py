@@ -86,6 +86,12 @@ def main(argv=None) -> int:
     p_spec = sub.add_parser("spectrum", parents=[run], help="PSD of one pipeline stage")
     p_spec.add_argument("--stage", required=True, choices=["pre", "rf", "digital"])
 
+    # argparse reads a spaced value that starts with "-" as an option: join it
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for flag in ("--dbm", "--bw"):
+        while flag in argv[:-1]:
+            i = argv.index(flag)
+            argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]
     args = parser.parse_args(argv)
     _keep_freed_memory()
 

@@ -3,7 +3,8 @@ coefficient estimation, reconstruction/subtraction, and complexity counts.
 
 The received residual is modelled as y ~ a0 x - c1 x' + c2 x'' with x', x''
 obtained by short FIR differentiators on the known transmit samples; the
-coefficients come from a direct 2x2 or 3x3 normal-equation solve.
+coefficients come from a direct 2x2 or 3x3 normal-equation solve, and the
+2x2 system is the leading block of the 3x3 one.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ class LsEstimate:
         if self.order == 2 and self.c2 is None:
             raise ValueError("order-2 estimate requires c2")
 
+    @property
+    def coef(self) -> tuple:  # the order + 1 coefficients, in LS_TERMS order
+        return tuple(getattr(self, name) for name in LS_TERMS[:self.order + 1])
+
 
 def deriv_filter(x: BasebandSignal, f: DerivativeFilter) -> BasebandSignal:
     """Centre-aligned differentiation of the sample stream.
@@ -107,26 +112,57 @@ def filter_response(f: DerivativeFilter, normalized_freq_grid) -> np.ndarray:
     return (taps * np.exp(2j * np.pi * np.outer(grid, k))).sum(axis=-1)
 
 
-def _design_columns(x: BasebandSignal, order: int) -> list:
+def power_db(samples: np.ndarray) -> float:
+    return float(10.0 * np.log10(np.mean(np.abs(samples) ** 2) + 1e-300))
+
+
+# Samples dropped at each end of a filtered slice, where the filters see the
+# zero padding; both filters have 9 taps, so it is 4 for either order.
+EDGE_MARGIN = len(D1_9TAP) // 2
+
+
+def design_columns(x: BasebandSignal, order: int) -> list:
+    """Design-matrix columns x, -D1 x (, D2 x); order 1's are order 2's first two."""
     cols = [x.samples, -deriv_filter(x, D1_9TAP).samples]
     if order == 2:
         cols.append(deriv_filter(x, D2_9TAP).samples)
     return cols
 
 
-def edge_margin(order: int) -> int:
-    """Half the longest filter of an order-`order` fit: samples dropped at
-    each end, where the filters see the zero padding."""
-    return max(len(f) for f in (D1_9TAP, D2_9TAP)[:order]) // 2
+def normal_equations(cols: list, b: np.ndarray) -> tuple:
+    """(Gram matrix, right-hand side) over the rows clear of EDGE_MARGIN. Each entry
+    is a numpy pairwise sum, not BLAS, so it is the same at any BLAS thread
+    count, and the leading k x k block is the first k columns' system bit for bit."""
+    a = [c[EDGE_MARGIN:len(c) - EDGE_MARGIN] for c in (*cols, b)]
+    rows = np.array([[np.sum(ci * cj) for cj in a] for ci in (c.conj() for c in a[:-1])])
+    return rows[:, :-1], rows[:, -1]
+
+
+def model(cols: list, coef) -> np.ndarray:
+    """sum_i coef[i] cols[i], added in column order into zeros, as in the recorded outputs."""
+    acc = np.zeros(len(cols[0]), dtype=np.complex128)
+    for c, col in zip(coef, cols):
+        acc += c * col
+    return acc
+
+
+def solve(cols: list, b: np.ndarray, system: tuple, order: int) -> LsEstimate:
+    """Order-`order` estimate and its residual from the leading block of
+    `system` = normal_equations(cols, b). Raises IllConditionedFitError when
+    the block's condition number exceeds 1e12."""
+    k = order + 1
+    gram, rhs = system[0][:k, :k], system[1][:k]
+    if np.linalg.cond(gram) > CONDITION_LIMIT:
+        raise IllConditionedFitError("normal equations are ill-conditioned")
+    coef = np.linalg.solve(gram, rhs)
+    resid = (b - model(cols[:k], coef))[EDGE_MARGIN:len(b) - EDGE_MARGIN]
+    return LsEstimate(order=order, residual_power_db=power_db(resid),
+                      **{name: complex(c) for name, c in zip(LS_TERMS, coef)})
 
 
 def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
-    """Solve the normal equations for (a0, c1[, c2]) on the aligned window.
-
-    Samples within half a filter length of either end are excluded from both
-    the fit and the reported residual. Raises IllConditionedFitError when
-    the Gram matrix condition number exceeds 1e12.
-    """
+    """Fit (a0, c1[, c2]) on the aligned window, leaving EDGE_MARGIN samples at
+    each end out of the fit and the residual; see solve for the errors."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if len(y) != len(x):
@@ -135,31 +171,13 @@ def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
     if x.mean_power == 0:
         raise ValueError("x has zero power")
-
-    cols = _design_columns(x, order)
-    m = edge_margin(order)
-    sl = slice(m, len(x.samples) - m)
-    a = np.stack([c[sl] for c in cols], axis=1)
-    b = y.samples[sl]
-
-    gram = a.conj().T @ a
-    if np.linalg.cond(gram) > CONDITION_LIMIT:
-        raise IllConditionedFitError("normal equations are ill-conditioned")
-    coef = np.linalg.solve(gram, a.conj().T @ b)
-    resid = b - a @ coef
-    resid_db = float(10.0 * np.log10(np.mean(np.abs(resid) ** 2) + 1e-300))
-    return LsEstimate(order=order, residual_power_db=resid_db,
-                      **{name: complex(c) for name, c in zip(LS_TERMS, coef)})
+    cols = design_columns(x, order)
+    return solve(cols, y.samples, normal_equations(cols, y.samples), order)
 
 
 def reconstruct_si(x: BasebandSignal, est: LsEstimate) -> BasebandSignal:
     """a0 x - c1 x' (+ c2 x'') using the same filters as the fit."""
-    cols = _design_columns(x, est.order)
-    coef = [getattr(est, name) for name in LS_TERMS[:est.order + 1]]
-    acc = np.zeros(len(x.samples), dtype=np.complex128)
-    for c, col in zip(coef, cols):
-        acc += c * col
-    return BasebandSignal(acc, x.sample_rate_hz)
+    return BasebandSignal(model(design_columns(x, est.order), est.coef), x.sample_rate_hz)
 
 
 def cancel(y: BasebandSignal, x: BasebandSignal, est: LsEstimate) -> BasebandSignal:

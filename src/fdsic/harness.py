@@ -16,7 +16,7 @@ import numpy as np
 from . import digital, metrics, oracle, rfstage, taylor
 from .channel import fractional_delay, impair
 from .config import ExperimentConfig
-from .digital import D1_9TAP, D2_9TAP, cancel, ls_fit
+from .digital import D1_9TAP, D2_9TAP, EDGE_MARGIN, power_db
 from .metrics import psd, slope_diagnostic
 from .rfstage import DetectorConfig, rf_stage
 from .signals import BasebandSignal, SignalSpec, gen_frame
@@ -61,10 +61,7 @@ class PipelineResult:
     tune: rfstage.TuneResult
     eval_slice: slice
     rf_psd: metrics.Psd  # PSD of rx over eval_slice
-
-
-def _power_db(samples: np.ndarray) -> float:
-    return float(10.0 * np.log10(np.mean(np.abs(samples) ** 2) + 1e-300))
+    digital_residuals_db: tuple  # canceled power of orders 1..estimate.order
 
 
 def _psd(signal: BasebandSignal) -> metrics.Psd:
@@ -82,25 +79,6 @@ def _occupied_band(spec: SignalSpec) -> tuple:
         if spec.pulse == "rrc":
             edge *= (1.0 - spec.rolloff)
     return (0.05 * edge, 0.9 * edge)
-
-
-def _slices(cfg: ExperimentConfig, n: int) -> tuple:
-    """(training, evaluation) slices of an n-sample frame."""
-    train = slice(EDGE_GUARD, EDGE_GUARD + cfg.train_len)
-    return train, slice(train.stop, n - EDGE_GUARD)
-
-
-def _fit_cancel(x: BasebandSignal, rx: BasebandSignal, train: slice,
-                x_eval: BasebandSignal, y_eval: BasebandSignal, order: int) -> tuple:
-    """Digital stage of one order: LS fit of rx on x over the training slice,
-    then cancellation of the evaluation pair. Returns (estimate, canceled,
-    power in dB of the canceled samples clear of the filter edges)."""
-    fs = x.sample_rate_hz
-    est = ls_fit(BasebandSignal(rx.samples[train], fs), BasebandSignal(x.samples[train], fs),
-                 order)
-    canceled = cancel(y_eval, x_eval, est)
-    m = digital.edge_margin(order)
-    return est, canceled, _power_db(canceled.samples[m:len(canceled) - m])
 
 
 def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
@@ -122,22 +100,30 @@ def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> Pip
     residual_rf, tune_res, si = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
     rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
 
-    train, ev = _slices(cfg, n)
+    train = slice(EDGE_GUARD, EDGE_GUARD + cfg.train_len)
+    ev = slice(train.stop, n - EDGE_GUARD)
     fs = x.sample_rate_hz
     x_eval = BasebandSignal(x.samples[ev], fs)
     y_eval = BasebandSignal(rx.samples[ev], fs)
-    est, canceled, digital_residual_db = _fit_cancel(x, rx, train, x_eval, y_eval, order)
-    m = digital.edge_margin(order)
-    inner = slice(m, len(canceled) - m)
+    # One system for all orders; order k solves its leading (k + 1)-square block
+    b = rx.samples[train]
+    cols = digital.design_columns(BasebandSignal(x.samples[train], fs), order)
+    system = digital.normal_equations(cols, b)
+    eval_cols = digital.design_columns(x_eval, order)
+    inner = slice(EDGE_MARGIN, len(x_eval) - EDGE_MARGIN)
+    residuals_db = []
+    for k in range(1, order + 1):
+        est = digital.solve(cols, b, system, k)
+        canceled = y_eval.samples - digital.model(eval_cols[:k + 1], est.coef)
+        residuals_db.append(power_db(canceled[inner]))
 
-    tx_power_db = _power_db(np.sqrt(channel.tx_gain) * x_eval.samples)
-    rf_residual_db = _power_db(y_eval.samples)
+    tx_power_db = power_db(np.sqrt(channel.tx_gain) * x_eval.samples)
+    rf_residual_db = power_db(y_eval.samples)
     rf_c = tx_power_db - rf_residual_db
-    dig_c = rf_residual_db - digital_residual_db
+    dig_c = rf_residual_db - residuals_db[-1]
 
-    d1 = digital.deriv_filter(x_eval, D1_9TAP)
     e_s = float(np.mean(np.abs(x_eval.samples[inner]) ** 2))
-    e_d = float(np.mean(np.abs(d1.samples[inner] * fs) ** 2))
+    e_d = float(np.mean(np.abs(eval_cols[1][inner] * fs) ** 2))
 
     rf_psd = _psd(y_eval)
     diag = slope_diagnostic(rf_psd, _occupied_band(cfg.signal))
@@ -145,7 +131,7 @@ def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> Pip
     report = CancellationReport(
         tx_power_db=tx_power_db,
         rf_residual_db=rf_residual_db,
-        digital_residual_db=digital_residual_db,
+        digital_residual_db=residuals_db[-1],
         rf_cancellation_db=rf_c,
         digital_cancellation_db=dig_c,
         total_db=rf_c + dig_c,
@@ -154,9 +140,9 @@ def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> Pip
         slope_r2=diag["r2"],
         slope_db_per_decade=diag["slope_db_per_decade"],
     )
-    return PipelineResult(report=report, x=x, si=si, rx=rx,
-                          canceled=canceled, estimate=est, tune=tune_res,
-                          eval_slice=ev, rf_psd=rf_psd)
+    return PipelineResult(report=report, x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, fs),
+                          estimate=est, tune=tune_res, eval_slice=ev, rf_psd=rf_psd,
+                          digital_residuals_db=tuple(residuals_db))
 
 
 def _atomic_write(path: Path, lines) -> None:
@@ -204,8 +190,7 @@ def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
     lines = [f"{f.name} = {getattr(res.report, f.name):{REPORT_FORMATS.get(f.name, '.2f')}}"
              for f in dataclasses.fields(CancellationReport)]
     lines.append(f"ls_order = {est.order}")
-    for name in digital.LS_TERMS[:est.order + 1]:
-        c = getattr(est, name)
+    for name, c in zip(digital.LS_TERMS, est.coef):
         lines += [f"ls_{name}_re = {c.real:.12e}", f"ls_{name}_im = {c.imag:.12e}"]
     lines += [
         f"ls_residual_db = {est.residual_power_db:.2f}",
@@ -259,24 +244,20 @@ def _order0_residual_db(res: PipelineResult) -> float:
     x = res.x.samples[sl]
     y = res.rx.samples[sl]
     a0 = np.vdot(x, y) / np.vdot(x, x)
-    return _power_db(y - a0 * x)
+    return power_db(y - a0 * x)
 
 
 def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
-    """Transmit-power sweep. Each point is one order-2 pipeline run, plus an
-    order-1 and a signal-only fit on its RF residual, which give the per-term
-    split of the digital cancellation."""
+    """Transmit-power sweep. Each point is one order-2 pipeline run; its
+    order-1 residual and a signal-only fit on its RF residual give the
+    per-term split of the digital cancellation."""
     rows = []
     for p_dbm in power_list_db:
         chan = dataclasses.replace(cfg.channel, tx_gain_db=float(p_dbm))
         point = dataclasses.replace(cfg, channel=chan)
         res = run_pipeline(point, digital_order=2)
         r2 = res.report
-        fs = res.x.sample_rate_hz
-        ev = res.eval_slice
-        _, _, res1_db = _fit_cancel(res.x, res.rx, _slices(point, len(res.x))[0],
-                                    BasebandSignal(res.x.samples[ev], fs),
-                                    BasebandSignal(res.rx.samples[ev], fs), 1)
+        res1_db = res.digital_residuals_db[0]
         res0_db = _order0_residual_db(res)
         dig1 = r2.rf_residual_db - res1_db
         rows.append((float(p_dbm), r2.rf_cancellation_db,

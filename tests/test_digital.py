@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdsic.digital import (D1_3TAP, D1_9TAP, D2_9TAP, DerivativeFilter,
+from fdsic.digital import (D1_3TAP, D1_9TAP, D2_9TAP, EDGE_MARGIN, DerivativeFilter,
                            IllConditionedFitError, LsEstimate, cancel,
-                           complexity, deriv_filter, filter_response, ls_fit,
-                           reconstruct_si)
+                           complexity, deriv_filter, design_columns, filter_response,
+                           ls_fit, normal_equations, reconstruct_si, solve)
 from fdsic.signals import BasebandSignal
 
 FS = 80e6
@@ -201,6 +201,52 @@ class TestLsFit:
         out = cancel(yb, xb, est)
         eval_db = 10 * np.log10(np.mean(np.abs(out.samples[8:-8]) ** 2))
         assert abs(eval_db - est.residual_power_db) <= 3.0
+
+
+def delayed_pair(n, seed):
+    """(y, x): x delayed by a twentieth of a sample, scaled, plus noise."""
+    from fdsic.channel import fractional_delay
+    x = bandlimited_noise(n, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    noise = 1e-4 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return BasebandSignal(0.8j * fractional_delay(x, 0.05 / FS).samples + noise, FS), x
+
+
+class TestNestedOrders:
+    def test_both_filters_share_the_edge_margin(self):
+        assert EDGE_MARGIN == len(D1_9TAP) // 2 == len(D2_9TAP) // 2 == 4
+
+    def test_order1_system_is_leading_block_of_order2(self):
+        y, x = delayed_pair(4096, seed=30)
+        gram1, rhs1 = normal_equations(design_columns(x, 1), y.samples)
+        gram2, rhs2 = normal_equations(design_columns(x, 2), y.samples)
+        assert np.array_equal(gram2[:2, :2], gram1)
+        assert np.array_equal(rhs2[:2], rhs1)
+
+    def test_order1_from_order2_system_equals_ls_fit(self):
+        y, x = delayed_pair(4096, seed=31)
+        cols = design_columns(x, 2)
+        est = solve(cols, y.samples, normal_equations(cols, y.samples), 1)
+        ref = ls_fit(y, x, 1)
+        assert (est.a0, est.c1, est.c2) == (ref.a0, ref.c1, None)
+        assert est.residual_power_db == ref.residual_power_db
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_system_matches_matrix_product(self, order):
+        # the BLAS matrix product the per-entry sums replaced, kept as their oracle
+        y, x = delayed_pair(4096, seed=32)
+        gram, rhs = normal_equations(design_columns(x, order), y.samples)
+        sl = slice(EDGE_MARGIN, len(x) - EDGE_MARGIN)
+        a = np.stack([c[sl] for c in design_columns(x, order)], axis=1)
+        np.testing.assert_allclose(gram, a.conj().T @ a, rtol=1e-12)
+        np.testing.assert_allclose(rhs, a.conj().T @ y.samples[sl], rtol=1e-12)
+
+    def test_singular_leading_block_rejected(self):
+        x = BasebandSignal(np.ones(4096, dtype=complex), FS)  # x' = 0
+        cols = design_columns(x, 2)
+        system = normal_equations(cols, x.samples)
+        with pytest.raises(IllConditionedFitError):
+            solve(cols, x.samples, system, 1)
 
 
 class TestCancel:

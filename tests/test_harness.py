@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import platform
 import re
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdsic import cli, harness, oracle
+from fdsic import cli, digital, harness, oracle
 from fdsic.channel import ReceiverImpairments, fractional_delay
 from fdsic.config import ChannelConfig, ExperimentConfig, load_config, save_config
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
@@ -25,6 +26,7 @@ from fdsic.signals import BasebandSignal, SignalSpec, gen_frame
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = {"ofdm": "ofdm_20mhz.cfg", "sc": "single_carrier_10mhz.cfg"}
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def small_cfg(tmp_path, **kw):
@@ -366,14 +368,14 @@ class TestPsdCsv:
 
 class TestComputeOnce:
     @staticmethod
-    def count_calls(monkeypatch, name):
+    def count_calls(monkeypatch, name, module=harness):
         calls = []
-        real = getattr(harness, name)
+        real = getattr(module, name)
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
-        monkeypatch.setattr(harness, name, counting)
+        monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_simulate_computes_three_psds(self, tmp_path, monkeypatch):
@@ -398,6 +400,31 @@ class TestComputeOnce:
         diagnostics = self.count_calls(monkeypatch, "slope_diagnostic")
         run_sweep_power(small_cfg(tmp_path), [0])
         assert (len(pipelines), len(diagnostics)) == (1, 1)
+
+    def test_power_sweep_point_filters_each_slice_once(self, tmp_path, monkeypatch):
+        # D1 and D2 of the training and of the evaluation slice; order 1
+        # reuses order 2's columns
+        calls = self.count_calls(monkeypatch, "deriv_filter", module=digital)
+        run_sweep_power(small_cfg(tmp_path), [0])
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("order, filterings", [(1, 2), (2, 4)])
+    def test_simulate_filters_each_slice_once(self, tmp_path, monkeypatch, order, filterings):
+        calls = self.count_calls(monkeypatch, "deriv_filter", module=digital)
+        run_simulate(small_cfg(tmp_path, digital_order=order))
+        assert len(calls) == filterings
+
+    def test_order1_residual_equals_stand_alone_order1_fit(self, tmp_path):
+        res = run_pipeline(small_cfg(tmp_path), digital_order=2)
+        fs = res.x.sample_rate_hz
+        train = slice(harness.EDGE_GUARD, res.eval_slice.start)
+        est = digital.ls_fit(BasebandSignal(res.rx.samples[train], fs),
+                             BasebandSignal(res.x.samples[train], fs), 1)
+        y_eval = BasebandSignal(res.rx.samples[res.eval_slice], fs)
+        canceled = digital.cancel(y_eval, BasebandSignal(res.x.samples[res.eval_slice], fs), est)
+        m = digital.EDGE_MARGIN
+        assert res.digital_residuals_db[0] == digital.power_db(canceled.samples[m:-m])
+        assert res.digital_residuals_db[1] == res.report.digital_residual_db
 
 
 def _report_text_by_hand(res):
@@ -435,8 +462,6 @@ def _report_text_by_hand(res):
 
 
 class TestReportTxt:
-    # Both sides format the same PipelineResult, so the comparison does not
-    # depend on the BLAS thread count behind the ls_* digits.
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("tag", sorted(SHIPPED))
     def test_matches_hand_kept_list(self, tmp_path, tag, order):
@@ -448,17 +473,16 @@ class TestReportTxt:
 
 
 class TestSimulateReference:
-    def test_csv_outputs_match_benchmark_reference(self, tmp_path):
-        # Seed 1 of the benchmark runs the shipped configs. report.txt is left
-        # out: its 12-digit ls_* fields depend on the BLAS thread count.
+    def test_outputs_match_benchmark_reference(self, tmp_path):
+        # Seed 1 of the benchmark runs the shipped configs.
         ref = json.loads((REPO / "perfbench" / "reference.json").read_text())
         assert ref["seed"] == 1
         for tag, name in SHIPPED.items():
             assert cli.main(["simulate", "--config", str(REPO / "configs" / name),
                              "--output-dir", str(tmp_path / tag)]) == 0
         for tag in SHIPPED:
-            for stage in ("pre", "rf", "digital", "tune_trace"):
-                key = f"{tag}/{stage}.csv"
+            for name in ("report.txt", "pre.csv", "rf.csv", "digital.csv", "tune_trace.csv"):
+                key = f"{tag}/{name}"
                 digest = hashlib.sha256((tmp_path / key).read_bytes()).hexdigest()
                 assert digest == ref["simulate"]["0"][key], key
 
@@ -568,6 +592,37 @@ class TestDeterminism:
             assert a == b
 
 
+class TestBlasThreads:
+    @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs 2 usable CPUs")
+    def test_outputs_independent_of_blas_thread_count(self, tmp_path):
+        # A BLAS product may split a sum differently per thread count; every
+        # output file must come out the same at one BLAS thread and at two.
+        configs = REPO / "configs"
+        runs = [["simulate", "--config", str(configs / name), "--output-dir", tag]
+                for tag, name in SHIPPED.items()]
+        runs.append(["sweep-power", "--config", str(configs / SHIPPED["ofdm"]), "--dbm=0",
+                     "--output-dir", "sweep"])
+        script = ("import json, sys\nfrom fdsic import cli\n"
+                  "for argv in json.loads(sys.argv[1]):\n    assert cli.main(argv) == 0\n")
+        pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                   os.environ.get("PYTHONPATH")]))
+        files = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=pythonpath)
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                                  cwd=out, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            files[threads] = {p.relative_to(out).as_posix(): p.read_bytes()
+                              for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(files["1"]) == 11  # five per simulate, plus power_sweep.csv
+        for name, data in files["1"].items():
+            assert files["2"][name] == data, name
+        assert files["2"].keys() == files["1"].keys()
+
+
 class TestCli:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "fdsic.cli", *args],
@@ -611,6 +666,21 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, text, csv", [
+        ("sweep-power", "--dbm", "-1..0", "power_sweep.csv"),
+        ("sweep-power", "--dbm", "-3,0", "power_sweep.csv"),
+        ("sweep-bandwidth", "--bw", "20e6", "bandwidth_sweep.csv"),
+    ])
+    def test_spaced_sweep_list_equals_joined_form(self, tmp_path, command, flag, text, csv):
+        # a spaced value that starts with "-" is the flag's value, not an option
+        cfg_path = tmp_path / "exp.cfg"
+        save_config(small_cfg(tmp_path), cfg_path)
+        for form, args in (("spaced", [flag, text]), ("joined", [f"{flag}={text}"])):
+            assert cli.main([command, "--config", str(cfg_path), *args,
+                             "--output-dir", str(tmp_path / form)]) == 0
+        assert ((tmp_path / "spaced" / csv).read_bytes()
+                == (tmp_path / "joined" / csv).read_bytes())
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_repeat_run_reuses_freed_memory(self, tmp_path):
