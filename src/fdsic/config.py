@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .channel import (ChannelTap, MultipathChannel, PathLossModel,
                       ReceiverImpairments, taps_from_geometry)
+from .rfstage import MAX_VM_BITS, MIN_VM_BITS
 from .signals import SignalSpec
 
 
@@ -69,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.digital_order not in (1, 2):
             raise ValueError("digital_order must be 1 or 2")
+        if not MIN_VM_BITS <= self.vm_bits <= MAX_VM_BITS:
+            raise ValueError(f"vm_bits = {self.vm_bits} must be in [{MIN_VM_BITS}, {MAX_VM_BITS}]")
         if self.train_len < 100:
             raise ValueError("train_len too short")
         if self.tune_budget <= 0:

@@ -10,18 +10,23 @@ coefficients come from a direct 2x2 or 3x3 normal-equation solve, and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .signals import BasebandSignal
 
-# Exact tap numerators / denominators; divide at use, not at storage.
-_FILTER_TABLE = {
-    "d1_3tap": ([-1, 0, 1], 1),
-    "d1_9tap": ([3, -32, 168, -672, 0, 672, -168, 32, -3], 840),
-    "d2_9tap": ([1, 4, 4, -4, 10, -4, 4, 4, 1], 64),
-}
+
+def _taps(nums, den) -> np.ndarray:
+    """Read-only float taps: exact integer numerators over one denominator."""
+    taps = np.asarray(nums, dtype=float) / den
+    taps.flags.writeable = False
+    return taps
+
+
+# Centre-aligned differentiator taps; deriv_filter and filter_response take them.
+D1_3TAP = _taps([-1, 0, 1], 1)
+D1_9TAP = _taps([3, -32, 168, -672, 0, 672, -168, 32, -3], 840)
+D2_9TAP = _taps([1, 4, 4, -4, 10, -4, 4, 4, 1], 64)
 
 # Minimum oversampling for the differentiators to act inside their accurate
 # band.
@@ -40,74 +45,41 @@ class IllConditionedFitError(ValueError):
 
 
 @dataclass(frozen=True)
-class DerivativeFilter:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _FILTER_TABLE:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
-
-    @property
-    def tap_fractions(self) -> tuple:
-        nums, den = _FILTER_TABLE[self.kind]
-        return tuple(Fraction(n, den) for n in nums)
-
-    @property
-    def taps(self) -> np.ndarray:
-        nums, den = _FILTER_TABLE[self.kind]
-        return np.asarray(nums, dtype=float) / den
-
-    def __len__(self) -> int:
-        return len(_FILTER_TABLE[self.kind][0])
-
-
-D1_3TAP = DerivativeFilter("d1_3tap")
-D1_9TAP = DerivativeFilter("d1_9tap")
-D2_9TAP = DerivativeFilter("d2_9tap")
-
-
-@dataclass(frozen=True)
 class LsEstimate:
     """Fitted coefficients of the model y ~ a0 x - c1 x' (+ c2 x'')."""
 
     a0: complex
     c1: complex
-    order: int
     residual_power_db: float
     c2: complex | None = None
 
-    def __post_init__(self):
-        if self.order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        if self.order == 1 and self.c2 is not None:
-            raise ValueError("order-1 estimate must not carry c2")
-        if self.order == 2 and self.c2 is None:
-            raise ValueError("order-2 estimate requires c2")
+    @property
+    def order(self) -> int:
+        return 1 if self.c2 is None else 2
 
     @property
     def coef(self) -> tuple:  # the order + 1 coefficients, in LS_TERMS order
         return tuple(getattr(self, name) for name in LS_TERMS[:self.order + 1])
 
 
-def deriv_filter(x: BasebandSignal, f: DerivativeFilter) -> BasebandSignal:
+def deriv_filter(x: BasebandSignal, taps: np.ndarray) -> BasebandSignal:
     """Centre-aligned differentiation of the sample stream.
 
     The tap list is applied so that y[n] = sum_k taps[k] x[n + k - centre]
-    (a ramp through d1_3tap yields +2); edges use the zero-padding
+    (a ramp through D1_3TAP yields +2); edges use the zero-padding
     convention and must be excluded by callers.
     """
-    if len(x) <= len(f):
+    if len(x) <= len(taps):
         raise ValueError("signal must be longer than the filter")
-    y = np.convolve(x.samples, f.taps[::-1], mode="same")
+    y = np.convolve(x.samples, taps[::-1], mode="same")
     return BasebandSignal(y, x.sample_rate_hz)
 
 
-def filter_response(f: DerivativeFilter, normalized_freq_grid) -> np.ndarray:
+def filter_response(taps: np.ndarray, normalized_freq_grid) -> np.ndarray:
     """DTFT of the applied filter on a grid of cycles/sample in [0, 0.5]."""
     grid = np.asarray(normalized_freq_grid, dtype=float)
     if grid.size and (grid.min() < 0 or grid.max() > 0.5):
         raise ValueError("grid must lie in [0, 0.5] cycles/sample")
-    taps = f.taps
     k = np.arange(len(taps)) - (len(taps) - 1) // 2
     return (taps * np.exp(2j * np.pi * np.outer(grid, k))).sum(axis=-1)
 
@@ -156,7 +128,7 @@ def solve(cols: list, b: np.ndarray, system: tuple, order: int) -> LsEstimate:
         raise IllConditionedFitError("normal equations are ill-conditioned")
     coef = np.linalg.solve(gram, rhs)
     resid = (b - model(cols[:k], coef))[EDGE_MARGIN:len(b) - EDGE_MARGIN]
-    return LsEstimate(order=order, residual_power_db=power_db(resid),
+    return LsEstimate(residual_power_db=power_db(resid),
                       **{name: complex(c) for name, c in zip(LS_TERMS, coef)})
 
 

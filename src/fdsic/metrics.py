@@ -32,9 +32,9 @@ class Psd:
         return 10.0 ** (self.power_db / 10.0)
 
 
-def psd(signal: BasebandSignal, segment_len: int = 1024,
-        overlap: int | None = None) -> Psd:
-    """Two-sided Hann-windowed averaged periodogram (density scaling).
+def psd(signal: BasebandSignal, segment_len: int = 1024) -> Psd:
+    """Two-sided Hann-windowed averaged periodogram (density scaling) over
+    half-overlapping segments.
 
     Normalized so the integral over frequency equals the mean power.
     """
@@ -43,13 +43,9 @@ def psd(signal: BasebandSignal, segment_len: int = 1024,
         raise ValueError("segment_len must be a power of two")
     if segment_len > n:
         raise ValueError("segment_len exceeds the signal length")
-    if overlap is None:
-        overlap = segment_len // 2
-    if not 0 <= overlap < segment_len:
-        raise ValueError("overlap must be in [0, segment_len)")
     freqs, pxx = sp_signal.welch(signal.samples, fs=signal.sample_rate_hz,
                                  window="hann", nperseg=segment_len,
-                                 noverlap=overlap, detrend=False,
+                                 noverlap=segment_len // 2, detrend=False,
                                  return_onesided=False, scaling="density")
     order = np.argsort(freqs)
     return Psd(freqs_hz=freqs[order],

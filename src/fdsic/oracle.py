@@ -157,19 +157,17 @@ def _pulse_functions(spec: SignalSpec):
     """Closed-form pulse and derivative, in symbol-duration units."""
     if spec.pulse == "sinc":
         return _lemma_sinc, _lemma_sinc_deriv
-    if spec.pulse == "rrc":
-        b = spec.rolloff
+    b = spec.rolloff
 
-        def g(v):
-            return rrc_pulse(v, b)
+    def g(v):
+        return rrc_pulse(v, b)
 
-        def gd(v, h=1e-4):
-            # Richardson central difference of the closed form; adequate for
-            # the informational RRC path (error ~ h^4).
-            return (8.0 * (g(v + h) - g(v - h)) - (g(v + 2 * h) - g(v - 2 * h))) / (12.0 * h)
+    def gd(v, h=1e-4):
+        # Richardson central difference of the closed form; adequate for
+        # the informational RRC path (error ~ h^4).
+        return (8.0 * (g(v + h) - g(v - h)) - (g(v + 2 * h) - g(v - 2 * h))) / (12.0 * h)
 
-        return g, gd
-    raise ValueError("oracle supports sinc and rrc pulses")
+    return g, gd
 
 
 def _pulse_train_powers(spec: SignalSpec, weights, trials: int, seed: int) -> list:

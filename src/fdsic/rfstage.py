@@ -23,6 +23,8 @@ MIN_DETECTOR_SYMBOLS = 64
 
 TUNE_INITIAL_STEP = 0.5
 
+MIN_VM_BITS, MAX_VM_BITS = 1, 24  # vector-modulator resolutions VmState accepts
+
 
 def _quant_step(bits: int) -> float:
     return 2.0 / (1 << bits)
@@ -45,8 +47,8 @@ class VmState:
     bits: int = 16
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 24:
-            raise ValueError("bits must be in [1, 24]")
+        if not MIN_VM_BITS <= self.bits <= MAX_VM_BITS:
+            raise ValueError(f"bits must be in [{MIN_VM_BITS}, {MAX_VM_BITS}]")
         if not (-1.0 <= self.g1 <= 1.0 and -1.0 <= self.g2 <= 1.0):
             raise ValueError("g1, g2 must lie in [-1, 1]")
 
@@ -167,16 +169,17 @@ def detector_env(si: BasebandSignal, tap: BasebandSignal, cfg: DetectorConfig):
 
     Over the window the reading is a quadratic in the VM gain g,
     2 (|s|^2 + 2 Re(g <s, t>) + |g|^2 |t|^2) / W, so each call is scalar
-    arithmetic on three inner products computed once. power_detect on the
-    combined signal is the reference it replaces.
+    arithmetic on three inner products computed once, as numpy sums rather
+    than BLAS so that they are the same at any BLAS thread count.
+    power_detect on the combined signal is the reference it replaces.
     """
     w = cfg.window_samples
     if len(si) < w:
         raise ValueError("residual shorter than the detector window")
     s_w, t_w = si.samples[-w:], tap.samples[-w:]
-    ss = np.vdot(s_w, s_w).real
-    st = np.vdot(s_w, t_w)
-    tt = np.vdot(t_w, t_w).real
+    ss = np.sum(s_w.conj() * s_w).real
+    st = np.sum(s_w.conj() * t_w)
+    tt = np.sum(t_w.conj() * t_w).real
 
     def env(state: VmState) -> float:
         g = state.complex_gain

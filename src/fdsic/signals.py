@@ -16,10 +16,6 @@ import numpy as np
 # tolerance asserted downstream.
 PULSE_SPAN = 16
 
-# Fraction of the nominal half-bandwidth by which a truncated sinc pulse may
-# spill past the brick-wall edge while still containing 99% of frame energy.
-SINC_CONFINEMENT_EPS = 0.1
-
 # Raised-cosine taper length (output samples) applied across OFDM symbol
 # junctions via cyclic extension and overlap-add. Sized so the per-symbol
 # window skirts fall fast enough to expose the DC notch (>40 dB down) and to
@@ -118,11 +114,6 @@ def draw_symbols(rng: np.random.Generator, size, constellation: str) -> np.ndarr
     return pts[rng.integers(0, len(pts), size=size)]
 
 
-def sinc_pulse(t: np.ndarray) -> np.ndarray:
-    """Nyquist sinc pulse sin(pi t)/(pi t) with zeros at nonzero integers."""
-    return np.sinc(np.asarray(t, dtype=float))
-
-
 def rrc_pulse(t: np.ndarray, rolloff: float) -> np.ndarray:
     """Root-raised-cosine pulse, unit symbol duration, peak at t = 0."""
     t = np.asarray(t, dtype=float)
@@ -170,10 +161,7 @@ def gen_single_carrier(spec: SignalSpec) -> BasebandSignal:
 
     n_taps = 2 * PULSE_SPAN * os_ + 1
     t = (np.arange(n_taps) - PULSE_SPAN * os_) / os_
-    if spec.pulse == "sinc":
-        h = sinc_pulse(t)
-    else:
-        h = rrc_pulse(t, spec.rolloff)
+    h = np.sinc(t) if spec.pulse == "sinc" else rrc_pulse(t, spec.rolloff)
 
     train = np.zeros((spec.num_symbols - 1) * os_ + 1, dtype=np.complex128)
     train[::os_] = syms
@@ -219,9 +207,6 @@ def gen_ofdm(spec: SignalSpec) -> BasebandSignal:
     sym_len = body + cp
     taper = int(body * OFDM_JUNCTION_TAPER_FRACTION) if spec.num_symbols > 1 else 0
     bins = _ofdm_used_bins(nfft, used)
-
-    if cp + taper > body:
-        raise ValueError("taper plus cyclic prefix exceed the symbol body")
     ramp = 0.5 * (1 - np.cos(np.pi * (np.arange(taper) + 0.5) / taper)) if taper else np.zeros(0)
     frame = np.zeros(spec.num_symbols * sym_len, dtype=np.complex128)
     for s in range(spec.num_symbols):

@@ -54,11 +54,8 @@ class ErrorBudget:
 
 
 def taylor_coeffs(channel: MultipathChannel, order: int) -> TaylorChannel:
-    """C_n = sum_k (a_k tau_k^n / n!) e^{-j 2 pi f_c tau_k}, n = 0..order."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order > MAX_ORDER:
-        raise ValueError(f"order capped at {MAX_ORDER}")
+    """C_n = sum_k (a_k tau_k^n / n!) e^{-j 2 pi f_c tau_k}, n = 0..order;
+    TaylorChannel rejects an order outside [0, MAX_ORDER]."""
     coeffs = []
     for n in range(order + 1):
         c = 0.0 + 0.0j

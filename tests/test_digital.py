@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdsic.digital import (D1_3TAP, D1_9TAP, D2_9TAP, EDGE_MARGIN, DerivativeFilter,
-                           IllConditionedFitError, LsEstimate, cancel,
-                           complexity, deriv_filter, design_columns, filter_response,
-                           ls_fit, normal_equations, reconstruct_si, solve)
+from fdsic.digital import (D1_3TAP, D1_9TAP, D2_9TAP, EDGE_MARGIN, IllConditionedFitError,
+                           LsEstimate, cancel, complexity, deriv_filter, design_columns,
+                           filter_response, ls_fit, normal_equations, reconstruct_si, solve)
 from fdsic.signals import BasebandSignal
 
 FS = 80e6
@@ -25,25 +24,27 @@ def bandlimited_noise(n, frac=0.08, seed=0):
 
 class TestFilterTaps:
     def test_exact_rationals(self):
-        assert D1_3TAP.tap_fractions == (Fraction(-1), Fraction(0), Fraction(1))
-        nums = (3, -32, 168, -672, 0, 672, -168, 32, -3)
-        assert D1_9TAP.tap_fractions == tuple(Fraction(n, 840) for n in nums)
-        nums2 = (1, 4, 4, -4, 10, -4, 4, 4, 1)
-        assert D2_9TAP.tap_fractions == tuple(Fraction(n, 64) for n in nums2)
+        # each float tap is the nearest double to its exact rational value
+        exact = [(D1_3TAP, [Fraction(n) for n in (-1, 0, 1)]),
+                 (D1_9TAP, [Fraction(n, 840) for n in (3, -32, 168, -672, 0, 672, -168, 32, -3)]),
+                 (D2_9TAP, [Fraction(n, 64) for n in (1, 4, 4, -4, 10, -4, 4, 4, 1)])]
+        for taps, fractions in exact:
+            assert taps.dtype == np.float64
+            assert taps.tolist() == [float(q) for q in fractions]
+
+    def test_taps_are_read_only(self):
+        for taps in (D1_3TAP, D1_9TAP, D2_9TAP):
+            with pytest.raises(ValueError, match="read-only"):
+                taps[0] = 0.0
 
     def test_first_derivative_antisymmetric(self):
-        for f in (D1_3TAP, D1_9TAP):
-            taps = f.taps
+        for taps in (D1_3TAP, D1_9TAP):
             assert np.allclose(taps, -taps[::-1])
             assert abs(taps.sum()) <= 1e-16
 
     def test_d2_dc_response_documented_value(self):
-        # sum of taps is 20/64; the second-derivative kind passes DC
-        assert np.sum(D2_9TAP.taps) == pytest.approx(20 / 64)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            DerivativeFilter("d1_5tap")
+        # sum of taps is 20/64; the second-derivative filter passes DC
+        assert np.sum(D2_9TAP) == pytest.approx(20 / 64)
 
 
 class TestDerivFilter:
@@ -125,6 +126,14 @@ class TestLsFit:
         assert abs(est.c1 - c1) / abs(c1) <= 1e-10
         assert abs(est.c2 - c2) / abs(c2) <= 1e-10
 
+    def test_order_is_read_from_the_terms(self):
+        x = bandlimited_noise(4096, seed=9)
+        for order in (1, 2):
+            est = ls_fit(x, x, order=order)
+            assert est.order == order == len(est.coef) - 1
+        assert LsEstimate(a0=1.0, c1=0.0, residual_power_db=0.0).order == 1
+        assert LsEstimate(a0=1.0, c1=0.0, residual_power_db=0.0, c2=0.0).order == 2
+
     def test_fractional_sample_delay_order2_beats_order1(self):
         from fdsic.channel import fractional_delay
         x = bandlimited_noise(16384, seed=4)
@@ -177,8 +186,7 @@ class TestLsFit:
             est = ls_fit(y, x, order=1)
 
             def resid_power(a, c):
-                r = cancel(y, x, LsEstimate(a0=a, c1=c, order=1,
-                                            residual_power_db=0.0))
+                r = cancel(y, x, LsEstimate(a0=a, c1=c, residual_power_db=0.0))
                 return np.mean(np.abs(r.samples[8:-8]) ** 2)
 
             base = resid_power(est.a0, est.c1)
@@ -263,13 +271,13 @@ class TestCancel:
     def test_zero_estimate_identity(self):
         x = bandlimited_noise(2048, seed=13)
         y = bandlimited_noise(2048, seed=14)
-        est = LsEstimate(a0=0.0, c1=0.0, order=1, residual_power_db=0.0)
+        est = LsEstimate(a0=0.0, c1=0.0, residual_power_db=0.0)
         out = cancel(y, x, est)
         assert np.array_equal(out.samples, y.samples)
 
     def test_reconstruct_matches_model(self):
         x = bandlimited_noise(2048, seed=15)
-        est = LsEstimate(a0=2.0, c1=0.5, order=1, residual_power_db=0.0)
+        est = LsEstimate(a0=2.0, c1=0.5, residual_power_db=0.0)
         si = reconstruct_si(x, est)
         d1 = deriv_filter(x, D1_9TAP)
         expected = 2.0 * x.samples - 0.5 * d1.samples

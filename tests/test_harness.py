@@ -97,6 +97,9 @@ class TestConfigIO:
         ("[signal]\nbandwidth_hz = 5 MHz\n", "'bandwidth_hz'"),
         ("[channel]\ntaps = -18.0\n", "'taps'"),
         ("[rf]\nvm_bits = 16.5\n", "'vm_bits'"),
+        # outside the vector modulator's [1, 24] bits, before any frame is made
+        ("[rf]\nvm_bits = 0\n", "vm_bits = 0 must be in [1, 24]"),
+        ("[rf]\nvm_bits = 30\n", "vm_bits = 30 must be in [1, 24]"),
         # rejected by the section's dataclass: its message, under the section
         ("[signal]\nkind = foo\n", "[signal]: unknown signal kind 'foo'"),
         ("[impairments]\nnoise_power = -1.0\n", "[impairments]: noise_power must be >= 0"),
@@ -487,6 +490,20 @@ class TestSimulateReference:
                 assert digest == ref["simulate"]["0"][key], key
 
 
+class TestSweepPowerReference:
+    def test_sweep_points_match_benchmark_reference(self, tmp_path):
+        # benchmark op i is the one-point sweep at -10 + i dBm on the OFDM config
+        ref = json.loads((REPO / "perfbench" / "reference.json").read_text())["sweep_power"]
+        assert len(ref) == 30
+        config = str(REPO / "configs" / SHIPPED["ofdm"])
+        for i, p in enumerate(range(-10, 20)):
+            out = tmp_path / str(i)
+            assert cli.main(["sweep-power", "--config", config, f"--dbm={p}",
+                             "--output-dir", str(out)]) == 0
+            digest = hashlib.sha256((out / "power_sweep.csv").read_bytes()).hexdigest()
+            assert digest == ref[str(i)]["power_sweep.csv"], p
+
+
 class TestVerifyReference:
     def test_verdicts_match_benchmark_reference(self, tmp_path):
         # criterion 3b fails on purpose, so the poisson suite exits 1
@@ -500,8 +517,7 @@ class TestVerifyReference:
 
 def _oracle_delay_serial_loop():
     """The one-thread frame loop _verify_oracle_delay replaced, kept as its oracle."""
-    ok = True
-    lines = {}
+    rows = []
     fs = 80e6
     for i in range(10):
         spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=2,
@@ -512,17 +528,29 @@ def _oracle_delay_serial_loop():
         b = oracle.resample_delay_reference(x, delay)
         resid = np.mean(np.abs(a.samples - b.samples) ** 2) / x.mean_power
         db = 10 * np.log10(resid + 1e-300)
-        holds = db <= -100.0
-        ok &= holds
-        lines[f"frame_{i}"] = f"{db:.1f} dB {'pass' if holds else 'fail'}"
-    return ok, lines
+        rows.append((f"frame_{i}", f"{db:.1f} dB", db <= -100.0))
+    return rows
 
 
 class TestVerify:
     def test_oracle_delay_pool_matches_serial_loop(self):
-        ok, lines = harness._verify_oracle_delay()
-        assert ok
-        assert (ok, lines) == _oracle_delay_serial_loop()
+        rows = harness._verify_oracle_delay()
+        assert [verdict for _, _, verdict in rows] == [True] * 10
+        assert rows == _oracle_delay_serial_loop()
+
+    @pytest.mark.parametrize("verdicts, suffixes, overall", [
+        ((True, None, False), (" pass", "", " fail"), "fail"),
+        ((True, None), (" pass", ""), "pass"),
+        ((None,), ("",), "pass"),
+        ((np.True_, np.False_), (" pass", " fail"), "fail"),
+    ])
+    def test_one_verdict_rule(self, tmp_path, monkeypatch, verdicts, suffixes, overall):
+        monkeypatch.setitem(harness.VERIFY_SUITES, "fake",
+                            lambda: [(f"k{i}", "1.0 dB", v) for i, v in enumerate(verdicts)])
+        assert run_verify("fake", output_dir=str(tmp_path)) is (overall == "pass")
+        lines = ["suite = fake", *(f"k{i} = 1.0 dB{s}" for i, s in enumerate(suffixes)),
+                 f"overall = {overall}"]
+        assert (tmp_path / "verdict_fake.txt").read_text() == "\n".join(lines) + "\n"
 
     def test_oracle_delay_independent_of_worker_count(self, monkeypatch):
         pool_sizes = []
@@ -592,8 +620,26 @@ class TestDeterminism:
             assert a == b
 
 
+def _run_at_blas_threads(tmp_path, script, args):
+    """{threads: (stdout, {relative path: bytes})} of `python -c script args`,
+    run in a fresh directory at 1 and at 2 BLAS/OpenMP threads."""
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=pythonpath)
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              cwd=out, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = (proc.stdout, {p.relative_to(out).as_posix(): p.read_bytes()
+                                       for p in sorted(out.rglob("*")) if p.is_file()})
+    return runs
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="needs 2 usable CPUs")
 class TestBlasThreads:
-    @pytest.mark.skipif(USABLE_CPUS < 2, reason="needs 2 usable CPUs")
     def test_outputs_independent_of_blas_thread_count(self, tmp_path):
         # A BLAS product may split a sum differently per thread count; every
         # output file must come out the same at one BLAS thread and at two.
@@ -604,23 +650,32 @@ class TestBlasThreads:
                      "--output-dir", "sweep"])
         script = ("import json, sys\nfrom fdsic import cli\n"
                   "for argv in json.loads(sys.argv[1]):\n    assert cli.main(argv) == 0\n")
-        pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                   os.environ.get("PYTHONPATH")]))
-        files = {}
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            out.mkdir()
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=pythonpath)
-            proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                                  cwd=out, env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            files[threads] = {p.relative_to(out).as_posix(): p.read_bytes()
-                              for p in sorted(out.rglob("*")) if p.is_file()}
+        files = {t: f for t, (_, f) in _run_at_blas_threads(tmp_path, script,
+                                                            [json.dumps(runs)]).items()}
         assert len(files["1"]) == 11  # five per simulate, plus power_sweep.csv
         for name, data in files["1"].items():
             assert files["2"][name] == data, name
         assert files["2"].keys() == files["1"].keys()
+
+    def test_detector_sums_independent_of_blas_thread_count(self, tmp_path):
+        # The tuner accepts a step when its reading is lower, so a last-bit
+        # change in detector_env's three sums could flip a near-tie.
+        script = (
+            "import sys\nimport numpy as np\nfrom fdsic import rfstage\n"
+            "from fdsic.channel import apply_channel\nfrom fdsic.config import load_config\n"
+            "from fdsic.signals import BasebandSignal, gen_frame\n"
+            "for path in sys.argv[1:]:\n"
+            "    cfg = load_config(path)\n"
+            "    x, channel = gen_frame(cfg.signal), cfg.channel.build()\n"
+            "    tap = BasebandSignal(np.sqrt(channel.tx_gain) * x.samples, x.sample_rate_hz)\n"
+            "    det = rfstage.DetectorConfig(cfg.detector_window, cfg.signal.oversampling)\n"
+            "    env = rfstage.detector_env(apply_channel(channel, x), tap, det)\n"
+            "    cells = dict(zip(env.__code__.co_freevars, env.__closure__))\n"
+            "    print([complex(cells[k].cell_contents) for k in ('ss', 'st', 'tt')])\n")
+        paths = [str(REPO / "configs" / name) for name in SHIPPED.values()]
+        runs = _run_at_blas_threads(tmp_path, script, paths)
+        assert len(runs["1"][0].splitlines()) == 2
+        assert runs["2"][0] == runs["1"][0]
 
 
 class TestCli:

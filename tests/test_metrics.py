@@ -31,10 +31,10 @@ class TestPsd:
         assert total == pytest.approx(x.mean_power, rel=0.01)
 
     def test_white_noise_flat(self):
-        # 256 plain averages put the chi-square spread (~0.27 dB per bin)
+        # 511 half-overlapping Hann segments put the per-bin spread (~0.19 dB)
         # far inside the 1.5 dB envelope for every bin
         x = white_noise(256 * 256, power=2.0, seed=3)
-        p = psd(x, 256, overlap=0)
+        p = psd(x, 256)
         dev = p.power_db - 10 * np.log10(2.0 / FS)
         assert np.max(np.abs(dev)) <= 1.5
 
