@@ -153,16 +153,19 @@ def _atomic_write(path: Path, lines) -> None:
     os.replace(tmp, path)
 
 
-def _write_psd_csv(path: Path, p: metrics.Psd) -> None:
-    """One row per bin; a frequency within 1e-6 Hz of an integer is written
-    as that integer (nearest, ties to even), any other with 3 decimals."""
-    f = p.freqs_hz
+def _write_psd_csvs(psds: dict) -> None:
+    """Write each path's PSD, one row per bin, with one frequency column for
+    all: a frequency within 1e-6 Hz of an integer is written as that integer
+    (nearest, ties to even), any other with 3 decimals."""
+    f = next(iter(psds.values())).freqs_hz
+    assert all(np.array_equal(p.freqs_hz, f) for p in psds.values()), "PSD grids differ"
     r = np.round(f)
     isint = np.abs(f - r) < 1e-6
-    rows = [f"{int(ri)},{v:.2f}" if ii else f"{fi:.3f},{v:.2f}"
-            for fi, ri, ii, v in zip(f.tolist(), r.tolist(), isint.tolist(),
-                                     p.power_db.tolist())]
-    _atomic_write(path, ["freq_hz,power_db", *rows])
+    freq = [f"{int(ri)}" if ii else f"{fi:.3f}"
+            for fi, ri, ii in zip(f.tolist(), r.tolist(), isint.tolist())]
+    for path, p in psds.items():
+        _atomic_write(path, ["freq_hz,power_db",
+                             *(f"{fc},{v:.2f}" for fc, v in zip(freq, p.power_db.tolist()))])
 
 
 def _stage_psd(res: PipelineResult, stage: str) -> metrics.Psd:
@@ -183,8 +186,9 @@ REPORT_FORMATS = {"signal_power_E_s": ".6e", "derivative_power_E_d": ".6e",
 def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
     """Write report.txt, per-stage PSD CSVs and the tune trace."""
     out = Path(cfg.output_dir)
-    for stage in ("pre", "rf", "digital"):
-        _write_psd_csv(out / f"{stage}.csv", _stage_psd(res, stage))
+    # pre, rf and digital share one Welch grid: same slice length, same rate
+    _write_psd_csvs({out / f"{stage}.csv": _stage_psd(res, stage)
+                     for stage in ("pre", "rf", "digital")})
 
     est = res.estimate
     lines = [f"{f.name} = {getattr(res.report, f.name):{REPORT_FORMATS.get(f.name, '.2f')}}"
@@ -277,7 +281,7 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
 def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
     """Write the PSD CSV of one pipeline stage."""
     path = Path(cfg.output_dir) / f"{stage}.csv"
-    _write_psd_csv(path, _stage_psd(run_pipeline(cfg), stage))
+    _write_psd_csvs({path: _stage_psd(run_pipeline(cfg), stage)})
     return path
 
 

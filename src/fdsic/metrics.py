@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .signals import BasebandSignal
 
@@ -43,10 +42,16 @@ def psd(signal: BasebandSignal, segment_len: int = 1024) -> Psd:
         raise ValueError("segment_len must be a power of two")
     if segment_len > n:
         raise ValueError("segment_len exceeds the signal length")
-    freqs, pxx = sp_signal.welch(signal.samples, fs=signal.sample_rate_hz,
-                                 window="hann", nperseg=segment_len,
-                                 noverlap=segment_len // 2, detrend=False,
-                                 return_onesided=False, scaling="density")
+    # scipy.signal.welch's arithmetic: periodic Hann window scaled to density
+    # (summed left to right), one FFT over all segments, and each bin's
+    # segments laid out contiguously so the mean sums them pairwise
+    fs, hop = signal.sample_rate_hz, segment_len // 2
+    w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_len + 1)))[:-1]
+    w = w * (1 / np.sqrt(np.cumsum(w ** 2)[-1] / (1 / fs)))
+    starts = np.arange((n - hop) // hop)[:, None] * hop
+    spec = np.fft.fft(signal.samples[starts + np.arange(segment_len)] * w, axis=-1)
+    pxx = np.ascontiguousarray((spec.real ** 2 + spec.imag ** 2).T).mean(axis=-1)
+    freqs = np.fft.fftfreq(segment_len, 1 / fs)
     order = np.argsort(freqs)
     return Psd(freqs_hz=freqs[order],
                power_db=10.0 * np.log10(pxx[order] + 1e-300),

@@ -324,7 +324,7 @@ def bandwidth_sweep_output(tmp_path_factory):
 
 
 def _psd_csv_loop(p):
-    """The per-row loop _write_psd_csv replaced, kept as its oracle."""
+    """The per-row loop _write_psd_csvs replaced, kept as its oracle."""
     lines = ["freq_hz,power_db"]
     for f, v in zip(p.freqs_hz, p.power_db):
         f_txt = f"{int(round(f))}" if abs(f - round(f)) < 1e-6 else f"{f:.3f}"
@@ -335,7 +335,7 @@ def _psd_csv_loop(p):
 def _psd_csv_text(p):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "psd.csv"
-        harness._write_psd_csv(path, p)
+        harness._write_psd_csvs({path: p})
         return path.read_text()
 
 
@@ -368,6 +368,20 @@ class TestPsdCsv:
         p = Psd(freqs_hz=freqs, power_db=power[:len(freqs)], rbw_hz=1.0)
         assert _psd_csv_text(p) == _psd_csv_loop(p)
 
+    @pytest.mark.parametrize("tag", sorted(SHIPPED))
+    def test_shared_column_matches_row_loop(self, shipped_results, tag, tmp_path):
+        psds = {tmp_path / f"{stage}.csv": harness._stage_psd(shipped_results[tag], stage)
+                for stage in ("pre", "rf", "digital")}
+        harness._write_psd_csvs(psds)
+        for path, p in psds.items():
+            assert path.read_text() == _psd_csv_loop(p)
+
+    def test_differing_grids_rejected(self, tmp_path):
+        a = Psd(freqs_hz=[0.0, 1.0], power_db=[0.0, 0.0], rbw_hz=1.0)
+        b = Psd(freqs_hz=[0.0, 2.0], power_db=[0.0, 0.0], rbw_hz=1.0)
+        with pytest.raises(AssertionError, match="grids differ"):
+            harness._write_psd_csvs({tmp_path / "a.csv": a, tmp_path / "b.csv": b})
+
 
 class TestComputeOnce:
     @staticmethod
@@ -389,7 +403,7 @@ class TestComputeOnce:
         assert len(calls) == 3
         res = run_pipeline(cfg)
         rx_eval = BasebandSignal(res.rx.samples[res.eval_slice], res.x.sample_rate_hz)
-        harness._write_psd_csv(tmp_path / "rf_expected.csv", harness._psd(rx_eval))
+        harness._write_psd_csvs({tmp_path / "rf_expected.csv": harness._psd(rx_eval)})
         assert ((Path(cfg.output_dir) / "rf.csv").read_text()
                 == (tmp_path / "rf_expected.csv").read_text())
 
@@ -738,6 +752,26 @@ class TestCli:
                 == (tmp_path / "joined" / csv).read_bytes())
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_no_scipy_import(self, tmp_path):
+        # scipy.signal alone takes about 1 s to import; no fdsic module and
+        # no simulate run may pull scipy in
+        cfg = small_cfg(tmp_path)
+        save_config(cfg, tmp_path / "small.cfg")
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import fdsic\n"
+            "for m in pkgutil.iter_modules(fdsic.__path__):\n"
+            "    importlib.import_module('fdsic.' + m.name)\n"
+            "from fdsic import cli\n"
+            "assert cli.main(['simulate', '--config', sys.argv[1]]) == 0\n"
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "small.cfg")],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert proc.returncode == 0, proc.stderr
+        assert (Path(cfg.output_dir) / "report.txt").is_file()
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_repeat_run_reuses_freed_memory(self, tmp_path):
         # A second simulate in the same process finds its ~1 MB arrays in the
         # heap the first one freed: without fixed malloc thresholds it

@@ -1,10 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
+from fdsic import harness
+from fdsic.config import load_config
 from fdsic.metrics import Psd, psd, slope_diagnostic
 from fdsic.signals import BasebandSignal
 
 FS = 80e6
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def white_noise(n, power=1.0, seed=0):
@@ -54,6 +60,60 @@ class TestPsd:
     def test_freqs_strictly_increasing(self):
         p = psd(white_noise(8192), 512)
         assert np.all(np.diff(p.freqs_hz) > 0)
+
+
+def welch_db(x, segment_len):
+    """The scipy.signal.welch call psd replaced, kept as its oracle: sorted
+    frequencies and power in dB, as psd returns them."""
+    freqs, pxx = sp_signal.welch(x.samples, fs=x.sample_rate_hz, window="hann",
+                                 nperseg=segment_len, noverlap=segment_len // 2,
+                                 detrend=False, return_onesided=False, scaling="density")
+    order = np.argsort(freqs)
+    return freqs[order], 10.0 * np.log10(pxx[order] + 1e-300)
+
+
+def assert_equals_welch(x, segment_len):
+    p = psd(x, segment_len)
+    freqs, power_db = welch_db(x, segment_len)
+    assert np.array_equal(p.freqs_hz, freqs)
+    assert np.array_equal(p.power_db, power_db)
+    assert p.rbw_hz == x.sample_rate_hz / segment_len
+
+
+@pytest.fixture(scope="module")
+def shipped_stage_signals():
+    signals = {}
+    for name in ("ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"):
+        res = harness.run_pipeline(load_config(CONFIGS / name))
+        fs = res.x.sample_rate_hz
+        signals[name, "pre"] = BasebandSignal(res.si.samples[res.eval_slice], fs)
+        signals[name, "rf"] = BasebandSignal(res.rx.samples[res.eval_slice], fs)
+        signals[name, "digital"] = res.canceled
+    return signals
+
+
+class TestWelchOracle:
+    @pytest.mark.parametrize("stage", ["pre", "rf", "digital"])
+    @pytest.mark.parametrize("name", ["ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"])
+    def test_shipped_stage_signals(self, shipped_stage_signals, name, stage):
+        x = shipped_stage_signals[name, stage]
+        segment_len = len(harness._psd(x).freqs_hz)
+        assert segment_len == 4096
+        assert_equals_welch(x, segment_len)
+
+    # L == n (one segment), odd lengths, a power of two, and lengths that
+    # leave a partial segment unused
+    LENGTHS = {"L": lambda L: L, "L+1": lambda L: L + 1, "2L-1": lambda L: 2 * L - 1,
+               "3L+5": lambda L: 3 * L + 5, "8L": lambda L: 8 * L}
+
+    @pytest.mark.parametrize("segment_len", [1 << k for k in range(1, 13)])
+    @pytest.mark.parametrize("length", sorted(LENGTHS))
+    def test_random_complex_signals(self, segment_len, length):
+        n = self.LENGTHS[length](segment_len)
+        rng = np.random.default_rng(segment_len + n)
+        for fs in (FS, 1.0, 30.72e6):
+            x = BasebandSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), fs)
+            assert_equals_welch(x, segment_len)
 
 
 def spectra_signal(shape, n=1 << 18, seed=5):
