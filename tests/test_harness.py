@@ -751,7 +751,6 @@ class TestCli:
         assert ((tmp_path / "spaced" / csv).read_bytes()
                 == (tmp_path / "joined" / csv).read_bytes())
 
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_no_scipy_import(self, tmp_path):
         # scipy.signal alone takes about 1 s to import; no fdsic module and
         # no simulate run may pull scipy in
@@ -772,6 +771,7 @@ class TestCli:
         assert (Path(cfg.output_dir) / "report.txt").is_file()
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_repeat_run_reuses_freed_memory(self, tmp_path):
         # A second simulate in the same process finds its ~1 MB arrays in the
         # heap the first one freed: without fixed malloc thresholds it
