@@ -40,13 +40,6 @@ class PathLossModel:
         if self.alpha <= 2:
             raise ValueError("alpha must exceed 2")
 
-    @classmethod
-    def calibrated(cls, cap_db: float, ref_distance_m: float,
-                   ref_loss_db: float, alpha: float) -> "PathLossModel":
-        """Build a model passing through (ref_distance, ref_loss) below the cap."""
-        k = 10.0 ** (ref_loss_db / 10.0) * ref_distance_m ** alpha
-        return cls(cap_delta=10.0 ** (cap_db / 10.0), k_const=k, alpha=alpha)
-
 
 def path_loss(model: PathLossModel, distance_m: float) -> float:
     """Linear power gain at the given (round-trip) distance; d = 0 hits the cap."""
@@ -111,11 +104,7 @@ def taps_from_geometry(distances_m, model: PathLossModel, carrier_hz: float,
     Per reflector: round trip 2d, tau = 2d/c, amplitude sqrt(loss(2d)).
     Extra taps (e.g. circulator leakage) are merged as given.
     """
-    distances_m = list(distances_m)
-    extra = list(extra_taps)
-    if not distances_m and not extra:
-        raise ValueError("no reflectors and no extra taps")
-    taps = list(extra)
+    taps = list(extra_taps)
     for d in distances_m:
         if d <= 0:
             raise ValueError("reflector distances must be positive")
@@ -142,15 +131,20 @@ def fractional_delay(signal: BasebandSignal, delay_s: float) -> BasebandSignal:
     return BasebandSignal(y, signal.sample_rate_hz)
 
 
+def check_carrier(carrier_hz: float, sample_rate_hz: float) -> None:
+    """Reject a carrier below 2.5 x the sample rate, naming carrier_hz."""
+    if carrier_hz < 2.5 * sample_rate_hz:
+        raise ValueError(f"carrier_hz = {carrier_hz:g} must be at least "
+                         f"2.5 x the sample rate, {2.5 * sample_rate_hz:g} Hz")
+
+
 def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSignal:
     """Baseband-equivalent SI: sqrt(G_t) * sum_k a_k e^{-j2 pi f_c tau_k} x(t - tau_k).
 
     Each tap is fractional_delay's phase ramp on one shared forward FFT, so
     the result equals the per-tap fractional_delay sum bit for bit.
     """
-    if channel.carrier_hz < 2.5 * x.sample_rate_hz:
-        raise ValueError(f"carrier_hz = {channel.carrier_hz:g} must be at least "
-                         f"2.5 x the sample rate, {2.5 * x.sample_rate_hz:g} Hz")
+    check_carrier(channel.carrier_hz, x.sample_rate_hz)
     if any(tap.delay_s > MAX_DELAY_FRACTION * x.duration_s for tap in channel.taps):
         raise ValueError("delay exceeds 10% of the signal duration")
     freqs = np.fft.fftfreq(len(x), d=1.0 / x.sample_rate_hz)

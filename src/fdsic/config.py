@@ -12,9 +12,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channel import (ChannelTap, MultipathChannel, PathLossModel,
-                      ReceiverImpairments, taps_from_geometry)
-from .rfstage import MAX_VM_BITS, MIN_VM_BITS
+                      ReceiverImpairments, check_carrier, taps_from_geometry)
+from .digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
+from .rfstage import MAX_VM_BITS, MIN_DETECTOR_SYMBOLS, MIN_VM_BITS
 from .signals import SignalSpec
+
+# Samples dropped at both frame ends before any power measurement: covers the
+# FIR edge convention and the wrap vicinity of the periodic delay.
+EDGE_GUARD = 64
 
 
 @dataclass(frozen=True)
@@ -33,10 +38,10 @@ class ChannelConfig:
     pathloss_calib_db: float = -30.0
 
     def path_loss_model(self) -> PathLossModel:
-        return PathLossModel.calibrated(cap_db=self.pathloss_cap_db,
-                                        ref_distance_m=self.pathloss_calib_distance_m,
-                                        ref_loss_db=self.pathloss_calib_db,
-                                        alpha=self.pathloss_alpha)
+        """The capped model through (calib distance, calib loss) below the cap."""
+        k = (10.0 ** (self.pathloss_calib_db / 10.0)
+             * self.pathloss_calib_distance_m ** self.pathloss_alpha)
+        return PathLossModel(10.0 ** (self.pathloss_cap_db / 10.0), k, self.pathloss_alpha)
 
     def build(self) -> MultipathChannel:
         tx_gain = 10.0 ** (self.tx_gain_db / 10.0)
@@ -68,21 +73,28 @@ class ExperimentConfig:
     seed: int = 1
 
     def __post_init__(self):
+        """Every check a run needs, made before any frame is generated."""
+        sig, n = self.signal, self.signal.frame_len
         if self.digital_order not in (1, 2):
             raise ValueError("digital_order must be 1 or 2")
         if not MIN_VM_BITS <= self.vm_bits <= MAX_VM_BITS:
             raise ValueError(f"vm_bits = {self.vm_bits} must be in [{MIN_VM_BITS}, {MAX_VM_BITS}]")
-        if self.train_len < 100:
-            raise ValueError("train_len too short")
         if self.tune_budget <= 0:
             raise ValueError("tune_budget must be positive")
-        if self.impairments.sample_offset >= 1.0 / self.signal.sample_rate_hz:
+        if sig.oversampling < MIN_OVERSAMPLING:
+            raise ValueError(f"oversampling = {sig.oversampling} must be >= {MIN_OVERSAMPLING}")
+        if self.train_len < MIN_FIT_SAMPLES:
+            raise ValueError(f"train_len = {self.train_len} is below {MIN_FIT_SAMPLES} samples")
+        if n - 2 * EDGE_GUARD - self.train_len < 4 * EDGE_GUARD:
+            raise ValueError(f"train_len = {self.train_len} leaves fewer than "
+                             f"{4 * EDGE_GUARD} of the {n} frame samples to evaluate on")
+        if not MIN_DETECTOR_SYMBOLS * sig.oversampling <= self.detector_window <= n:
+            raise ValueError(f"detector_window = {self.detector_window} must lie between "
+                             f"{MIN_DETECTOR_SYMBOLS} symbols and the {n}-sample frame")
+        if self.impairments.sample_offset >= 1.0 / sig.sample_rate_hz:
             raise ValueError("sample_offset must be below one sample period, "
-                             f"{1.0 / self.signal.sample_rate_hz:g} s")
-        # the same bound apply_channel enforces, checked before any frame is made
-        if self.channel.carrier_hz < 2.5 * self.signal.sample_rate_hz:
-            raise ValueError(f"carrier_hz = {self.channel.carrier_hz:g} must be at least "
-                             f"2.5 x the sample rate, {2.5 * self.signal.sample_rate_hz:g} Hz")
+                             f"{1.0 / sig.sample_rate_hz:g} s")
+        check_carrier(self.channel.carrier_hz, sig.sample_rate_hz)
 
 
 # File sections in file order. Each fills either the nested dataclass field

@@ -147,21 +147,16 @@ def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
     return solve(cols, y.samples, normal_equations(cols, y.samples), order)
 
 
-def reconstruct_si(x: BasebandSignal, est: LsEstimate) -> BasebandSignal:
-    """a0 x - c1 x' (+ c2 x'') using the same filters as the fit."""
-    return BasebandSignal(model(design_columns(x, est.order), est.coef), x.sample_rate_hz)
-
-
 def cancel(y: BasebandSignal, x: BasebandSignal, est: LsEstimate) -> BasebandSignal:
-    """Subtract the reconstructed SI from the received samples.
+    """Subtract the reconstructed SI, a0 x - c1 x' (+ c2 x'') by the fit's filters, from y.
 
     Intended for evaluation outside the training window; the filter edge
     margin still applies at the array ends.
     """
     if len(y) != len(x):
         raise ValueError("y and x must be aligned and equal length")
-    si_hat = reconstruct_si(x, est)
-    return BasebandSignal(y.samples - si_hat.samples, y.sample_rate_hz)
+    return BasebandSignal(y.samples - model(design_columns(x, est.order), est.coef),
+                          y.sample_rate_hz)
 
 
 def complexity(n: int, filter_len: int, tapline_taps: int) -> dict:

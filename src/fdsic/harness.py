@@ -15,15 +15,11 @@ import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
 from .channel import fractional_delay, impair
-from .config import ExperimentConfig
+from .config import EDGE_GUARD, ExperimentConfig
 from .digital import D1_9TAP, D2_9TAP, EDGE_MARGIN, power_db
 from .metrics import psd, slope_diagnostic
 from .rfstage import DetectorConfig, rf_stage
 from .signals import BasebandSignal, SignalSpec, gen_frame
-
-# Samples dropped at both frame ends before any power measurement: covers the
-# FIR edge convention and the wrap vicinity of the periodic delay.
-EDGE_GUARD = 64
 
 LEMMA_TAU_GRID = (0.001, 0.005, 0.01, 0.05, 0.1)
 
@@ -83,17 +79,10 @@ def _occupied_band(spec: SignalSpec) -> tuple:
 
 def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
     """Full chain: generate, channel, RF tune, impair, digital cancel, report."""
-    if cfg.signal.oversampling < digital.MIN_OVERSAMPLING:
-        raise ValueError(f"digital stage requires oversampling >= {digital.MIN_OVERSAMPLING}")
     order = cfg.digital_order if digital_order is None else digital_order
 
     x = gen_frame(cfg.signal)
     n = len(x)
-    if n - 2 * EDGE_GUARD - cfg.train_len < 4 * EDGE_GUARD:
-        raise ValueError(f"train_len = {cfg.train_len} leaves fewer than "
-                         f"{4 * EDGE_GUARD} of the {n} frame samples to evaluate on")
-    if cfg.detector_window > n:
-        raise ValueError(f"detector_window = {cfg.detector_window} exceeds the {n}-sample frame")
     channel = cfg.channel.build()
     det = DetectorConfig(window_samples=cfg.detector_window,
                          symbol_samples=cfg.signal.oversampling)

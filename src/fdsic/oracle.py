@@ -26,6 +26,12 @@ ORACLE_SEED = 12345
 
 POISSON_N_MAX = 1000
 
+# Gauss-Legendre nodes per pi-wide block of the kernel integral.
+GAUSS_NODES = 32
+
+# Delays the reference resampler takes are multiples of 1 / FINE_FACTOR samples.
+FINE_FACTOR = 64
+
 # The kernel transform constants below follow the unitary angular-frequency
 # convention fhat(xi) = (2 pi)^{-1/2} Integral f(x) exp(-j xi x) dx, the one
 # under which the closed-form values (1/5)sqrt(pi/2) and (1/60)sqrt(pi/2)
@@ -91,10 +97,10 @@ def lemma_kernel_expanded(x) -> np.ndarray:
     return out if np.ndim(x) else float(out[0])
 
 
-def _gauss_blocks(lo_block: int, hi_block: int, nodes: int = 32) -> float:
+def _gauss_blocks(lo_block: int, hi_block: int) -> float:
     """Integral of the kernel over [lo_block*pi, hi_block*pi) by per-block
     Gauss-Legendre quadrature."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(GAUSS_NODES)
     edges = np.arange(lo_block, hi_block + 1) * np.pi
     a, b = edges[:-1], edges[1:]
     half = 0.5 * (b - a)
@@ -237,10 +243,9 @@ def order2_remainder(spec: SignalSpec, tau_over_T: float) -> float:
     return rem
 
 
-def resample_delay_reference(signal: BasebandSignal, delay_s: float,
-                             fine_factor: int = 64) -> BasebandSignal:
+def resample_delay_reference(signal: BasebandSignal, delay_s: float) -> BasebandSignal:
     """Circularly delayed copy by direct periodic-interpolation-kernel
-    summation on the fine grid (zero-stuffing by `fine_factor` with the ideal
+    summation on the fine grid (zero-stuffing by FINE_FACTOR with the ideal
     periodic interpolator, evaluated in the time domain).
 
     The kernel matches an N-point DFT grid with an unpaired most-negative
@@ -251,10 +256,10 @@ def resample_delay_reference(signal: BasebandSignal, delay_s: float,
     n_len = len(x)
     if n_len % 2:
         raise ValueError("reference resampler requires an even frame length")
-    d_fine = delay_s * signal.sample_rate_hz * fine_factor
+    d_fine = delay_s * signal.sample_rate_hz * FINE_FACTOR
     if abs(d_fine - round(d_fine)) > 1e-6:
         raise ValueError("delay must lie on the fine resampling grid")
-    d = round(d_fine) / fine_factor
+    d = round(d_fine) / FINE_FACTOR
 
     m = np.arange(n_len, dtype=float)
     u = m - d

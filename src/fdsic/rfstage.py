@@ -40,7 +40,8 @@ def _quantize(v: float, bits: int) -> float:
 
 @dataclass(frozen=True)
 class VmState:
-    """Vector-modulator control pair; effective complex gain g1 + j g2."""
+    """Vector-modulator control pair, effective complex gain g1 + j g2: g1 and
+    g2 must lie in [-1, 1] and are stored as their nearest point of the 2^bits grid."""
 
     g1: float
     g2: float
@@ -51,15 +52,12 @@ class VmState:
             raise ValueError(f"bits must be in [{MIN_VM_BITS}, {MAX_VM_BITS}]")
         if not (-1.0 <= self.g1 <= 1.0 and -1.0 <= self.g2 <= 1.0):
             raise ValueError("g1, g2 must lie in [-1, 1]")
-
-    def quantized(self) -> "VmState":
-        return VmState(_quantize(self.g1, self.bits),
-                       _quantize(self.g2, self.bits), self.bits)
+        object.__setattr__(self, "g1", _quantize(self.g1, self.bits))
+        object.__setattr__(self, "g2", _quantize(self.g2, self.bits))
 
     @property
     def complex_gain(self) -> complex:
-        q = self.quantized()
-        return q.g1 + 1j * q.g2
+        return self.g1 + 1j * self.g2
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ class TuneResult:
 
 
 def vm_apply(state: VmState, tapped: BasebandSignal) -> BasebandSignal:
-    """Apply the quantized control pair as a complex gain."""
+    """Apply the control pair as a complex gain."""
     return BasebandSignal(state.complex_gain * tapped.samples, tapped.sample_rate_hz)
 
 
@@ -119,7 +117,7 @@ def tune(env, init: VmState, budget: int) -> TuneResult:
     if budget <= 0:
         raise ValueError("budget must be positive")
     lsb = _quant_step(init.bits)
-    best = init.quantized()
+    best = init
     f_best = float(env(best))
     evals = 1
     readings = [f_best]
@@ -129,7 +127,7 @@ def tune(env, init: VmState, budget: int) -> TuneResult:
 
     def moved(state: VmState, axis: int, delta: float) -> VmState:
         g = [state.g1, state.g2]
-        g[axis] = _quantize(g[axis] + delta, state.bits)
+        g[axis] = _quantize(g[axis] + delta, state.bits)  # clamped into [-1, 1]
         return VmState(g[0], g[1], state.bits)
 
     while evals < budget:

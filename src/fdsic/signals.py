@@ -66,12 +66,19 @@ class SignalSpec:
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError("rolloff must be in [0, 1]")
         if self.kind == "ofdm":
-            if self.ofdm_used_carriers >= self.ofdm_fft_size:
-                raise ValueError("ofdm_used_carriers must be < ofdm_fft_size")
+            _ofdm_used_bins(self.ofdm_fft_size, self.ofdm_used_carriers)
 
     @property
     def sample_rate_hz(self) -> float:
         return self.oversampling * self.bandwidth_hz
+
+    @property
+    def frame_len(self) -> int:
+        """Samples in gen_frame(self); see gen_single_carrier and gen_ofdm."""
+        if self.kind == "ofdm":
+            nfft = self.ofdm_fft_size
+            return self.num_symbols * (nfft + nfft // 8) * self.oversampling
+        return (self.num_symbols - 1 + 2 * PULSE_SPAN) * self.oversampling + 1
 
 
 @dataclass(frozen=True)
@@ -175,11 +182,10 @@ def _ofdm_used_bins(fft_size: int, used: int) -> np.ndarray:
     half = used // 2
     extra = used - 2 * half  # one extra positive carrier when used is odd
     lo = 1 + OFDM_DC_GUARD
-    pos = np.arange(lo, lo + half + extra)
-    neg = -np.arange(lo, lo + half)
-    if pos.max() > fft_size // 2 - 1:
-        raise ValueError("used carriers do not fit inside the FFT grid")
-    return np.concatenate([pos, neg])
+    if used < 1 or lo + half + extra > fft_size // 2:
+        raise ValueError(f"ofdm_used_carriers = {used} does not fit inside the "
+                         f"{fft_size}-bin FFT grid beside the DC guard")
+    return np.concatenate([np.arange(lo, lo + half + extra), -np.arange(lo, lo + half)])
 
 
 def gen_ofdm(spec: SignalSpec) -> BasebandSignal:
@@ -208,7 +214,7 @@ def gen_ofdm(spec: SignalSpec) -> BasebandSignal:
     taper = int(body * OFDM_JUNCTION_TAPER_FRACTION) if spec.num_symbols > 1 else 0
     bins = _ofdm_used_bins(nfft, used)
     ramp = 0.5 * (1 - np.cos(np.pi * (np.arange(taper) + 0.5) / taper)) if taper else np.zeros(0)
-    frame = np.zeros(spec.num_symbols * sym_len, dtype=np.complex128)
+    frame = np.zeros(spec.frame_len, dtype=np.complex128)
     for s in range(spec.num_symbols):
         fd = np.zeros(body, dtype=np.complex128)
         fd[bins % body] = draw_symbols(rng, used, spec.constellation)

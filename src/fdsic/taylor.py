@@ -28,23 +28,6 @@ ORDER2_CONST = 0.0045
 
 
 @dataclass(frozen=True)
-class TaylorChannel:
-    """Complex coefficients C_0..C_n of the linearized channel."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        if not 1 <= len(coeffs) <= MAX_ORDER + 1:
-            raise ValueError(f"order must be in [0, {MAX_ORDER}]")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
 class ErrorBudget:
     per_tap_bound: tuple   # linear power per tap
 
@@ -53,33 +36,36 @@ class ErrorBudget:
         return float(sum(self.per_tap_bound))
 
 
-def taylor_coeffs(channel: MultipathChannel, order: int) -> TaylorChannel:
-    """C_n = sum_k (a_k tau_k^n / n!) e^{-j 2 pi f_c tau_k}, n = 0..order;
-    TaylorChannel rejects an order outside [0, MAX_ORDER]."""
+def taylor_coeffs(channel: MultipathChannel, order: int) -> tuple:
+    """(C_0, ..., C_order) as complex numbers, with
+    C_n = sum_k (a_k tau_k^n / n!) e^{-j 2 pi f_c tau_k}."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [0, {MAX_ORDER}]")
     coeffs = []
     for n in range(order + 1):
         c = 0.0 + 0.0j
         for tap in channel.taps:
             c += (tap.gain * tap.delay_s ** n / factorial(n)
                   * np.exp(-2j * np.pi * channel.carrier_hz * tap.delay_s))
-        coeffs.append(c)
-    return TaylorChannel(coeffs=tuple(coeffs))
+        coeffs.append(complex(c))
+    return tuple(coeffs)
 
 
-def reconstruct(tc: TaylorChannel, x: BasebandSignal, derivatives=()) -> BasebandSignal:
-    """Model-side SI: sum_n (-1)^n C_n x^(n)(t), alternating signs.
+def reconstruct(coeffs, x: BasebandSignal, derivatives=()) -> BasebandSignal:
+    """Model-side SI from coeffs = (C_0, ..., C_n): sum_n (-1)^n C_n x^(n)(t).
 
     derivatives[i] is a BasebandSignal holding the (i+1)-th time derivative
     of x, in units of 1/s^(i+1); C_n already contains the 1/n! factor.
     """
-    if len(derivatives) < tc.order:
-        raise ValueError(f"need {tc.order} derivative(s), got {len(derivatives)}")
-    acc = tc.coeffs[0] * x.samples
-    for n in range(1, tc.order + 1):
+    order = len(coeffs) - 1
+    if len(derivatives) < order:
+        raise ValueError(f"need {order} derivative(s), got {len(derivatives)}")
+    acc = coeffs[0] * x.samples
+    for n in range(1, order + 1):
         samples = derivatives[n - 1].samples
         if len(samples) != len(x.samples):
             raise ValueError("derivative length mismatch")
-        acc = acc + (-1) ** n * tc.coeffs[n] * samples
+        acc = acc + (-1) ** n * coeffs[n] * samples
     return BasebandSignal(acc, x.sample_rate_hz)
 
 

@@ -18,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from fdsic import cli, digital, harness, oracle
 from fdsic.channel import ReceiverImpairments, fractional_delay
-from fdsic.config import ChannelConfig, ExperimentConfig, load_config, save_config
+from fdsic.config import EDGE_GUARD, ChannelConfig, ExperimentConfig, load_config, save_config
+from fdsic.digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
                            run_sweep_bandwidth, run_sweep_power, run_verify)
 from fdsic.metrics import Psd
-from fdsic.signals import BasebandSignal, SignalSpec, gen_frame
+from fdsic.rfstage import MIN_DETECTOR_SYMBOLS
+from fdsic.signals import PULSE_SPAN, BasebandSignal, SignalSpec, gen_frame
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = {"ofdm": "ofdm_20mhz.cfg", "sc": "single_carrier_10mhz.cfg"}
@@ -44,41 +46,77 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-# Random config fields. sample_offset stays under 1 ns, below the shortest
-# sample period drawn here (1.25 ns at 100 MHz x 8); the carrier is drawn
-# freely, so some draws fall below 2.5 x the sample rate.
-CONFIG_FIELDS = st.fixed_dictionaries(dict(
-    signal=st.builds(
-        SignalSpec, kind=st.sampled_from(["ofdm", "single-carrier"]),
-        bandwidth_hz=_floats(1e3, 1e8), oversampling=st.integers(1, 8),
-        num_symbols=st.integers(1, 10**5), constellation=st.sampled_from(["qpsk4", "qam16"]),
+@st.composite
+def config_fields(draw, runnable=True):
+    """Random ExperimentConfig fields. Runnable draws keep every frame limit:
+    oversampling 4..8, carriers inside the OFDM grid, and train_len and
+    detector_window inside the frame. Free draws (runnable=False) draw each
+    field on its own and give the signal as SignalSpec keyword arguments,
+    since some of them do not build. sample_offset stays under 1 ns, below
+    the shortest sample period drawn here (1.25 ns at 100 MHz x 8); the
+    carrier is drawn freely, so some draws fall below 2.5 x the sample rate."""
+    fft_size = draw(st.sampled_from([256, 1024]))
+    signal = draw(st.fixed_dictionaries(dict(
+        kind=st.sampled_from(["ofdm", "single-carrier"]), bandwidth_hz=_floats(1e3, 1e8),
+        oversampling=st.integers(MIN_OVERSAMPLING if runnable else 1, 8),
+        num_symbols=st.integers(100 if runnable else 1, 10**5),
+        constellation=st.sampled_from(["qpsk4", "qam16"]),
         pulse=st.sampled_from(["sinc", "rrc"]), rolloff=_floats(0.0, 1.0),
-        ofdm_fft_size=st.sampled_from([256, 1024]), ofdm_used_carriers=st.integers(1, 255),
-        seed=st.integers(0, 2**32)),
-    channel=st.builds(
-        ChannelConfig, carrier_hz=_floats(1e6, 1e11), tx_gain_db=_floats(-50.0, 50.0),
-        taps_db_ns=st.lists(st.tuples(_floats(-80.0, 0.0), _floats(0.0, 100.0)),
-                            max_size=3).map(tuple),
-        reflector_distances_m=st.lists(_floats(0.01, 10.0), max_size=3).map(tuple),
-        circulator_gain_db=st.none() | _floats(-60.0, 0.0),
-        circulator_delay_ns=_floats(0.0, 10.0), pathloss_cap_db=_floats(-60.0, 0.0),
-        pathloss_alpha=_floats(2.5, 6.0), pathloss_calib_distance_m=_floats(0.01, 10.0),
-        pathloss_calib_db=_floats(-90.0, 0.0)),
-    impairments=st.builds(
-        ReceiverImpairments, noise_power=_floats(0.0, 1.0),
-        adc_bits=st.sampled_from([0, 4, 12, 16]), sample_offset=_floats(0.0, 1e-9)),
-    vm_bits=st.integers(2, 24), detector_window=st.integers(1, 10**6),
-    tune_budget=st.integers(1, 5000), digital_order=st.sampled_from([1, 2]),
-    train_len=st.integers(100, 10**5), output_dir=st.sampled_from(["out", "runs/a b"]),
-    seed=st.integers(0, 2**32)))
+        ofdm_fft_size=st.just(fft_size),
+        ofdm_used_carriers=st.integers(1, min(255, fft_size - 6) if runnable else 255),
+        seed=st.integers(0, 2**32))))
+    fields = draw(st.fixed_dictionaries(dict(
+        channel=st.builds(
+            ChannelConfig, carrier_hz=_floats(1e6, 1e11), tx_gain_db=_floats(-50.0, 50.0),
+            taps_db_ns=st.lists(st.tuples(_floats(-80.0, 0.0), _floats(0.0, 100.0)),
+                                max_size=3).map(tuple),
+            reflector_distances_m=st.lists(_floats(0.01, 10.0), max_size=3).map(tuple),
+            circulator_gain_db=st.none() | _floats(-60.0, 0.0),
+            circulator_delay_ns=_floats(0.0, 10.0), pathloss_cap_db=_floats(-60.0, 0.0),
+            pathloss_alpha=_floats(2.5, 6.0), pathloss_calib_distance_m=_floats(0.01, 10.0),
+            pathloss_calib_db=_floats(-90.0, 0.0)),
+        impairments=st.builds(
+            ReceiverImpairments, noise_power=_floats(0.0, 1.0),
+            adc_bits=st.sampled_from([0, 4, 12, 16]), sample_offset=_floats(0.0, 1e-9)),
+        vm_bits=st.integers(2, 24), tune_budget=st.integers(1, 5000),
+        digital_order=st.sampled_from([1, 2]), output_dir=st.sampled_from(["out", "runs/a b"]),
+        seed=st.integers(0, 2**32))))
+    if not runnable:
+        return dict(fields, signal=signal, train_len=draw(st.integers(100, 10**5)),
+                    detector_window=draw(st.integers(1, 10**6)))
+    spec = SignalSpec(**signal)
+    n = spec.frame_len
+    return dict(fields, signal=spec,
+                train_len=draw(st.integers(MIN_FIT_SAMPLES, n - 6 * EDGE_GUARD)),
+                detector_window=draw(st.integers(MIN_DETECTOR_SYMBOLS * spec.oversampling, n)))
 
 
 def _carrier_ok(fields):
     return fields["channel"].carrier_hz >= 2.5 * fields["signal"].sample_rate_hz
 
 
+CONFIG_FIELDS = config_fields()
 VALID_CONFIGS = CONFIG_FIELDS.filter(_carrier_ok).map(lambda fields: ExperimentConfig(**fields))
 LOW_CARRIER_FIELDS = CONFIG_FIELDS.filter(lambda fields: not _carrier_ok(fields))
+
+
+def _broken_keys(fields) -> list:
+    """Keys of a free draw that break a limit a run needs, from the frame
+    length's closed forms rather than SignalSpec.frame_len."""
+    sig, os_ = fields["signal"], fields["signal"]["oversampling"]
+    nfft = sig["ofdm_fft_size"]
+    if sig["kind"] == "ofdm":
+        n = sig["num_symbols"] * (nfft + nfft // 8) * os_
+    else:
+        n = (sig["num_symbols"] - 1 + 2 * PULSE_SPAN) * os_ + 1
+    limits = {
+        "ofdm_used_carriers": sig["kind"] != "ofdm" or sig["ofdm_used_carriers"] <= nfft - 6,
+        "oversampling": os_ >= MIN_OVERSAMPLING,
+        "train_len": fields["train_len"] <= n - 6 * EDGE_GUARD,
+        "detector_window": MIN_DETECTOR_SYMBOLS * os_ <= fields["detector_window"] <= n,
+        "carrier_hz": fields["channel"].carrier_hz >= 2.5 * os_ * sig["bandwidth_hz"],
+    }
+    return [key for key, ok in limits.items() if not ok]
 
 
 class TestConfigIO:
@@ -105,6 +143,15 @@ class TestConfigIO:
         ("[impairments]\nnoise_power = -1.0\n", "[impairments]: noise_power must be >= 0"),
         # below 2.5 x the default 80 MHz sample rate
         ("[channel]\ncarrier_hz = 1e8\n", "carrier_hz = 1e+08"),
+        # frame limits, checked when the config is built: below 64 symbols of
+        # 4 samples, larger than a one-symbol frame of 4,608 samples, below
+        # the digital stage's oversampling, and carriers off the FFT grid
+        ("[rf]\ndetector_window = 100\n", "detector_window = 100 "),
+        ("[signal]\nnum_symbols = 1\n", "detector_window = 16384 "),
+        ("[signal]\nnum_symbols = 1\n", "4608-sample frame"),
+        ("[signal]\noversampling = 2\n", "oversampling = 2 "),
+        ("[signal]\nofdm_fft_size = 256\nofdm_used_carriers = 255\n",
+         "[signal]: ofdm_used_carriers = 255 "),
     ])
     def test_rejects_unknown_or_bad_entry(self, tmp_path, text, name):
         path = tmp_path / "bad.cfg"
@@ -129,6 +176,15 @@ class TestConfigIO:
     def test_rejects_carrier_below_2_5_sample_rates(self, fields):
         with pytest.raises(ValueError, match="carrier_hz"):
             ExperimentConfig(**fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields=config_fields(runnable=False))
+    def test_free_draws_fail_naming_a_broken_key(self, fields):
+        # every free draw builds exactly when it breaks no limit a run needs
+        broken = _broken_keys(fields)
+        with pytest.raises(ValueError, match="|".join(broken)) if broken \
+                else contextlib.nullcontext():
+            ExperimentConfig(**dict(fields, signal=SignalSpec(**fields["signal"])))
 
     @pytest.mark.parametrize("output_dir", ["runs #2", " out", "out ", "a\nb"])
     def test_save_rejects_text_that_would_not_load_back(self, tmp_path, output_dir):
@@ -244,8 +300,8 @@ class TestSweeps:
         assert csv.splitlines()[0].startswith("tx_power_dbm,rf_db")
 
     def test_power_sweep_row_matches_unshared_pipeline(self, tmp_path):
-        # the sweep shares one front end between both orders; two full
-        # pipeline runs are the reference
+        # the sweep runs one order-2 pipeline per point and reads its order-1
+        # residual from the same fit; two full pipeline runs are the reference
         cfg = small_cfg(tmp_path)
         row = run_sweep_power(cfg, [0])[0]
         point = dataclasses.replace(
@@ -262,14 +318,14 @@ class TestSweeps:
                        r1.digital_residual_db - r2.digital_residual_db)
 
     # small_cfg's frame has 36,864 samples: 36,500 training samples leave
-    # fewer than 256 to evaluate on
+    # fewer than 256 to evaluate on, 36,480 leave exactly 256. The config is
+    # rejected when it is built, before any frame is made.
     @pytest.mark.parametrize("key, value", [("train_len", 36_500),
                                             ("detector_window", 36_865)])
-    def test_frame_limits_fail_before_tuning(self, tmp_path, monkeypatch, key, value):
-        cfg = small_cfg(tmp_path, **{key: value})
-        monkeypatch.setattr(harness, "rf_stage", lambda *a: pytest.fail("RF stage ran"))
-        with pytest.raises(ValueError, match=key):
-            run_pipeline(cfg)
+    def test_frame_limits_fail_before_tuning(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=f"{key} = {value} "):
+            small_cfg(tmp_path, **{key: value})
+        small_cfg(tmp_path, **{key: {"train_len": 36_480, "detector_window": 36_864}[key]})
 
     def test_non_integer_power_points_keep_their_value(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -24,7 +24,7 @@ RRC_SPEC = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
 
 # Slow forms the oracle's vectorized paths replaced, kept as references.
 
-def _gauss_blocks_loop(lo_block, hi_block, nodes=32):
+def _gauss_blocks_loop(lo_block, hi_block, nodes=oracle.GAUSS_NODES):
     """Kernel integral over [lo_block*pi, hi_block*pi), one block at a time."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
     total = 0.0

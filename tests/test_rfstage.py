@@ -76,15 +76,34 @@ class TestVmApply:
             assert (got, math.copysign(1.0, got)) == (ref, math.copysign(1.0, ref))
 
     def test_grid_contains_zero_exactly(self):
-        s = VmState(0.0, 0.0, bits=16).quantized()
+        s = VmState(0.0, 0.0, bits=16)
         assert s.g1 == 0.0 and s.g2 == 0.0
+
+    def test_stored_on_the_grid(self):
+        # 1.0 lies above the top level of the 16-bit grid, 1 - 2^-15
+        s = VmState(1.0, 0.0, 16)
+        assert s.g1 == 1 - 2 ** -15
+        assert s.complex_gain == (1 - 2 ** -15) + 0j
+
+    def test_negative_zero_keeps_its_sign(self):
+        s = VmState(-0.0, 0.0, 16)
+        assert (math.copysign(1.0, s.g1), math.copysign(1.0, s.g2)) == (-1.0, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g1=st.floats(-1.0, 1.0), g2=st.floats(-1.0, 1.0), bits=st.integers(1, 24))
+    def test_quantizing_twice_gives_the_same_state(self, g1, g2, bits):
+        s = VmState(g1, g2, bits)
+        again = VmState(s.g1, s.g2, bits)
+        signs = [math.copysign(1.0, g) for g in (s.g1, s.g2, again.g1, again.g2)]
+        assert again == s and signs[:2] == signs[2:]
+        assert (s.g1, s.g2) == (rfstage._quantize(g1, bits), rfstage._quantize(g2, bits))
 
     def test_minus_c0_cancels_single_tap(self):
         x = narrowband_training_signal(w_hz=1e6)
         ch = MultipathChannel(taps=(ChannelTap(10 ** (-18 / 20), 0.2e-9),),
                               carrier_hz=FC)
         si = apply_channel(ch, x)
-        c0 = taylor_coeffs(ch, 0).coeffs[0]
+        c0 = taylor_coeffs(ch, 0)[0]
         out = combine(si, vm_apply(VmState(-c0.real, -c0.imag, bits=16), x))
         drop = 10 * np.log10(si.mean_power / out.mean_power)
         assert drop >= 60.0
@@ -167,7 +186,7 @@ class TestTune:
 
         init = VmState(0.125, 0.125, bits=8)
         res = tune(env, init, budget=300)
-        assert env(res.state) <= env(init.quantized()) + 1e-15
+        assert env(res.state) <= env(init) + 1e-15
 
     def test_readings_non_increasing(self):
         def env(s):
@@ -201,7 +220,7 @@ class TestDetectorEnv:
     @given(g1=st.floats(-1.0, 1.0), g2=st.floats(-1.0, 1.0), bits=st.integers(1, 24))
     def test_matches_power_detect(self, g1, g2, bits):
         _, si, tap, det = shipped_tuning_inputs(SHIPPED[0], 1, tx_gain_db=7.0)
-        state = VmState(g1, g2, bits).quantized()
+        state = VmState(g1, g2, bits)
         assert detector_env(si, tap, det)(state) == pytest.approx(
             slow_env(si, tap, det)(state), rel=1e-9)
 

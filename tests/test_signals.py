@@ -91,6 +91,15 @@ class TestOfdm:
         with pytest.raises(ValueError):
             SignalSpec(kind="ofdm", ofdm_fft_size=64, ofdm_used_carriers=64)
 
+    @pytest.mark.parametrize("fft_size", [64, 256, 1024])
+    def test_carrier_fit_checked_when_built(self, fft_size):
+        # the top positive carrier, bin 2 + ceil(used / 2), must stay below fft_size / 2
+        assert len(gen_ofdm(SignalSpec(kind="ofdm", num_symbols=1, ofdm_fft_size=fft_size,
+                                       ofdm_used_carriers=fft_size - 6))) > 0
+        for used in (0, fft_size - 5, fft_size - 1):
+            with pytest.raises(ValueError, match=f"ofdm_used_carriers = {used} "):
+                SignalSpec(kind="ofdm", ofdm_fft_size=fft_size, ofdm_used_carriers=used)
+
     def test_papr_in_range(self):
         x = gen_ofdm(SignalSpec(kind="ofdm", bandwidth_hz=20e6,
                                 num_symbols=64, seed=3))
@@ -142,6 +151,8 @@ def test_frame_length_closed_form(spec):
         nfft = spec.ofdm_fft_size
         expected = spec.num_symbols * (nfft + nfft // 8) * os_
     assert len(gen_frame(spec)) == expected
+    # the property ExperimentConfig checks train_len and detector_window against
+    assert spec.frame_len == expected
 
 
 class TestPapr:

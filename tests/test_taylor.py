@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from fdsic.channel import ChannelTap, MultipathChannel, apply_channel
 from fdsic.config import ChannelConfig
 from fdsic.signals import BasebandSignal
-from fdsic.taylor import (TaylorChannel, distance_error_curve, reconstruct,
-                          taylor_coeffs, total_error_budget)
+from fdsic.taylor import (MAX_ORDER, distance_error_curve, reconstruct, taylor_coeffs,
+                          total_error_budget)
 
 FC = 2.395e9
 
@@ -28,16 +28,16 @@ def brute_force_coeff(taps, fc, n):
 
 class TestTaylorCoeffs:
     def test_single_tap_identity(self):
-        tc = taylor_coeffs(single_tap_channel(1.0, 0.0), 3)
-        assert tc.coeffs[0] == pytest.approx(1.0)
-        for c in tc.coeffs[1:]:
+        coeffs = taylor_coeffs(single_tap_channel(1.0, 0.0), 3)
+        assert coeffs[0] == pytest.approx(1.0)
+        for c in coeffs[1:]:
             assert abs(c) == 0.0
 
     def test_single_tap_magnitudes(self):
         a, tau = 0.3, 1.7e-9
-        tc = taylor_coeffs(single_tap_channel(a, tau), 4)
+        coeffs = taylor_coeffs(single_tap_channel(a, tau), 4)
         import math
-        for n, c in enumerate(tc.coeffs):
+        for n, c in enumerate(coeffs):
             assert abs(c) == pytest.approx(a * tau**n / math.factorial(n), rel=1e-12)
 
     def test_matches_brute_force(self):
@@ -45,14 +45,23 @@ class TestTaylorCoeffs:
         taps = [(rng.uniform(0.01, 1.0), rng.uniform(0.1e-9, 3e-9)) for _ in range(2)]
         ch = MultipathChannel(taps=tuple(ChannelTap(g, d) for g, d in taps),
                               carrier_hz=FC)
-        tc = taylor_coeffs(ch, 2)
+        coeffs = taylor_coeffs(ch, 2)
         for n in range(3):
             ref = brute_force_coeff(taps, FC, n)
-            assert abs(tc.coeffs[n] - ref) <= 1e-15 * max(abs(ref), 1e-15)
+            assert abs(coeffs[n] - ref) <= 1e-15 * max(abs(ref), 1e-15)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
             taylor_coeffs(single_tap_channel(), 5)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match=f"order must be in \\[0, {MAX_ORDER}\\]"):
+            taylor_coeffs(single_tap_channel(), -1)
+
+    def test_plain_tuple_of_complex(self):
+        coeffs = taylor_coeffs(single_tap_channel(0.3, 1.7e-9), MAX_ORDER)
+        assert type(coeffs) is tuple and len(coeffs) == MAX_ORDER + 1
+        assert all(type(c) is complex for c in coeffs)
 
 
 @given(delays=st.lists(st.floats(0.1e-9, 3e-9), min_size=1, max_size=4),
@@ -67,7 +76,7 @@ def test_conjugate_symmetry(delays, gains):
     for n in range(4):
         conj_ref = sum(t.gain * t.delay_s**n / math.factorial(n)
                        * cmath.exp(+2j * math.pi * FC * t.delay_s) for t in taps)
-        assert abs(plus.coeffs[n].conjugate() - conj_ref) <= 1e-14 * max(abs(conj_ref), 1e-20)
+        assert abs(plus[n].conjugate() - conj_ref) <= 1e-14 * max(abs(conj_ref), 1e-20)
 
 
 def periodic_flat_noise(n, fs, half_band_hz, seed=0):
@@ -90,24 +99,21 @@ def periodic_flat_noise(n, fs, half_band_hz, seed=0):
 class TestReconstruct:
     def test_order_zero(self):
         x = BasebandSignal(np.exp(2j * np.pi * 0.01 * np.arange(1024)), 80e6)
-        tc = TaylorChannel(coeffs=(0.5 - 0.2j,))
-        y = reconstruct(tc, x)
+        y = reconstruct((0.5 - 0.2j,), x)
         assert np.max(np.abs(y.samples - (0.5 - 0.2j) * x.samples)) <= 1e-12
 
     def test_zero_c1_ignores_derivative(self):
         x = BasebandSignal(np.exp(2j * np.pi * 0.01 * np.arange(1024)), 80e6)
         junk = BasebandSignal(np.random.default_rng(0).standard_normal(1024) + 0j, 80e6)
         zero = BasebandSignal(np.full(1024, 1e-300, dtype=complex), 80e6)
-        tc = TaylorChannel(coeffs=(1.0, 0.0))
-        ya = reconstruct(tc, x, [junk])
-        yb = reconstruct(tc, x, [zero])
+        ya = reconstruct((1.0, 0.0), x, [junk])
+        yb = reconstruct((1.0, 0.0), x, [zero])
         assert np.array_equal(ya.samples, yb.samples)
 
     def test_missing_derivatives_rejected(self):
         x = BasebandSignal(np.ones(256, dtype=complex), 80e6)
-        tc = TaylorChannel(coeffs=(1.0, 0.1))
         with pytest.raises(ValueError):
-            reconstruct(tc, x)
+            reconstruct((1.0, 0.1), x)
 
     def test_single_tap_first_order_error_within_bound(self):
         # periodic noise whose angular band 1/T matches the spectral
@@ -121,8 +127,7 @@ class TestReconstruct:
         tau = 0.01 * T
         ch = single_tap_channel(1.0, tau, fc=2.395e9)
         truth = apply_channel(ch, x)
-        tc = taylor_coeffs(ch, 1)
-        model = reconstruct(tc, x, [BasebandSignal(d1, fs)])
+        model = reconstruct(taylor_coeffs(ch, 1), x, [BasebandSignal(d1, fs)])
         err = np.mean(np.abs(truth.samples - model.samples) ** 2)
         assert err <= total_error_budget(ch, T, 1).total_bound
 
