@@ -122,13 +122,18 @@ def fractional_delay(signal: BasebandSignal, delay_s: float) -> BasebandSignal:
     """
     if abs(delay_s) > MAX_DELAY_FRACTION * signal.duration_s:
         raise ValueError("delay exceeds 10% of the signal duration")
-    x = signal.samples
     if delay_s == 0.0:
         return signal
-    freqs = np.fft.fftfreq(len(x), d=1.0 / signal.sample_rate_hz)
+    x, fs = signal.samples, signal.sample_rate_hz
+    freqs = np.fft.fftfreq(len(x), d=1.0 / fs)
+    return BasebandSignal(_delayed(np.fft.fft(x), freqs, delay_s), fs)
+
+
+def _delayed(X: np.ndarray, freqs: np.ndarray, delay_s: float) -> np.ndarray:
+    """ifft(X * e^{-j2 pi f delay}): the delay of the frame whose FFT is X,
+    multiplied into the ramp's buffer."""
     ramp = np.exp(-2j * np.pi * freqs * delay_s)
-    y = np.fft.ifft(np.fft.fft(x) * ramp)
-    return BasebandSignal(y, signal.sample_rate_hz)
+    return np.fft.ifft(np.multiply(X, ramp, out=ramp))
 
 
 def check_carrier(carrier_hz: float, sample_rate_hz: float) -> None:
@@ -141,8 +146,8 @@ def check_carrier(carrier_hz: float, sample_rate_hz: float) -> None:
 def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSignal:
     """Baseband-equivalent SI: sqrt(G_t) * sum_k a_k e^{-j2 pi f_c tau_k} x(t - tau_k).
 
-    Each tap is fractional_delay's phase ramp on one shared forward FFT, so
-    the result equals the per-tap fractional_delay sum bit for bit.
+    Each tap is fractional_delay's delay routine on one shared forward FFT,
+    so the result equals the per-tap fractional_delay sum bit for bit.
     """
     check_carrier(channel.carrier_hz, x.sample_rate_hz)
     if any(tap.delay_s > MAX_DELAY_FRACTION * x.duration_s for tap in channel.taps):
@@ -152,12 +157,7 @@ def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSigna
     acc = np.zeros(len(x), dtype=np.complex128)
     for tap in channel.taps:
         phase = np.exp(-2j * np.pi * channel.carrier_hz * tap.delay_s)
-        if tap.delay_s == 0.0:
-            delayed = x.samples
-        else:
-            ramp = np.exp(-2j * np.pi * freqs * tap.delay_s)
-            # X * ramp, operands in fractional_delay's order, into ramp's buffer
-            delayed = np.fft.ifft(np.multiply(X, ramp, out=ramp))
+        delayed = x.samples if tap.delay_s == 0.0 else _delayed(X, freqs, tap.delay_s)
         acc += tap.gain * phase * delayed
     acc *= np.sqrt(channel.tx_gain)
     return BasebandSignal(acc, x.sample_rate_hz)

@@ -81,7 +81,7 @@ def main(argv=None) -> int:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", required=True, choices=sorted(VERIFY_SUITES))
-    p_ver.add_argument("--output-dir", dest="output_dir", default="out")
+    p_ver.add_argument("--output-dir", dest="output_dir", default=ExperimentConfig.output_dir)
 
     p_spec = sub.add_parser("spectrum", parents=[run], help="PSD of one pipeline stage")
     p_spec.add_argument("--stage", required=True, choices=["pre", "rf", "digital"])

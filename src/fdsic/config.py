@@ -11,7 +11,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import (ChannelTap, MultipathChannel, PathLossModel,
+from .channel import (MAX_DELAY_FRACTION, ChannelTap, MultipathChannel, PathLossModel,
                       ReceiverImpairments, check_carrier, taps_from_geometry)
 from .digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
 from .rfstage import MAX_VM_BITS, MIN_DETECTOR_SYMBOLS, MIN_VM_BITS
@@ -36,6 +36,9 @@ class ChannelConfig:
     pathloss_alpha: float = 4.0
     pathloss_calib_distance_m: float = 0.25
     pathloss_calib_db: float = -30.0
+
+    def __post_init__(self):
+        self.build()  # a channel that cannot be built fails here, at load
 
     def path_loss_model(self) -> PathLossModel:
         """The capped model through (calib distance, calib loss) below the cap."""
@@ -95,6 +98,10 @@ class ExperimentConfig:
             raise ValueError("sample_offset must be below one sample period, "
                              f"{1.0 / sig.sample_rate_hz:g} s")
         check_carrier(self.channel.carrier_hz, sig.sample_rate_hz)
+        delay = max(tap.delay_s for tap in self.channel.build().taps)
+        if delay > MAX_DELAY_FRACTION * (n / sig.sample_rate_hz):  # apply_channel's bound
+            raise ValueError(f"tap delay {delay * 1e9:g} ns exceeds {MAX_DELAY_FRACTION:.0%} of "
+                             f"the frame: check taps, circulator_delay_ns, reflector_distances_m")
 
 
 # File sections in file order. Each fills either the nested dataclass field

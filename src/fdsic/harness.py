@@ -213,6 +213,13 @@ def format_point(value: float) -> str:
     return f"{value:.0f}" if float(value).is_integer() else repr(float(value))
 
 
+def _write_sweep_csv(cfg: ExperimentConfig, name: str, header: str, rows) -> None:
+    """A sweep's CSV: each row's point as format_point writes it, then its
+    values with 2 decimals."""
+    _atomic_write(Path(cfg.output_dir) / name, [header, *(
+        ",".join([format_point(row[0]), *(f"{v:.2f}" for v in row[1:])]) for row in rows)])
+
+
 def run_sweep_bandwidth(cfg: ExperimentConfig, bw_list) -> list:
     """Per-bandwidth pipeline runs; returns (bw_hz, rf_db, digital_db,
     total_db) rows and writes bandwidth_sweep.csv. Every point's config is
@@ -224,10 +231,7 @@ def run_sweep_bandwidth(cfg: ExperimentConfig, bw_list) -> list:
         r = run_pipeline(point_cfg).report
         rows.append((float(bw), r.rf_cancellation_db, r.digital_cancellation_db,
                      r.total_db))
-    lines = ["bandwidth_hz,rf_db,digital_db,total_db"]
-    for bw, rf_db, dig_db, tot in rows:
-        lines.append(f"{format_point(bw)},{rf_db:.2f},{dig_db:.2f},{tot:.2f}")
-    _atomic_write(Path(cfg.output_dir) / "bandwidth_sweep.csv", lines)
+    _write_sweep_csv(cfg, "bandwidth_sweep.csv", "bandwidth_hz,rf_db,digital_db,total_db", rows)
     return rows
 
 
@@ -258,12 +262,9 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
                      r2.rf_cancellation_db + dig1, r2.total_db,
                      r2.rf_residual_db - res0_db, res0_db - res1_db,
                      res1_db - r2.digital_residual_db))
-    lines = ["tx_power_dbm,rf_db,digital_db_order1,digital_db_order2,"
-             "total_db_order1,total_db_order2,"
-             "split_signal_db,split_deriv1_db,split_deriv2_db"]
-    for row in rows:
-        lines.append(f"{format_point(row[0])}," + ",".join(f"{v:.2f}" for v in row[1:]))
-    _atomic_write(Path(cfg.output_dir) / "power_sweep.csv", lines)
+    _write_sweep_csv(cfg, "power_sweep.csv", "tx_power_dbm,rf_db,digital_db_order1,"
+                     "digital_db_order2,total_db_order1,total_db_order2,"
+                     "split_signal_db,split_deriv1_db,split_deriv2_db", rows)
     return rows
 
 
@@ -347,7 +348,7 @@ VERIFY_SUITES = {
 }
 
 
-def run_verify(suite: str, output_dir: str = "out") -> bool:
+def run_verify(suite: str, output_dir: str = ExperimentConfig.output_dir) -> bool:
     """Run one named verification suite and write its verdict file. A suite's
     (key, text, verdict) rows pass unless a verdict is False; None is informational."""
     if suite not in VERIFY_SUITES:

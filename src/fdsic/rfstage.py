@@ -117,46 +117,32 @@ def tune(env, init: VmState, budget: int) -> TuneResult:
     if budget <= 0:
         raise ValueError("budget must be positive")
     lsb = _quant_step(init.bits)
-    best = init
-    f_best = float(env(best))
-    evals = 1
-    readings = [f_best]
-    states = [best]
-    step = TUNE_INITIAL_STEP
-    converged = False
-
-    def moved(state: VmState, axis: int, delta: float) -> VmState:
-        g = [state.g1, state.g2]
-        g[axis] = _quantize(g[axis] + delta, state.bits)  # clamped into [-1, 1]
-        return VmState(g[0], g[1], state.bits)
-
-    while evals < budget:
-        improved_sweep = False
+    # accepted states and their readings; the last of each is the best so far
+    states, readings = [init], [float(env(init))]
+    evals, step, converged = 1, TUNE_INITIAL_STEP, False
+    while evals < budget and not converged:
+        sweep_start = len(states)
         for axis in (0, 1):
             for sign in (1.0, -1.0):
-                improved_dir = False
+                dir_start = len(states)
                 while evals < budget:
-                    cand = moved(best, axis, sign * step)
-                    if (cand.g1, cand.g2) == (best.g1, best.g2):
+                    g = [states[-1].g1, states[-1].g2]
+                    g[axis] = min(max(g[axis] + sign * step, -1.0), 1.0)
+                    cand = VmState(g[0], g[1], init.bits)  # quantized once, here
+                    if cand == states[-1]:
                         break
                     f = float(env(cand))
                     evals += 1
-                    if f < f_best:
-                        best, f_best = cand, f
-                        readings.append(f)
-                        states.append(cand)
-                        improved_dir = True
-                        improved_sweep = True
-                    else:
+                    if not f < readings[-1]:  # a NaN reading is never accepted
                         break
-                if improved_dir:
+                    states.append(cand)
+                    readings.append(f)
+                if len(states) > dir_start:
                     break  # moving back along the axis cannot improve
-        if not improved_sweep:
+        if len(states) == sweep_start:
             step /= 2.0
-            if step < lsb:
-                converged = True
-                break
-    return TuneResult(state=best, detector_readings=tuple(readings),
+            converged = step < lsb
+    return TuneResult(state=states[-1], detector_readings=tuple(readings),
                       iterations=evals, converged=converged,
                       accepted_states=tuple(states))
 

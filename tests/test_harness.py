@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdsic import cli, digital, harness, oracle
-from fdsic.channel import ReceiverImpairments, fractional_delay
+from fdsic.channel import SPEED_OF_LIGHT, ReceiverImpairments, fractional_delay
 from fdsic.config import EDGE_GUARD, ChannelConfig, ExperimentConfig, load_config, save_config
 from fdsic.digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
@@ -46,6 +46,21 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+def _has_tap(channel: dict) -> bool:
+    return bool(channel["taps_db_ns"] or channel["reflector_distances_m"]
+                or channel["circulator_gain_db"] is not None)
+
+
+def _longest_delay_s(ch: ChannelConfig) -> float:
+    """Largest tap delay of a channel config, from its fields."""
+    if ch.taps_db_ns:
+        return max(d_ns * 1e-9 for _, d_ns in ch.taps_db_ns)
+    delays = [2.0 * d / SPEED_OF_LIGHT for d in ch.reflector_distances_m]
+    if ch.circulator_gain_db is not None:
+        delays.append(ch.circulator_delay_ns * 1e-9)
+    return max(delays)
+
+
 @st.composite
 def config_fields(draw, runnable=True):
     """Random ExperimentConfig fields. Runnable draws keep every frame limit:
@@ -54,7 +69,9 @@ def config_fields(draw, runnable=True):
     field on its own and give the signal as SignalSpec keyword arguments,
     since some of them do not build. sample_offset stays under 1 ns, below
     the shortest sample period drawn here (1.25 ns at 100 MHz x 8); the
-    carrier is drawn freely, so some draws fall below 2.5 x the sample rate."""
+    carrier is drawn freely, so some draws fall below 2.5 x the sample rate.
+    Every drawn channel has a tap; the longest tap delay, 100 ns, is within
+    10 % of every runnable frame."""
     fft_size = draw(st.sampled_from([256, 1024]))
     signal = draw(st.fixed_dictionaries(dict(
         kind=st.sampled_from(["ofdm", "single-carrier"]), bandwidth_hz=_floats(1e3, 1e8),
@@ -67,14 +84,15 @@ def config_fields(draw, runnable=True):
         seed=st.integers(0, 2**32))))
     fields = draw(st.fixed_dictionaries(dict(
         channel=st.builds(
-            ChannelConfig, carrier_hz=_floats(1e6, 1e11), tx_gain_db=_floats(-50.0, 50.0),
+            dict, carrier_hz=_floats(1e6, 1e11), tx_gain_db=_floats(-50.0, 50.0),
             taps_db_ns=st.lists(st.tuples(_floats(-80.0, 0.0), _floats(0.0, 100.0)),
                                 max_size=3).map(tuple),
             reflector_distances_m=st.lists(_floats(0.01, 10.0), max_size=3).map(tuple),
             circulator_gain_db=st.none() | _floats(-60.0, 0.0),
             circulator_delay_ns=_floats(0.0, 10.0), pathloss_cap_db=_floats(-60.0, 0.0),
             pathloss_alpha=_floats(2.5, 6.0), pathloss_calib_distance_m=_floats(0.01, 10.0),
-            pathloss_calib_db=_floats(-90.0, 0.0)),
+            pathloss_calib_db=_floats(-90.0, 0.0)).filter(_has_tap).map(
+                lambda kw: ChannelConfig(**kw)),
         impairments=st.builds(
             ReceiverImpairments, noise_power=_floats(0.0, 1.0),
             adc_bits=st.sampled_from([0, 4, 12, 16]), sample_offset=_floats(0.0, 1e-9)),
@@ -115,6 +133,8 @@ def _broken_keys(fields) -> list:
         "train_len": fields["train_len"] <= n - 6 * EDGE_GUARD,
         "detector_window": MIN_DETECTOR_SYMBOLS * os_ <= fields["detector_window"] <= n,
         "carrier_hz": fields["channel"].carrier_hz >= 2.5 * os_ * sig["bandwidth_hz"],
+        # the delay message names taps, circulator_delay_ns and reflector_distances_m
+        "taps": _longest_delay_s(fields["channel"]) <= 0.1 * (n / (os_ * sig["bandwidth_hz"])),
     }
     return [key for key, ok in limits.items() if not ok]
 
@@ -152,6 +172,18 @@ class TestConfigIO:
         ("[signal]\noversampling = 2\n", "oversampling = 2 "),
         ("[signal]\nofdm_fft_size = 256\nofdm_used_carriers = 255\n",
          "[signal]: ofdm_used_carriers = 255 "),
+        # channels that cannot be built or run, rejected at load: a reflector
+        # behind the antenna, a shallow path-loss law, a zero calibration
+        # distance, a tap delay beyond 10 % of the 691 us default frame, no tap
+        ("[channel]\nreflector_distances_m = -1\n",
+         "invalid [channel]: reflector distances must be positive"),
+        ("[channel]\npathloss_alpha = 1\n", "invalid [channel]: alpha must exceed 2"),
+        ("[channel]\npathloss_calib_distance_m = 0\n",
+         "invalid [channel]: path loss constants must be positive"),
+        ("[channel]\ntaps = -18:100000\n", "tap delay 100000 ns exceeds 10% of the frame: "
+         "check taps, circulator_delay_ns, reflector_distances_m"),
+        ("[channel]\nreflector_distances_m =\ncirculator_gain_db = none\n",
+         "invalid [channel]: channel needs at least one tap"),
     ])
     def test_rejects_unknown_or_bad_entry(self, tmp_path, text, name):
         path = tmp_path / "bad.cfg"

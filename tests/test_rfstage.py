@@ -11,8 +11,8 @@ from fdsic import rfstage
 from fdsic.channel import ChannelTap, MultipathChannel, apply_channel
 from fdsic.config import ExperimentConfig, load_config
 from fdsic.metrics import psd, slope_diagnostic
-from fdsic.rfstage import (DetectorConfig, VmState, combine, detector_env,
-                           power_detect, rf_stage, tune, vm_apply)
+from fdsic.rfstage import (TUNE_INITIAL_STEP, DetectorConfig, TuneResult, VmState,
+                           combine, detector_env, power_detect, rf_stage, tune, vm_apply)
 from fdsic.signals import BasebandSignal, SignalSpec, gen_frame, gen_single_carrier
 from fdsic.taylor import taylor_coeffs
 
@@ -213,6 +213,87 @@ class TestTune:
         res = tune(env, VmState(0.0, 0.0, bits=16), budget=2000)
         untuned = env(VmState(0.0, 0.0, bits=16))
         assert 10 * np.log10(res.detector_readings[-1] / untuned) <= -60.0
+
+
+def reference_tune(env, init: VmState, budget: int) -> TuneResult:
+    """tune's search written with a best state kept apart from its trace
+    and each probe quantized twice: the oracle for tune."""
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    lsb = rfstage._quant_step(init.bits)
+    best = init
+    f_best = float(env(best))
+    evals = 1
+    readings = [f_best]
+    states = [best]
+    step = TUNE_INITIAL_STEP
+    converged = False
+
+    def moved(state: VmState, axis: int, delta: float) -> VmState:
+        g = [state.g1, state.g2]
+        g[axis] = rfstage._quantize(g[axis] + delta, state.bits)  # clamped into [-1, 1]
+        return VmState(g[0], g[1], state.bits)
+
+    while evals < budget:
+        improved_sweep = False
+        for axis in (0, 1):
+            for sign in (1.0, -1.0):
+                improved_dir = False
+                while evals < budget:
+                    cand = moved(best, axis, sign * step)
+                    if (cand.g1, cand.g2) == (best.g1, best.g2):
+                        break
+                    f = float(env(cand))
+                    evals += 1
+                    if f < f_best:
+                        best, f_best = cand, f
+                        readings.append(f)
+                        states.append(cand)
+                        improved_dir = True
+                        improved_sweep = True
+                    else:
+                        break
+                if improved_dir:
+                    break  # moving back along the axis cannot improve
+        if not improved_sweep:
+            step /= 2.0
+            if step < lsb:
+                converged = True
+                break
+    return TuneResult(state=best, detector_readings=tuple(readings),
+                      iterations=evals, converged=converged,
+                      accepted_states=tuple(states))
+
+
+@st.composite
+def tuner_envs(draw):
+    """Detector stand-ins: a quadratic bowl, a constant, a wavy surface, and
+    the wavy surface reading NaN, inf or -inf on a half-plane."""
+    kind = draw(st.sampled_from(["quadratic", "constant", "wavy", "nan", "inf", "-inf"]))
+    a, b = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    if kind == "quadratic":
+        return lambda s: (s.g1 - a) ** 2 + 3.0 * (s.g2 - b) ** 2
+    if kind == "constant":
+        return lambda s: a
+
+    def wavy(s):
+        return math.sin(9.0 * s.g1 + a) ** 2 + math.cos(7.0 * s.g2 + b) ** 2
+
+    if kind == "wavy":
+        return wavy
+    bad = float(kind)
+    return lambda s: bad if s.g1 + s.g2 > a else wavy(s)
+
+
+class TestTuneOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(env=tuner_envs(), bits=st.sampled_from([1, 2, 3, 8, 16, 24]),
+           budget=st.sampled_from([1, 2, 1200]) | st.integers(1, 400),
+           init=st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)] * 2))
+    def test_matches_reference_tune(self, env, bits, budget, init):
+        # repr tells -0.0 from 0.0 and compares NaN readings
+        state = VmState(init[0], init[1], bits)
+        assert repr(tune(env, state, budget)) == repr(reference_tune(env, state, budget))
 
 
 class TestDetectorEnv:
