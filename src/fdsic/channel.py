@@ -131,8 +131,12 @@ def fractional_delay(signal: BasebandSignal, delay_s: float) -> BasebandSignal:
 
 def _delayed(X: np.ndarray, freqs: np.ndarray, delay_s: float) -> np.ndarray:
     """ifft(X * e^{-j2 pi f delay}): the delay of the frame whose FFT is X,
-    multiplied into the ramp's buffer."""
-    ramp = np.exp(-2j * np.pi * freqs * delay_s)
+    multiplied into the ramp's buffer. The ramp, cos + j sin of theta, is bit
+    for bit np.exp(-2j * np.pi * freqs * delay_s), whose argument is +0 + j theta."""
+    theta = 0.0 - (2 * np.pi * freqs) * delay_s  # +0, not -0, at DC, as in that argument
+    ramp = np.empty(len(freqs), dtype=np.complex128)
+    np.cos(theta, out=ramp.real)
+    np.sin(theta, out=ramp.imag)
     return np.fft.ifft(np.multiply(X, ramp, out=ramp))
 
 

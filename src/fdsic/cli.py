@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import sys
 
 from .config import ExperimentConfig, load_config
@@ -61,7 +62,8 @@ def _sweep_points(text: str) -> list:
     return points
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fdsic",
                                      description="Self-interference cancellation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -85,14 +87,17 @@ def main(argv=None) -> int:
 
     p_spec = sub.add_parser("spectrum", parents=[run], help="PSD of one pipeline stage")
     p_spec.add_argument("--stage", required=True, choices=["pre", "rf", "digital"])
+    return parser
 
+
+def main(argv=None) -> int:
     # argparse reads a spaced value that starts with "-" as an option: join it
     argv = list(sys.argv[1:] if argv is None else argv)
     for flag in ("--dbm", "--bw"):
         while flag in argv[:-1]:
             i = argv.index(flag)
             argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     _keep_freed_memory()
 
     if args.command == "simulate":

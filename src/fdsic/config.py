@@ -11,15 +11,35 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .channel import (MAX_DELAY_FRACTION, ChannelTap, MultipathChannel, PathLossModel,
                       ReceiverImpairments, check_carrier, taps_from_geometry)
 from .digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
+from .metrics import MIN_BAND_BINS, band_mask
 from .rfstage import MAX_VM_BITS, MIN_DETECTOR_SYMBOLS, MIN_VM_BITS
 from .signals import SignalSpec
 
 # Samples dropped at both frame ends before any power measurement: covers the
 # FIR edge convention and the wrap vicinity of the periodic delay.
 EDGE_GUARD = 64
+
+
+def welch_segment(n: int) -> int:
+    """Welch segment of an n-sample PSD: the largest power of two up to 4096."""
+    return min(4096, 1 << (n.bit_length() - 1))
+
+
+def slope_band(spec: SignalSpec) -> tuple:
+    """Fit band (f_lo, f_hi) of the slope diagnostic: inside the occupied
+    spectrum, away from DC and from the spectral edge."""
+    if spec.kind == "ofdm":
+        edge = (spec.ofdm_used_carriers / 2 + 3) / spec.ofdm_fft_size * spec.bandwidth_hz
+    else:
+        edge = 0.5 * spec.bandwidth_hz
+        if spec.pulse == "rrc":
+            edge *= (1.0 - spec.rolloff)
+    return (0.05 * edge, 0.9 * edge)
 
 
 @dataclass(frozen=True)
@@ -91,6 +111,14 @@ class ExperimentConfig:
         if n - 2 * EDGE_GUARD - self.train_len < 4 * EDGE_GUARD:
             raise ValueError(f"train_len = {self.train_len} leaves fewer than "
                              f"{4 * EDGE_GUARD} of the {n} frame samples to evaluate on")
+        band = slope_band(sig)
+        seg = welch_segment(n - 2 * EDGE_GUARD - self.train_len)  # the evaluation slice's PSD
+        grid = np.fft.fftfreq(seg, 1 / sig.sample_rate_hz)  # metrics.psd's bins, unsorted
+        # an empty band (RRC rolloff 1) is (0, 0) and holds the DC bin alone
+        if np.count_nonzero(band_mask(grid, band)) < MIN_BAND_BINS:
+            key = "ofdm_used_carriers" if sig.kind == "ofdm" else "rolloff"
+            raise ValueError(f"slope-diagnostic band {band[0]:g}..{band[1]:g} Hz holds fewer than "
+                             f"{MIN_BAND_BINS} bins of the {seg}-point PSD: check {key}, train_len")
         if not MIN_DETECTOR_SYMBOLS * sig.oversampling <= self.detector_window <= n:
             raise ValueError(f"detector_window = {self.detector_window} must lie between "
                              f"{MIN_DETECTOR_SYMBOLS} symbols and the {n}-sample frame")

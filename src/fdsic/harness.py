@@ -15,7 +15,7 @@ import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
 from .channel import fractional_delay, impair
-from .config import EDGE_GUARD, ExperimentConfig
+from .config import EDGE_GUARD, ExperimentConfig, slope_band, welch_segment
 from .digital import D1_9TAP, D2_9TAP, EDGE_MARGIN, power_db
 from .metrics import psd, slope_diagnostic
 from .rfstage import DetectorConfig, rf_stage
@@ -61,20 +61,7 @@ class PipelineResult:
 
 
 def _psd(signal: BasebandSignal) -> metrics.Psd:
-    """PSD with the largest power-of-two segment up to 4096 samples."""
-    return psd(signal, segment_len=min(4096, 1 << int(np.log2(len(signal)))))
-
-
-def _occupied_band(spec: SignalSpec) -> tuple:
-    """Fit band for the slope diagnostic: inside the occupied spectrum,
-    away from DC and from the spectral edge."""
-    if spec.kind == "ofdm":
-        edge = (spec.ofdm_used_carriers / 2 + 3) / spec.ofdm_fft_size * spec.bandwidth_hz
-    else:
-        edge = 0.5 * spec.bandwidth_hz
-        if spec.pulse == "rrc":
-            edge *= (1.0 - spec.rolloff)
-    return (0.05 * edge, 0.9 * edge)
+    return psd(signal, segment_len=welch_segment(len(signal)))
 
 
 def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
@@ -115,7 +102,7 @@ def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> Pip
     e_d = float(np.mean(np.abs(eval_cols[1][inner] * fs) ** 2))
 
     rf_psd = _psd(y_eval)
-    diag = slope_diagnostic(rf_psd, _occupied_band(cfg.signal))
+    diag = slope_diagnostic(rf_psd, slope_band(cfg.signal))
 
     report = CancellationReport(
         tx_power_db=tx_power_db,
@@ -135,26 +122,26 @@ def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> Pip
 
 
 def _atomic_write(path: Path, lines) -> None:
-    """Write newline-terminated lines to path, creating its directory."""
+    """Write text, or newline-terminated lines, to path, creating its directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
+    tmp.write_text(lines if isinstance(lines, str) else "\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
 def _write_psd_csvs(psds: dict) -> None:
     """Write each path's PSD, one row per bin, with one frequency column for
     all: a frequency within 1e-6 Hz of an integer is written as that integer
-    (nearest, ties to even), any other with 3 decimals."""
+    (nearest, ties to even), any other with 3 decimals. The column is one
+    row template that one % fills with each file's powers."""
     f = next(iter(psds.values())).freqs_hz
     assert all(np.array_equal(p.freqs_hz, f) for p in psds.values()), "PSD grids differ"
     r = np.round(f)
     isint = np.abs(f - r) < 1e-6
-    freq = [f"{int(ri)}" if ii else f"{fi:.3f}"
-            for fi, ri, ii in zip(f.tolist(), r.tolist(), isint.tolist())]
+    rows = "".join("%d,%%.2f\n" % ri if ii else "%.3f,%%.2f\n" % fi
+                   for fi, ri, ii in zip(f.tolist(), r.tolist(), isint.tolist()))
     for path, p in psds.items():
-        _atomic_write(path, ["freq_hz,power_db",
-                             *(f"{fc},{v:.2f}" for fc, v in zip(freq, p.power_db.tolist()))])
+        _atomic_write(path, "freq_hz,power_db\n" + rows % tuple(p.power_db.tolist()))
 
 
 def _stage_psd(res: PipelineResult, stage: str) -> metrics.Psd:

@@ -10,6 +10,10 @@ import numpy as np
 
 from .signals import BasebandSignal
 
+# Fewest PSD bins slope_diagnostic fits a line through.
+MIN_BAND_BINS = 8
+
+
 @dataclass(frozen=True)
 class Psd:
     freqs_hz: np.ndarray
@@ -43,19 +47,27 @@ def psd(signal: BasebandSignal, segment_len: int = 1024) -> Psd:
     if segment_len > n:
         raise ValueError("segment_len exceeds the signal length")
     # scipy.signal.welch's arithmetic: periodic Hann window scaled to density
-    # (summed left to right), one FFT over all segments, and each bin's
-    # segments laid out contiguously so the mean sums them pairwise
+    # (summed left to right), one FFT over every hop-th window of a strided view,
+    # and each bin's segments laid out contiguously so the mean sums them pairwise
     fs, hop = signal.sample_rate_hz, segment_len // 2
     w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_len + 1)))[:-1]
     w = w * (1 / np.sqrt(np.cumsum(w ** 2)[-1] / (1 / fs)))
-    starts = np.arange((n - hop) // hop)[:, None] * hop
-    spec = np.fft.fft(signal.samples[starts + np.arange(segment_len)] * w, axis=-1)
-    pxx = np.ascontiguousarray((spec.real ** 2 + spec.imag ** 2).T).mean(axis=-1)
+    segs = np.lib.stride_tricks.sliding_window_view(signal.samples, segment_len)[::hop]
+    spec = np.fft.fft(segs * w, axis=-1)
+    pxx = np.square(spec.real)
+    pxx += np.square(spec.imag)
+    pxx = np.ascontiguousarray(pxx.T).mean(axis=-1)
     freqs = np.fft.fftfreq(segment_len, 1 / fs)
     order = np.argsort(freqs)
     return Psd(freqs_hz=freqs[order],
                power_db=10.0 * np.log10(pxx[order] + 1e-300),
                rbw_hz=signal.sample_rate_hz / segment_len)
+
+
+def band_mask(freqs_hz: np.ndarray, band: tuple) -> np.ndarray:
+    """Bins whose |f| lies in band = (f_lo, f_hi), both edges included."""
+    absf = np.abs(freqs_hz)
+    return (absf >= band[0]) & (absf <= band[1])
 
 
 def slope_diagnostic(p: Psd, band: tuple) -> dict:
@@ -70,11 +82,10 @@ def slope_diagnostic(p: Psd, band: tuple) -> dict:
     f_lo, f_hi = band
     if f_lo <= 0 or f_hi <= f_lo:
         raise ValueError("band must satisfy 0 < f_lo < f_hi (DC excluded)")
-    absf = np.abs(p.freqs_hz)
-    mask = (absf >= f_lo) & (absf <= f_hi)
-    if mask.sum() < 8:
+    mask = band_mask(p.freqs_hz, band)
+    if mask.sum() < MIN_BAND_BINS:
         raise ValueError("too few PSD bins in the requested band")
-    fv = absf[mask]
+    fv = np.abs(p.freqs_hz[mask])
     amp = np.sqrt(p.power_linear[mask])
     m, b = np.polyfit(fv, amp, 1)
     fit = m * fv + b

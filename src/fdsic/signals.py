@@ -214,21 +214,20 @@ def gen_ofdm(spec: SignalSpec) -> BasebandSignal:
     taper = int(body * OFDM_JUNCTION_TAPER_FRACTION) if spec.num_symbols > 1 else 0
     bins = _ofdm_used_bins(nfft, used)
     ramp = 0.5 * (1 - np.cos(np.pi * (np.arange(taper) + 0.5) / taper)) if taper else np.zeros(0)
-    frame = np.zeros(spec.frame_len, dtype=np.complex128)
-    for s in range(spec.num_symbols):
-        fd = np.zeros(body, dtype=np.complex128)
-        fd[bins % body] = draw_symbols(rng, used, spec.constellation)
-        td = np.fft.ifft(fd) * np.sqrt(body)
-        # cyclic head (ramp-up taper + CP), body, cyclic tail (ramp-down
-        # taper); ramps overlap the neighbouring symbols on both sides
+    sym = np.zeros((spec.num_symbols, body), dtype=np.complex128)
+    sym[:, bins % body] = draw_symbols(rng, (spec.num_symbols, used), spec.constellation)
+    sym = np.fft.ifft(sym) * np.sqrt(body)
+    # the windowed extensions (cyclic head, body, cyclic tail) add into buf, the frame shifted
+    # by taper; each is shorter than the frame, so no sample sums more than two, in any order
+    win = np.concatenate([ramp, np.ones(body + cp), ramp[::-1]])
+    buf = np.zeros(spec.frame_len + 2 * taper, dtype=np.complex128)
+    for s, td in enumerate(sym):
         ext = np.concatenate([td[body - cp - taper:], td, td[:taper]])
-        win = np.ones(len(ext))
-        if taper:
-            win[:taper] = ramp
-            win[-taper:] = ramp[::-1]
-        start = s * sym_len - taper
-        idx = (start + np.arange(len(ext))) % len(frame)
-        np.add.at(frame, idx, ext * win)
+        buf[s * sym_len:s * sym_len + len(ext)] += ext * win
+    del sym, td  # free the symbols before _normalize copies the frame
+    frame = buf[taper:len(buf) - taper]
+    frame[len(frame) - taper:] += buf[:taper]
+    frame[:taper] += buf[len(buf) - taper:]
     return BasebandSignal(_normalize(frame), spec.sample_rate_hz)
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdsic.channel import (SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
-                           PathLossModel, ReceiverImpairments, apply_channel,
-                           fractional_delay, impair, path_loss,
-                           taps_from_geometry)
+from fdsic.channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
+                           PathLossModel, ReceiverImpairments, _delayed, apply_channel,
+                           fractional_delay, impair, path_loss, taps_from_geometry)
 from fdsic.config import ChannelConfig, load_config
 from fdsic.oracle import resample_delay_reference
 from fdsic.signals import BasebandSignal, SignalSpec, gen_frame, gen_ofdm
@@ -124,6 +123,49 @@ class TestFractionalDelay:
         assert 10 * np.log10(resid + 1e-300) <= -100.0
 
 
+def exp_ramp_delayed(X, freqs, delay_s):
+    """The np.exp phase ramp _delayed replaced, kept as its oracle. Written
+    as it was: X * np.exp(...) could multiply with the operands swapped
+    (numpy reuses the temporary's buffer), which rounds differently."""
+    ramp = np.exp(-2j * np.pi * freqs * delay_s)
+    return np.fft.ifft(np.multiply(X, ramp, out=ramp))
+
+
+class TestDelayRamp:
+    """_delayed builds its ramp from np.cos and np.sin of the real phase;
+    the delayed frame must equal the np.exp ramp's bit for bit (compared as
+    integers, so a zero's sign counts)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5000), fs=st.floats(1e3, 1e10), delay_frac=st.floats(-1.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_exp_ramp(self, n, fs, delay_frac, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        freqs = np.fft.fftfreq(n, d=1.0 / fs)
+        delay_s = delay_frac * MAX_DELAY_FRACTION * n / fs  # within 10 % of the frame, either sign
+        a, b = _delayed(X, freqs, delay_s), exp_ramp_delayed(X, freqs, delay_s)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("delay_s", [1.3e-9, -1.3e-9])
+    def test_matches_exp_ramp_on_negative_zero_spectrum(self, delay_s):
+        # -0 - 0j bins keep the sign of the DC phase's zero in the product
+        X = np.full(64, complex(-0.0, -0.0))
+        freqs = np.fft.fftfreq(64, d=1.0 / FS)
+        a, b = _delayed(X, freqs, delay_s), exp_ramp_delayed(X, freqs, delay_s)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("name", ["ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"])
+    def test_matches_exp_ramp_on_shipped_taps(self, name):
+        cfg = load_config(CONFIGS / name)
+        x = gen_frame(cfg.signal)
+        freqs = np.fft.fftfreq(len(x), d=1.0 / x.sample_rate_hz)
+        X = np.fft.fft(x.samples)
+        for tap in cfg.channel.build().taps:
+            a, b = _delayed(X, freqs, tap.delay_s), exp_ramp_delayed(X, freqs, tap.delay_s)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestApplyChannel:
     def test_identity_tap(self):
         x = bandlimited_noise(4096, FS)
@@ -155,7 +197,9 @@ class TestApplyChannel:
     @staticmethod
     def per_tap_sum(channel, x):
         """The per-tap fractional_delay sum apply_channel replaced, kept as
-        its oracle."""
+        its oracle. It checks the tap sum only: fractional_delay and
+        apply_channel share _delayed, so it does not guard the ramp
+        (TestDelayRamp does)."""
         acc = np.zeros(len(x), dtype=np.complex128)
         for tap in channel.taps:
             phase = np.exp(-2j * np.pi * channel.carrier_hz * tap.delay_s)

@@ -14,15 +14,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fdsic import cli, digital, harness, oracle
 from fdsic.channel import SPEED_OF_LIGHT, ReceiverImpairments, fractional_delay
-from fdsic.config import EDGE_GUARD, ChannelConfig, ExperimentConfig, load_config, save_config
+from fdsic.config import (EDGE_GUARD, ChannelConfig, ExperimentConfig, load_config, save_config,
+                          slope_band)
 from fdsic.digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
                            run_sweep_bandwidth, run_sweep_power, run_verify)
-from fdsic.metrics import Psd
+from fdsic.metrics import Psd, slope_diagnostic
 from fdsic.rfstage import MIN_DETECTOR_SYMBOLS
 from fdsic.signals import PULSE_SPAN, BasebandSignal, SignalSpec, gen_frame
 
@@ -61,6 +62,19 @@ def _longest_delay_s(ch: ChannelConfig) -> float:
     return max(delays)
 
 
+def _band_ok(sig: dict, eval_len: int) -> bool:
+    """Whether the slope diagnostic's band, from its closed form, holds 8
+    bins of the Welch grid of an eval_len-sample evaluation slice."""
+    bw = sig["bandwidth_hz"]
+    if sig["kind"] == "ofdm":
+        edge = (sig["ofdm_used_carriers"] / 2 + 3) / sig["ofdm_fft_size"] * bw
+    else:
+        edge = 0.5 * bw * ((1.0 - sig["rolloff"]) if sig["pulse"] == "rrc" else 1.0)
+    seg = 1 << min(12, eval_len.bit_length() - 1)  # the largest power of two up to 4096
+    absf = np.abs(np.fft.fftfreq(seg, 1 / (sig["oversampling"] * bw)))
+    return edge > 0 and np.count_nonzero((absf >= 0.05 * edge) & (absf <= 0.9 * edge)) >= 8
+
+
 @st.composite
 def config_fields(draw, runnable=True):
     """Random ExperimentConfig fields. Runnable draws keep every frame limit:
@@ -71,7 +85,9 @@ def config_fields(draw, runnable=True):
     the shortest sample period drawn here (1.25 ns at 100 MHz x 8); the
     carrier is drawn freely, so some draws fall below 2.5 x the sample rate.
     Every drawn channel has a tap; the longest tap delay, 100 ns, is within
-    10 % of every runnable frame."""
+    10 % of every runnable frame. Runnable draws whose slope-diagnostic band
+    holds fewer than 8 Welch bins (an RRC rolloff near 1, few OFDM carriers
+    on a fine grid) are rejected, about one in twenty."""
     fft_size = draw(st.sampled_from([256, 1024]))
     signal = draw(st.fixed_dictionaries(dict(
         kind=st.sampled_from(["ofdm", "single-carrier"]), bandwidth_hz=_floats(1e3, 1e8),
@@ -104,8 +120,9 @@ def config_fields(draw, runnable=True):
                     detector_window=draw(st.integers(1, 10**6)))
     spec = SignalSpec(**signal)
     n = spec.frame_len
-    return dict(fields, signal=spec,
-                train_len=draw(st.integers(MIN_FIT_SAMPLES, n - 6 * EDGE_GUARD)),
+    train_len = draw(st.integers(MIN_FIT_SAMPLES, n - 6 * EDGE_GUARD))
+    assume(_band_ok(signal, n - 2 * EDGE_GUARD - train_len))
+    return dict(fields, signal=spec, train_len=train_len,
                 detector_window=draw(st.integers(MIN_DETECTOR_SYMBOLS * spec.oversampling, n)))
 
 
@@ -113,9 +130,15 @@ def _carrier_ok(fields):
     return fields["channel"].carrier_hz >= 2.5 * fields["signal"].sample_rate_hz
 
 
+def _with_low_carrier(fields, fraction):
+    """fields with the carrier at fraction (< 1) of 2.5 x the sample rate."""
+    carrier_hz = fraction * 2.5 * fields["signal"].sample_rate_hz
+    return dict(fields, channel=dataclasses.replace(fields["channel"], carrier_hz=carrier_hz))
+
+
 CONFIG_FIELDS = config_fields()
 VALID_CONFIGS = CONFIG_FIELDS.filter(_carrier_ok).map(lambda fields: ExperimentConfig(**fields))
-LOW_CARRIER_FIELDS = CONFIG_FIELDS.filter(lambda fields: not _carrier_ok(fields))
+LOW_CARRIER_FIELDS = st.builds(_with_low_carrier, CONFIG_FIELDS, _floats(1e-3, 0.999))
 
 
 def _broken_keys(fields) -> list:
@@ -127,16 +150,20 @@ def _broken_keys(fields) -> list:
         n = sig["num_symbols"] * (nfft + nfft // 8) * os_
     else:
         n = (sig["num_symbols"] - 1 + 2 * PULSE_SPAN) * os_ + 1
-    limits = {
-        "ofdm_used_carriers": sig["kind"] != "ofdm" or sig["ofdm_used_carriers"] <= nfft - 6,
-        "oversampling": os_ >= MIN_OVERSAMPLING,
-        "train_len": fields["train_len"] <= n - 6 * EDGE_GUARD,
-        "detector_window": MIN_DETECTOR_SYMBOLS * os_ <= fields["detector_window"] <= n,
-        "carrier_hz": fields["channel"].carrier_hz >= 2.5 * os_ * sig["bandwidth_hz"],
+    eval_len = n - 2 * EDGE_GUARD - fields["train_len"]
+    limits = [
+        ("ofdm_used_carriers", sig["kind"] != "ofdm" or sig["ofdm_used_carriers"] <= nfft - 6),
+        ("oversampling", os_ >= MIN_OVERSAMPLING),
+        ("train_len", eval_len >= 4 * EDGE_GUARD),
+        # the band message names train_len and rolloff or ofdm_used_carriers;
+        # checked on an evaluation slice that the train_len limit leaves
+        ("train_len", eval_len < 4 * EDGE_GUARD or _band_ok(sig, eval_len)),
+        ("detector_window", MIN_DETECTOR_SYMBOLS * os_ <= fields["detector_window"] <= n),
+        ("carrier_hz", fields["channel"].carrier_hz >= 2.5 * os_ * sig["bandwidth_hz"]),
         # the delay message names taps, circulator_delay_ns and reflector_distances_m
-        "taps": _longest_delay_s(fields["channel"]) <= 0.1 * (n / (os_ * sig["bandwidth_hz"])),
-    }
-    return [key for key, ok in limits.items() if not ok]
+        ("taps", _longest_delay_s(fields["channel"]) <= 0.1 * (n / (os_ * sig["bandwidth_hz"]))),
+    ]
+    return [key for key, ok in limits if not ok]
 
 
 class TestConfigIO:
@@ -184,6 +211,15 @@ class TestConfigIO:
          "check taps, circulator_delay_ns, reflector_distances_m"),
         ("[channel]\nreflector_distances_m =\ncirculator_gain_db = none\n",
          "invalid [channel]: channel needs at least one tap"),
+        # slope-diagnostic bands that used to fail after the RF and digital
+        # stages: an RRC rolloff of 1 leaves no band, and 4 carriers of a
+        # 64-bin grid (2 symbols at oversampling 5, 720 samples) give the
+        # 371-sample evaluation slice a 256-bin grid with 4 bins in the band
+        ("[signal]\nkind = single-carrier\nnum_symbols = 12000\nrolloff = 1\n",
+         "band 0..0 Hz holds fewer than 8 bins of the 4096-point PSD: check rolloff, train_len"),
+        ("[signal]\nofdm_fft_size = 64\nofdm_used_carriers = 4\nnum_symbols = 2\n"
+         "oversampling = 5\n[rf]\ndetector_window = 720\n[digital]\ntrain_len = 221\n",
+         "of the 256-point PSD: check ofdm_used_carriers, train_len"),
     ])
     def test_rejects_unknown_or_bad_entry(self, tmp_path, text, name):
         path = tmp_path / "bad.cfg"
@@ -218,6 +254,36 @@ class TestConfigIO:
                 else contextlib.nullcontext():
             ExperimentConfig(**dict(fields, signal=SignalSpec(**fields["signal"])))
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["ofdm", "single-carrier"]), used=st.integers(1, 58),
+           rolloff=_floats(0.6, 1.0), train_frac=_floats(0.0, 1.0), seed=st.integers(0, 99))
+    def test_band_check_agrees_with_slope_diagnostic(self, kind, used, rolloff, train_frac, seed):
+        # short frames near the band limit: 64-bin OFDM with 2 symbols, or
+        # 100 RRC symbols, at oversampling 5
+        spec = SignalSpec(kind=kind, num_symbols=2 if kind == "ofdm" else 100, oversampling=5,
+                          ofdm_fft_size=64, ofdm_used_carriers=used, rolloff=rolloff)
+        n = spec.frame_len
+        train_len = MIN_FIT_SAMPLES + int(train_frac * (n - 6 * EDGE_GUARD - MIN_FIT_SAMPLES))
+        try:
+            ExperimentConfig(signal=spec, train_len=train_len, detector_window=n)
+            accepted = True
+        except ValueError as exc:
+            assert "slope-diagnostic band" in str(exc)
+            accepted = False
+        rng = np.random.default_rng(seed)
+        eval_slice = BasebandSignal(rng.standard_normal(n - 2 * EDGE_GUARD - train_len),
+                                    spec.sample_rate_hz)
+        with contextlib.nullcontext() if accepted else pytest.raises(ValueError):
+            slope_diagnostic(harness._psd(eval_slice), slope_band(spec))
+
+    def test_config_at_the_band_limit_runs(self, tmp_path):
+        # 6 carriers of the 64-bin grid above give 8 bins in the band
+        path = tmp_path / "edge.cfg"
+        path.write_text("[signal]\nofdm_fft_size = 64\nofdm_used_carriers = 6\nnum_symbols = 2\n"
+                        "oversampling = 5\n[rf]\ndetector_window = 720\n[digital]\n"
+                        "train_len = 221\n")
+        assert np.isfinite(run_pipeline(load_config(path)).report.total_db)
+
     @pytest.mark.parametrize("output_dir", ["runs #2", " out", "out ", "a\nb"])
     def test_save_rejects_text_that_would_not_load_back(self, tmp_path, output_dir):
         with pytest.raises(ValueError, match=re.escape("'output_dir' in [run]")):
@@ -247,6 +313,50 @@ taps = -18.0:0.5, -30.0:0.833
         for name in ("ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"):
             cfg = load_config(REPO / "configs" / name)
             assert cfg.vm_bits == 16
+
+
+@st.composite
+def short_frame_fields(draw):
+    """ExperimentConfig fields of frames up to about 5,000 samples: OFDM on
+    16..64-bin grids with 1..4 symbols, or 100..600 single-carrier symbols,
+    at oversampling 4..8, with the default channel at a random power and
+    random impairments, tuner and digital settings. Frames too short for
+    the 100-sample training floor and the 256 evaluation samples are
+    rejected; any other limit is left to ExperimentConfig."""
+    kind = draw(st.sampled_from(["ofdm", "single-carrier"]))
+    fft_size = draw(st.sampled_from([16, 32, 64]))
+    spec = SignalSpec(
+        kind=kind, bandwidth_hz=draw(_floats(1e6, 1e8)), oversampling=draw(st.integers(4, 8)),
+        num_symbols=draw(st.integers(1, 4) if kind == "ofdm" else st.integers(100, 600)),
+        constellation=draw(st.sampled_from(["qpsk4", "qam16"])),
+        pulse=draw(st.sampled_from(["sinc", "rrc"])), rolloff=draw(_floats(0.0, 1.0)),
+        ofdm_fft_size=fft_size, ofdm_used_carriers=draw(st.integers(1, fft_size - 6)),
+        seed=draw(st.integers(0, 2**32 - 1)))
+    n = spec.frame_len
+    assume(n - 6 * EDGE_GUARD >= MIN_FIT_SAMPLES and n >= MIN_DETECTOR_SYMBOLS * spec.oversampling)
+    return dict(
+        signal=spec, channel=ChannelConfig(tx_gain_db=draw(_floats(-20.0, 30.0))),
+        impairments=ReceiverImpairments(
+            noise_power=draw(st.sampled_from([0.0, 1e-12, 1e-6])),
+            adc_bits=draw(st.sampled_from([0, 4, 12, 16])),
+            sample_offset=draw(_floats(0.0, 0.99)) / spec.sample_rate_hz),
+        vm_bits=draw(st.integers(1, 24)), tune_budget=draw(st.integers(1, 1500)),
+        digital_order=draw(st.sampled_from([1, 2])),
+        train_len=draw(st.integers(MIN_FIT_SAMPLES, n - 6 * EDGE_GUARD)),
+        detector_window=draw(st.integers(MIN_DETECTOR_SYMBOLS * spec.oversampling, n)),
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestConfigThatLoadsRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(fields=short_frame_fields())
+    def test_accepted_config_runs(self, fields):
+        try:
+            cfg = ExperimentConfig(**fields)
+        except ValueError:
+            assume(False)
+        report = run_pipeline(cfg).report
+        assert all(np.isfinite(v) for v in dataclasses.astuple(report))
 
 
 class TestRunSimulate:
@@ -838,6 +948,12 @@ class TestCli:
                              "--output-dir", str(tmp_path / form)]) == 0
         assert ((tmp_path / "spaced" / csv).read_bytes()
                 == (tmp_path / "joined" / csv).read_bytes())
+
+    def test_parser_is_built_once_and_keeps_no_state(self):
+        assert cli._parser() is cli._parser()
+        first = cli._parser().parse_args(["sweep-power"])
+        first.dbm.append(99)
+        assert cli._parser().parse_args(["sweep-power"]).dbm == list(range(-10, 20))
 
     def test_no_scipy_import(self, tmp_path):
         # scipy.signal alone takes about 1 s to import; no fdsic module and

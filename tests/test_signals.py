@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from fdsic.config import load_config
 from fdsic.metrics import psd
-from fdsic.signals import (PULSE_SPAN, BasebandSignal, SignalSpec, gen_frame, gen_ofdm,
+from fdsic.signals import (OFDM_JUNCTION_TAPER_FRACTION, PULSE_SPAN, BasebandSignal, SignalSpec,
+                           _normalize, _ofdm_used_bins, draw_symbols, gen_frame, gen_ofdm,
                            gen_single_carrier, papr_db)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -193,3 +194,58 @@ def test_single_carrier_power_property(seed, pulse):
     spec = sc_spec(pulse=pulse, num_symbols=64, seed=seed)
     x = gen_single_carrier(spec)
     assert abs(x.mean_power - 1.0) <= 1e-6
+
+
+def reference_gen_ofdm(spec: SignalSpec) -> BasebandSignal:
+    """The per-symbol loop gen_ofdm replaced, kept as its oracle: one draw,
+    one IFFT and one np.add.at overlap-add per symbol."""
+    nfft = spec.ofdm_fft_size
+    used = spec.ofdm_used_carriers
+    os_ = spec.oversampling
+    rng = np.random.default_rng(spec.seed)
+
+    body = nfft * os_
+    cp = (nfft // 8) * os_
+    sym_len = body + cp
+    taper = int(body * OFDM_JUNCTION_TAPER_FRACTION) if spec.num_symbols > 1 else 0
+    bins = _ofdm_used_bins(nfft, used)
+    ramp = 0.5 * (1 - np.cos(np.pi * (np.arange(taper) + 0.5) / taper)) if taper else np.zeros(0)
+    frame = np.zeros(spec.frame_len, dtype=np.complex128)
+    for s in range(spec.num_symbols):
+        fd = np.zeros(body, dtype=np.complex128)
+        fd[bins % body] = draw_symbols(rng, used, spec.constellation)
+        td = np.fft.ifft(fd) * np.sqrt(body)
+        ext = np.concatenate([td[body - cp - taper:], td, td[:taper]])
+        win = np.ones(len(ext))
+        if taper:
+            win[:taper] = ramp
+            win[-taper:] = ramp[::-1]
+        start = s * sym_len - taper
+        idx = (start + np.arange(len(ext))) % len(frame)
+        np.add.at(frame, idx, ext * win)
+    return BasebandSignal(_normalize(frame), spec.sample_rate_hz)
+
+
+class TestOfdmOracle:
+    """gen_ofdm draws all symbols at once, runs one batched IFFT and adds
+    each symbol with a fancy-index +=; the frame must equal the per-symbol
+    loop bit for bit (compared as integers, so a zero's sign counts)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fft_size=st.sampled_from([16, 32, 64, 128]), oversampling=st.integers(1, 8),
+           num_symbols=st.sampled_from([1, 2, 3]), used_frac=st.floats(0.0, 1.0),
+           constellation=st.sampled_from(["qpsk4", "qam16"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_symbol_loop(self, fft_size, oversampling, num_symbols, used_frac,
+                                     constellation, seed):
+        # 1 symbol has no taper, 2 wrap onto each other, 3 wrap with an odd count
+        used = 1 + int(used_frac * (fft_size - 7))  # 1 .. the grid's last fitting count
+        spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, oversampling=oversampling,
+                          num_symbols=num_symbols, constellation=constellation,
+                          ofdm_fft_size=fft_size, ofdm_used_carriers=used, seed=seed)
+        a, b = gen_ofdm(spec).samples, reference_gen_ofdm(spec).samples
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_matches_per_symbol_loop_on_shipped_config(self):
+        spec = load_config(CONFIGS / "ofdm_20mhz.cfg").signal
+        a, b = gen_ofdm(spec).samples, reference_gen_ofdm(spec).samples
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
