@@ -132,11 +132,17 @@ def fractional_delay(signal: BasebandSignal, delay_s: float) -> BasebandSignal:
 def _delayed(X: np.ndarray, freqs: np.ndarray, delay_s: float) -> np.ndarray:
     """ifft(X * e^{-j2 pi f delay}): the delay of the frame whose FFT is X,
     multiplied into the ramp's buffer. The ramp, cos + j sin of theta, is bit
-    for bit np.exp(-2j * np.pi * freqs * delay_s), whose argument is +0 + j theta."""
-    theta = 0.0 - (2 * np.pi * freqs) * delay_s  # +0, not -0, at DC, as in that argument
-    ramp = np.empty(len(freqs), dtype=np.complex128)
-    np.cos(theta, out=ramp.real)
-    np.sin(theta, out=ramp.imag)
+    for bit np.exp(-2j * np.pi * freqs * delay_s), whose argument is +0 + j theta.
+    It is computed on bins 0..n//2 only: fftfreq's grid is antisymmetric bit for
+    bit, so theta[n-k] = -theta[k] (or +0 where theta[k] is +0), and cos is even
+    and sin odd, so bin n-k is cos theta[k] + j (0 - sin theta[k])."""
+    n, h = len(freqs), len(freqs) // 2 + 1
+    theta = 0.0 - (2 * np.pi * freqs[:h]) * delay_s  # +0, not -0, at DC, as in that argument
+    ramp = np.empty(n, dtype=np.complex128)
+    np.cos(theta, out=ramp.real[:h])
+    np.sin(theta, out=ramp.imag[:h])
+    ramp.real[h:] = ramp.real[n - h:0:-1]
+    np.subtract(0.0, ramp.imag[n - h:0:-1], out=ramp.imag[h:])
     return np.fft.ifft(np.multiply(X, ramp, out=ramp))
 
 

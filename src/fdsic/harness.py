@@ -47,8 +47,9 @@ class CancellationReport:
 
 
 @dataclass(frozen=True)
-class PipelineResult:
-    report: CancellationReport
+class _Cancellation:
+    """A pipeline run up to its per-order residuals: all that a sweep row or a
+    spectrum stage reads, without the report's E_s, E_d, rf PSD and slope fit."""
     x: BasebandSignal
     si: BasebandSignal
     rx: BasebandSignal
@@ -56,18 +57,30 @@ class PipelineResult:
     estimate: digital.LsEstimate
     tune: rfstage.TuneResult
     eval_slice: slice
-    rf_psd: metrics.Psd  # PSD of rx over eval_slice
     digital_residuals_db: tuple  # canceled power of orders 1..estimate.order
+    tx_power_db: float
+    rf_residual_db: float
+    d1_eval: np.ndarray  # design column -D1 x over eval_slice
+
+    def cancellation_db(self, order: int) -> tuple:
+        """(rf, digital, total) cancellation in dB with the order-`order` fit."""
+        rf = self.tx_power_db - self.rf_residual_db
+        dig = self.rf_residual_db - self.digital_residuals_db[order - 1]
+        return rf, dig, rf + dig
+
+
+@dataclass(frozen=True)
+class PipelineResult(_Cancellation):
+    report: CancellationReport
+    rf_psd: metrics.Psd  # PSD of rx over eval_slice
 
 
 def _psd(signal: BasebandSignal) -> metrics.Psd:
     return psd(signal, segment_len=welch_segment(len(signal)))
 
 
-def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
-    """Full chain: generate, channel, RF tune, impair, digital cancel, report."""
-    order = cfg.digital_order if digital_order is None else digital_order
-
+def _cancel(cfg: ExperimentConfig, order: int) -> _Cancellation:
+    """Generate, channel, RF tune, impair and fit orders 1..order."""
     x = gen_frame(cfg.signal)
     n = len(x)
     channel = cfg.channel.build()
@@ -93,32 +106,29 @@ def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> Pip
         canceled = y_eval.samples - digital.model(eval_cols[:k + 1], est.coef)
         residuals_db.append(power_db(canceled[inner]))
 
-    tx_power_db = power_db(np.sqrt(channel.tx_gain) * x_eval.samples)
-    rf_residual_db = power_db(y_eval.samples)
-    rf_c = tx_power_db - rf_residual_db
-    dig_c = rf_residual_db - residuals_db[-1]
+    return _Cancellation(
+        x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, fs), estimate=est,
+        tune=tune_res, eval_slice=ev, digital_residuals_db=tuple(residuals_db),
+        tx_power_db=power_db(np.sqrt(channel.tx_gain) * x_eval.samples),
+        rf_residual_db=power_db(y_eval.samples), d1_eval=eval_cols[1])
 
-    e_s = float(np.mean(np.abs(x_eval.samples[inner]) ** 2))
-    e_d = float(np.mean(np.abs(eval_cols[1][inner] * fs) ** 2))
 
-    rf_psd = _psd(y_eval)
+def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
+    """Full chain: generate, channel, RF tune, impair, digital cancel, report."""
+    order = cfg.digital_order if digital_order is None else digital_order
+    c = _cancel(cfg, order)
+    inner = slice(EDGE_MARGIN, len(c.d1_eval) - EDGE_MARGIN)
+    rf_c, dig_c, total = c.cancellation_db(order)
+    rf_psd = _stage_psd(c, "rf")
     diag = slope_diagnostic(rf_psd, slope_band(cfg.signal))
-
     report = CancellationReport(
-        tx_power_db=tx_power_db,
-        rf_residual_db=rf_residual_db,
-        digital_residual_db=residuals_db[-1],
-        rf_cancellation_db=rf_c,
-        digital_cancellation_db=dig_c,
-        total_db=rf_c + dig_c,
-        signal_power_E_s=e_s,
-        derivative_power_E_d=e_d,
-        slope_r2=diag["r2"],
-        slope_db_per_decade=diag["slope_db_per_decade"],
-    )
-    return PipelineResult(report=report, x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, fs),
-                          estimate=est, tune=tune_res, eval_slice=ev, rf_psd=rf_psd,
-                          digital_residuals_db=tuple(residuals_db))
+        tx_power_db=c.tx_power_db, rf_residual_db=c.rf_residual_db,
+        digital_residual_db=c.digital_residuals_db[-1], rf_cancellation_db=rf_c,
+        digital_cancellation_db=dig_c, total_db=total,
+        signal_power_E_s=float(np.mean(np.abs(c.x.samples[c.eval_slice][inner]) ** 2)),
+        derivative_power_E_d=float(np.mean(np.abs(c.d1_eval[inner] * c.x.sample_rate_hz) ** 2)),
+        slope_r2=diag["r2"], slope_db_per_decade=diag["slope_db_per_decade"])
+    return PipelineResult(**vars(c), report=report, rf_psd=rf_psd)
 
 
 def _atomic_write(path: Path, lines) -> None:
@@ -144,13 +154,14 @@ def _write_psd_csvs(psds: dict) -> None:
         _atomic_write(path, "freq_hz,power_db\n" + rows % tuple(p.power_db.tolist()))
 
 
-def _stage_psd(res: PipelineResult, stage: str) -> metrics.Psd:
+def _stage_psd(c: _Cancellation, stage: str) -> metrics.Psd:
+    """PSD over the evaluation slice of the SI, the RF residual or the digital residual."""
     if stage == "pre":
-        return _psd(BasebandSignal(res.si.samples[res.eval_slice], res.x.sample_rate_hz))
+        return _psd(BasebandSignal(c.si.samples[c.eval_slice], c.x.sample_rate_hz))
     if stage == "rf":
-        return res.rf_psd
+        return _psd(BasebandSignal(c.rx.samples[c.eval_slice], c.x.sample_rate_hz))
     if stage == "digital":
-        return _psd(res.canceled)
+        return _psd(c.canceled)
     raise ValueError(f"unknown stage {stage!r}")
 
 
@@ -163,7 +174,7 @@ def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
     """Write report.txt, per-stage PSD CSVs and the tune trace."""
     out = Path(cfg.output_dir)
     # pre, rf and digital share one Welch grid: same slice length, same rate
-    _write_psd_csvs({out / f"{stage}.csv": _stage_psd(res, stage)
+    _write_psd_csvs({out / f"{stage}.csv": res.rf_psd if stage == "rf" else _stage_psd(res, stage)
                      for stage in ("pre", "rf", "digital")})
 
     est = res.estimate
@@ -215,40 +226,34 @@ def run_sweep_bandwidth(cfg: ExperimentConfig, bw_list) -> list:
         cfg.signal, bandwidth_hz=float(bw))) for bw in bw_list]
     rows = []
     for bw, point_cfg in zip(bw_list, point_cfgs):
-        r = run_pipeline(point_cfg).report
-        rows.append((float(bw), r.rf_cancellation_db, r.digital_cancellation_db,
-                     r.total_db))
+        c = _cancel(point_cfg, point_cfg.digital_order)
+        rows.append((float(bw), *c.cancellation_db(point_cfg.digital_order)))
     _write_sweep_csv(cfg, "bandwidth_sweep.csv", "bandwidth_hz,rf_db,digital_db,total_db", rows)
     return rows
 
 
-def _order0_residual_db(res: PipelineResult) -> float:
+def _order0_residual_db(c: _Cancellation) -> float:
     """Signal-term-only fit, for the digital split-up columns (numpy sums, not BLAS)."""
-    sl = res.eval_slice
-    x = res.x.samples[sl]
-    y = res.rx.samples[sl]
+    x = c.x.samples[c.eval_slice]
+    y = c.rx.samples[c.eval_slice]
     a0 = np.sum(x.conj() * y) / np.sum(x.conj() * x)
     return power_db(y - a0 * x)
 
 
 def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
-    """Transmit-power sweep. Each point is one order-2 pipeline run; its
-    order-1 residual and a signal-only fit on its RF residual give the
-    per-term split of the digital cancellation."""
+    """Transmit-power sweep. Each point is one order-2 cancellation, without
+    the report; its order-1 residual and a signal-only fit on its RF residual
+    give the per-term split of the digital cancellation."""
     rows = []
     for p_dbm in power_list_db:
         chan = dataclasses.replace(cfg.channel, tx_gain_db=float(p_dbm))
-        point = dataclasses.replace(cfg, channel=chan)
-        res = run_pipeline(point, digital_order=2)
-        r2 = res.report
-        res1_db = res.digital_residuals_db[0]
-        res0_db = _order0_residual_db(res)
-        dig1 = r2.rf_residual_db - res1_db
-        rows.append((float(p_dbm), r2.rf_cancellation_db,
-                     dig1, r2.digital_cancellation_db,
-                     r2.rf_cancellation_db + dig1, r2.total_db,
-                     r2.rf_residual_db - res0_db, res0_db - res1_db,
-                     res1_db - r2.digital_residual_db))
+        c = _cancel(dataclasses.replace(cfg, channel=chan), 2)
+        res1_db, res2_db = c.digital_residuals_db
+        res0_db = _order0_residual_db(c)
+        rf_db, dig1, total1 = c.cancellation_db(1)
+        _, dig2, total2 = c.cancellation_db(2)
+        rows.append((float(p_dbm), rf_db, dig1, dig2, total1, total2,
+                     c.rf_residual_db - res0_db, res0_db - res1_db, res1_db - res2_db))
     _write_sweep_csv(cfg, "power_sweep.csv", "tx_power_dbm,rf_db,digital_db_order1,"
                      "digital_db_order2,total_db_order1,total_db_order2,"
                      "split_signal_db,split_deriv1_db,split_deriv2_db", rows)
@@ -258,7 +263,7 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
 def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
     """Write the PSD CSV of one pipeline stage."""
     path = Path(cfg.output_dir) / f"{stage}.csv"
-    _write_psd_csvs({path: _stage_psd(run_pipeline(cfg), stage)})
+    _write_psd_csvs({path: _stage_psd(_cancel(cfg, cfg.digital_order), stage)})
     return path
 
 

@@ -131,6 +131,20 @@ def exp_ramp_delayed(X, freqs, delay_s):
     return np.fft.ifft(np.multiply(X, ramp, out=ramp))
 
 
+def full_grid_delayed(X, freqs, delay_s):
+    """The full-grid cos/sin ramp that _delayed's half-spectrum mirror
+    replaced, kept as its oracle."""
+    theta = 0.0 - (2 * np.pi * freqs) * delay_s
+    ramp = np.empty(len(freqs), dtype=np.complex128)
+    np.cos(theta, out=ramp.real)
+    np.sin(theta, out=ramp.imag)
+    return np.fft.ifft(np.multiply(X, ramp, out=ramp))
+
+
+def assert_bitwise_equal(a, b):
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestDelayRamp:
     """_delayed builds its ramp from np.cos and np.sin of the real phase;
     the delayed frame must equal the np.exp ramp's bit for bit (compared as
@@ -164,6 +178,64 @@ class TestDelayRamp:
         for tap in cfg.channel.build().taps:
             a, b = _delayed(X, freqs, tap.delay_s), exp_ramp_delayed(X, freqs, tap.delay_s)
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    # _delayed computes cos/sin on bins 0..n//2 and mirrors the rest; the
+    # full-grid ramp it replaced must give the same bits
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=150, deadline=None)
+    @given(half=st.integers(0, 3000), fs=st.floats(1e3, 1e10), delay_frac=st.floats(-1.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_grid_ramp(self, parity, half, fs, delay_frac, seed):
+        n = max(2 * half + parity, 1)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        freqs = np.fft.fftfreq(n, d=1.0 / fs)
+        delay_s = delay_frac * MAX_DELAY_FRACTION * n / fs
+        assert_bitwise_equal(_delayed(X, freqs, delay_s), full_grid_delayed(X, freqs, delay_s))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("delay_s", [0.0, 5e-324, 1.3e-9, -1.3e-9])
+    def test_matches_full_grid_ramp_on_tiny_frames(self, n, delay_s):
+        # a zero or underflowing delay gives theta = +0 on every bin; the
+        # mirror must keep +0 there, so a -0 spectrum shows a wrong sign
+        freqs = np.fft.fftfreq(n, d=1.0 / FS)
+        for X in (np.arange(1, n + 1) * (1 - 2j), np.full(n, complex(-0.0, -0.0))):
+            assert_bitwise_equal(_delayed(X, freqs, delay_s), full_grid_delayed(X, freqs, delay_s))
+
+    @pytest.mark.parametrize("n", [2, 64, 55_296])
+    def test_matches_full_grid_ramp_at_nyquist(self, n):
+        # a unit spectrum at bin n/2 isolates the Nyquist bin of the ramp,
+        # the one even-n bin computed directly but not mirrored
+        X = np.zeros(n, dtype=np.complex128)
+        X[n // 2] = 1.0
+        freqs = np.fft.fftfreq(n, d=1.0 / FS)
+        for delay_s in (1.3e-9, -0.7e-9, 0.2 * n / FS * MAX_DELAY_FRACTION):
+            assert_bitwise_equal(_delayed(X, freqs, delay_s), full_grid_delayed(X, freqs, delay_s))
+
+    @pytest.mark.parametrize("name", ["ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"])
+    def test_matches_full_grid_ramp_on_shipped_taps(self, name):
+        cfg = load_config(CONFIGS / name)
+        x = gen_frame(cfg.signal)
+        freqs = np.fft.fftfreq(len(x), d=1.0 / x.sample_rate_hz)
+        X = np.fft.fft(x.samples)
+        for tap in cfg.channel.build().taps:
+            assert_bitwise_equal(_delayed(X, freqs, tap.delay_s),
+                                 full_grid_delayed(X, freqs, tap.delay_s))
+
+    @pytest.mark.parametrize("n, fs", [(9_216, 80e6), (55_296, 80e6), (48_000, 40e6),
+                                       (4_097, 1e3)])
+    def test_mirror_identities_on_fftfreq_grids(self, n, fs):
+        """The mirror's premises, bit for bit: fftfreq is antisymmetric, so
+        theta[n-k] = -theta[k]; numpy's float64 cos is even and sin odd. A
+        numpy or libm build that breaks one fails here by name."""
+        freqs = np.fft.fftfreq(n, d=1.0 / fs)
+        k = np.arange(1, (n + 1) // 2)  # the mirrored bins; an even n's Nyquist bin is its own
+        assert_bitwise_equal(freqs[n - k], -freqs[k])
+        for delay_s in (1.3e-9, -2.9e-9, 1e-3 / fs, 0.09 * n / fs):
+            theta = 0.0 - (2 * np.pi * freqs) * delay_s
+            assert_bitwise_equal(theta[n - k], -theta[k])
+            assert_bitwise_equal(np.cos(-theta), np.cos(theta))
+            assert_bitwise_equal(np.sin(-theta), -np.sin(theta))
 
 
 class TestApplyChannel:

@@ -405,8 +405,8 @@ class TestSweeps:
     def test_bandwidth_single_point_matches_simulate(self, tmp_path):
         cfg = small_cfg(tmp_path)
         rows = run_sweep_bandwidth(cfg, [20e6])
-        report = run_pipeline(cfg).report
-        assert rows[0][1] == pytest.approx(report.rf_cancellation_db, abs=1e-9)
+        r = run_pipeline(cfg).report
+        assert rows == [(20e6, r.rf_cancellation_db, r.digital_cancellation_db, r.total_db)]
         assert (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
 
     def test_bandwidth_trend(self, tmp_path):
@@ -417,7 +417,7 @@ class TestSweeps:
     def test_bandwidth_sweep_validates_every_point_first(self, tmp_path, monkeypatch):
         # 10 ns is below T_s = 12.5 ns at 20 MHz x 4, but not at 40 MHz x 4
         cfg = small_cfg(tmp_path, impairments=ReceiverImpairments(sample_offset=10e-9))
-        monkeypatch.setattr(harness, "run_pipeline", lambda c: pytest.fail("point ran"))
+        monkeypatch.setattr(harness, "_cancel", lambda *args: pytest.fail("point ran"))
         with pytest.raises(ValueError, match="sample_offset"):
             run_sweep_bandwidth(cfg, [20e6, 40e6])
         assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
@@ -425,7 +425,7 @@ class TestSweeps:
     def test_bandwidth_sweep_checks_carrier_before_any_point(self, tmp_path, monkeypatch):
         # 2.395 GHz clears 2.5 x 80 MHz (20 MHz x 4), but not 2.5 x 1.2 GHz
         cfg = small_cfg(tmp_path)
-        monkeypatch.setattr(harness, "run_pipeline", lambda c: pytest.fail("point ran"))
+        monkeypatch.setattr(harness, "_cancel", lambda *args: pytest.fail("point ran"))
         with pytest.raises(ValueError, match="carrier_hz"):
             run_sweep_bandwidth(cfg, [20e6, 300e6])
         assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
@@ -605,16 +605,34 @@ class TestComputeOnce:
         assert ((Path(cfg.output_dir) / "rf.csv").read_text()
                 == (tmp_path / "rf_expected.csv").read_text())
 
-    def test_power_sweep_point_computes_one_psd(self, tmp_path, monkeypatch):
-        calls = self.count_calls(monkeypatch, "psd")
-        run_sweep_power(small_cfg(tmp_path), [0])
-        assert len(calls) == 1
-
-    def test_power_sweep_point_runs_one_pipeline(self, tmp_path, monkeypatch):
-        pipelines = self.count_calls(monkeypatch, "run_pipeline")
+    def test_power_sweep_point_computes_no_psd(self, tmp_path, monkeypatch):
+        # a row reads residual powers only: no rf PSD, no slope fit
+        psds = self.count_calls(monkeypatch, "psd")
         diagnostics = self.count_calls(monkeypatch, "slope_diagnostic")
         run_sweep_power(small_cfg(tmp_path), [0])
-        assert (len(pipelines), len(diagnostics)) == (1, 1)
+        assert (len(psds), len(diagnostics)) == (0, 0)
+
+    def test_power_sweep_point_runs_the_core_once(self, tmp_path, monkeypatch):
+        pipelines = self.count_calls(monkeypatch, "run_pipeline")
+        cores = self.count_calls(monkeypatch, "_cancel")
+        run_sweep_power(small_cfg(tmp_path), [0, 3])
+        assert (len(pipelines), [order for _, order in cores]) == (0, [2, 2])
+
+    def test_bandwidth_sweep_point_computes_no_psd(self, tmp_path, monkeypatch):
+        psds = self.count_calls(monkeypatch, "psd")
+        diagnostics = self.count_calls(monkeypatch, "slope_diagnostic")
+        pipelines = self.count_calls(monkeypatch, "run_pipeline")
+        cores = self.count_calls(monkeypatch, "_cancel")
+        run_sweep_bandwidth(small_cfg(tmp_path), [10e6, 20e6])
+        assert (len(psds), len(diagnostics), len(pipelines), len(cores)) == (0, 0, 0, 2)
+
+    @pytest.mark.parametrize("stage", ["pre", "rf", "digital"])
+    def test_spectrum_computes_only_its_stage_psd(self, tmp_path, monkeypatch, stage):
+        psds = self.count_calls(monkeypatch, "psd")
+        diagnostics = self.count_calls(monkeypatch, "slope_diagnostic")
+        cores = self.count_calls(monkeypatch, "_cancel")
+        run_spectrum(small_cfg(tmp_path), stage)
+        assert (len(psds), len(diagnostics), len(cores)) == (1, 0, 1)
 
     def test_power_sweep_point_filters_each_slice_once(self, tmp_path, monkeypatch):
         # D1 and D2 of the training and of the evaluation slice; order 1
@@ -818,6 +836,13 @@ class TestSpectrumCommand:
         assert path.name == "rf.csv"
         header = path.read_text().splitlines()[0]
         assert header == "freq_hz,power_db"
+
+    def test_each_stage_matches_simulate(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        run_simulate(dataclasses.replace(cfg, output_dir=str(tmp_path / "sim")))
+        for stage in ("pre", "rf", "digital"):
+            path = run_spectrum(cfg, stage)
+            assert path.read_bytes() == (tmp_path / "sim" / f"{stage}.csv").read_bytes()
 
 
 class TestDeterminism:
