@@ -13,7 +13,7 @@ import functools
 import sys
 
 from .config import ExperimentConfig, load_config
-from .harness import (format_point, run_simulate, run_spectrum, run_sweep_bandwidth,
+from .harness import (STAGES, format_point, run_simulate, run_spectrum, run_sweep_bandwidth,
                       run_sweep_power, run_verify, VERIFY_SUITES)
 
 
@@ -86,7 +86,7 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--output-dir", dest="output_dir", default=ExperimentConfig.output_dir)
 
     p_spec = sub.add_parser("spectrum", parents=[run], help="PSD of one pipeline stage")
-    p_spec.add_argument("--stage", required=True, choices=["pre", "rf", "digital"])
+    p_spec.add_argument("--stage", required=True, choices=STAGES)
     return parser
 
 

@@ -23,6 +23,9 @@ from .signals import BasebandSignal, SignalSpec, gen_frame
 
 LEMMA_TAU_GRID = (0.001, 0.005, 0.01, 0.05, 0.1)
 
+# PSD stages: the SI, the RF residual and the digital residual
+STAGES = ("pre", "rf", "digital")
+
 # Fig-style response check: "0.3 normalized" on a Nyquist-normalized axis,
 # i.e. 0.15 cycles/sample.
 FILTER_CHECK_MAX_CPS = 0.15
@@ -154,15 +157,18 @@ def _write_psd_csvs(psds: dict) -> None:
         _atomic_write(path, "freq_hz,power_db\n" + rows % tuple(p.power_db.tolist()))
 
 
+def _check_stage(stage: str) -> None:
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+
+
 def _stage_psd(c: _Cancellation, stage: str) -> metrics.Psd:
-    """PSD over the evaluation slice of the SI, the RF residual or the digital residual."""
-    if stage == "pre":
-        return _psd(BasebandSignal(c.si.samples[c.eval_slice], c.x.sample_rate_hz))
-    if stage == "rf":
-        return _psd(BasebandSignal(c.rx.samples[c.eval_slice], c.x.sample_rate_hz))
+    """PSD over the evaluation slice of one of STAGES."""
+    _check_stage(stage)
     if stage == "digital":
         return _psd(c.canceled)
-    raise ValueError(f"unknown stage {stage!r}")
+    samples = (c.si if stage == "pre" else c.rx).samples[c.eval_slice]
+    return _psd(BasebandSignal(samples, c.x.sample_rate_hz))
 
 
 # report.txt format of each CancellationReport field not written as .2f
@@ -175,7 +181,7 @@ def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
     out = Path(cfg.output_dir)
     # pre, rf and digital share one Welch grid: same slice length, same rate
     _write_psd_csvs({out / f"{stage}.csv": res.rf_psd if stage == "rf" else _stage_psd(res, stage)
-                     for stage in ("pre", "rf", "digital")})
+                     for stage in STAGES})
 
     est = res.estimate
     lines = [f"{f.name} = {getattr(res.report, f.name):{REPORT_FORMATS.get(f.name, '.2f')}}"
@@ -261,7 +267,8 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
 
 
 def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
-    """Write the PSD CSV of one pipeline stage."""
+    """Write the PSD CSV of one pipeline stage, checking its name before the run."""
+    _check_stage(stage)
     path = Path(cfg.output_dir) / f"{stage}.csv"
     _write_psd_csvs({path: _stage_psd(_cancel(cfg, cfg.digital_order), stage)})
     return path
@@ -270,11 +277,11 @@ def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
 def _verify_lemma() -> list:
     spec = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
                       num_symbols=8, pulse="sinc", seed=1)
-    rows, errs = [], []
-    for tau in LEMMA_TAU_GRID:
-        err = oracle.exact_delay_oracle(spec, tau)["err_power"]
+    # one draw for the whole grid; each err_power is exact_delay_oracle's, bit for bit
+    errs = oracle.delay_error_powers(spec, LEMMA_TAU_GRID)
+    rows = []
+    for tau, err in zip(LEMMA_TAU_GRID, errs):
         bound = taylor.LEMMA_CONST * tau ** 4
-        errs.append(err)
         rows.append((f"lemma_tau_{tau}", f"err={err:.4e} bound={bound:.4e}", err <= bound))
     slope = np.polyfit(np.log10(LEMMA_TAU_GRID), np.log10(errs), 1)[0]
     rows.append(("quartic_slope", f"{slope:.3f}", abs(slope - 4.0) <= 0.2))

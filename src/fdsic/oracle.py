@@ -65,10 +65,13 @@ def _lemma_sinc_deriv(x: np.ndarray) -> np.ndarray:
 def _lemma_sinc_deriv2(x: np.ndarray) -> np.ndarray:
     """d^2/dx^2 of sin(x)/x = 2 sin x / x^3 - sin x / x - 2 cos x / x^2,
     with the series limit -1/3 at 0."""
+    def closed(xl):
+        s = np.sin(xl)
+        return 2.0 * s / xl**3 - s / xl - 2.0 * np.cos(xl) / xl**2
+
     return _series_or_closed(
         x, 0.1, lambda xs: -1.0 / 3.0 + xs**2 / 10.0 - xs**4 / 168.0 + xs**6 / 6480.0,
-        lambda xl: (2.0 * np.sin(xl) / xl**3 - np.sin(xl) / xl
-                    - 2.0 * np.cos(xl) / xl**2))
+        closed)
 
 
 def lemma_kernel(x) -> np.ndarray:
@@ -176,11 +179,12 @@ def _pulse_functions(spec: SignalSpec):
     return g, gd
 
 
-def _pulse_train_powers(spec: SignalSpec, weights, trials: int, seed: int) -> list:
+def _pulse_train_powers(spec: SignalSpec, g, weights, trials: int, seed: int) -> list:
     """Monte Carlo mean powers of sum_n s_n w(t - n) over random symbols s_n
     and sampling instants t, relative to the power of the pulse train
-    x(t) = sum_n s_n g(t - n). `weights(v)` returns g(v) followed by each
-    w(v), for v = t - n."""
+    x(t) = sum_n s_n g(t - n). `weights(v, g(v))`, for v = t - n, runs before
+    the symbol draw and returns the w(v); a lazy iterable evaluates each w
+    after the draw, and each is freed before the next."""
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
@@ -189,13 +193,17 @@ def _pulse_train_powers(spec: SignalSpec, weights, trials: int, seed: int) -> li
     n = np.arange(-SYMBOL_HALF_WINDOW, SYMBOL_HALF_WINDOW + 1)
     t0 = rng.uniform(0.0, 1.0, size=n_offsets)
     v = t0[:, None] - n[None, :]              # (offsets, symbols)
-    gv, *ws = weights(v)
+    gv = g(v)
     # E|x|^2 = mean_t sum_n g^2 for unit-variance uncorrelated symbols
     mean_power = float(np.mean(np.sum(gv**2, axis=1)))
+    ws = weights(v, gv)
     syms = draw_symbols(rng, (n_trials, len(n)), spec.constellation)
-    # w is real, so |syms @ w.T|^2 splits into two real products
     re, im = syms.real, syms.imag
-    return [float(np.mean((re @ w.T) ** 2 + (im @ w.T) ** 2) / mean_power) for w in ws]
+
+    def power(w):
+        # w is real, so |syms @ w.T|^2 splits into two real products
+        return float(np.mean((re @ w.T) ** 2 + (im @ w.T) ** 2) / mean_power)
+    return list(map(power, ws))  # map drops each w before it asks for the next
 
 
 def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE_TRIALS,
@@ -214,12 +222,32 @@ def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE
     g, gd = _pulse_functions(spec)
     eps = float(tau_over_T)
 
-    def weights(v):
-        gv, dv = g(v), eps * gd(v)
-        return gv, g(v - eps) - gv + dv, dv
+    def weights(v, gv):
+        dv = eps * gd(v)
+        return g(v - eps) - gv + dv, dv
 
-    err, der = _pulse_train_powers(spec, weights, trials, seed)
+    err, der = _pulse_train_powers(spec, g, weights, trials, seed)
     return {"err_power": err, "deriv_power": der}
+
+
+def delay_error_powers(spec: SignalSpec, taus, trials: int = ORACLE_TRIALS,
+                       seed: int = ORACLE_SEED) -> list:
+    """exact_delay_oracle's err_power at each delay of `taus`, bit for bit,
+    from one draw: the offsets, g(v), g'(v) and the symbols are shared, and
+    each delay evaluates only g(v - tau) and its error weight."""
+    g, gd = _pulse_functions(spec)
+
+    def weights(v, gv):
+        gdv = gd(v)
+
+        def error_weight(tau):
+            w = g(v - tau)  # (g(v - tau) - g(v)) + tau g'(v), in place
+            w -= gv
+            w += tau * gdv
+            return w
+        return map(error_weight, map(float, taus))
+
+    return _pulse_train_powers(spec, g, weights, trials, seed)
 
 
 def order2_remainder(spec: SignalSpec, tau_over_T: float) -> float:
@@ -234,12 +262,11 @@ def order2_remainder(spec: SignalSpec, tau_over_T: float) -> float:
         raise ValueError("order2_remainder supports the sinc pulse only")
     eps = float(tau_over_T)
 
-    def weights(v):
-        gv = _lemma_sinc(v)
-        return gv, (_lemma_sinc(v - eps) - gv + eps * _lemma_sinc_deriv(v)
-                    - 0.5 * eps**2 * _lemma_sinc_deriv2(v))
+    def weights(v, gv):
+        return [_lemma_sinc(v - eps) - gv + eps * _lemma_sinc_deriv(v)
+                - 0.5 * eps**2 * _lemma_sinc_deriv2(v)]
 
-    (rem,) = _pulse_train_powers(spec, weights, ORACLE_TRIALS, ORACLE_SEED)
+    (rem,) = _pulse_train_powers(spec, _lemma_sinc, weights, ORACLE_TRIALS, ORACLE_SEED)
     return rem
 
 

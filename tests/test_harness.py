@@ -634,6 +634,13 @@ class TestComputeOnce:
         run_spectrum(small_cfg(tmp_path), stage)
         assert (len(psds), len(diagnostics), len(cores)) == (1, 0, 1)
 
+    def test_lemma_suite_draws_once_for_its_tau_grid(self, monkeypatch):
+        # one symbol draw and one g' evaluation for all of LEMMA_TAU_GRID
+        draws = self.count_calls(monkeypatch, "draw_symbols", module=oracle)
+        derivs = self.count_calls(monkeypatch, "_lemma_sinc_deriv", module=oracle)
+        harness._verify_lemma()
+        assert (len(draws), len(derivs)) == (1, 1)
+
     def test_power_sweep_point_filters_each_slice_once(self, tmp_path, monkeypatch):
         # D1 and D2 of the training and of the evaluation slice; order 1
         # reuses order 2's columns
@@ -840,9 +847,16 @@ class TestSpectrumCommand:
     def test_each_stage_matches_simulate(self, tmp_path):
         cfg = small_cfg(tmp_path)
         run_simulate(dataclasses.replace(cfg, output_dir=str(tmp_path / "sim")))
-        for stage in ("pre", "rf", "digital"):
+        for stage in harness.STAGES:
             path = run_spectrum(cfg, stage)
             assert path.read_bytes() == (tmp_path / "sim" / f"{stage}.csv").read_bytes()
+
+    def test_unknown_stage_rejected_before_the_run(self, tmp_path, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the pipeline ran for an unknown stage")
+        monkeypatch.setattr(harness, "_cancel", no_run)
+        with pytest.raises(ValueError, match="^unknown stage 'bogus'$"):
+            run_spectrum(small_cfg(tmp_path), "bogus")
 
 
 class TestDeterminism:

@@ -3,12 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdsic import oracle
 from fdsic.channel import fractional_delay
 from fdsic.harness import LEMMA_TAU_GRID
-from fdsic.oracle import (FHAT0_CLOSED, ORACLE_SEED, SYMBOL_HALF_WINDOW,
-                          exact_delay_oracle, kernel_fourier0_numeric, lemma_kernel,
+from fdsic.oracle import (FHAT0_CLOSED, ORACLE_SEED, POISSON_N_MAX, SYMBOL_HALF_WINDOW,
+                          delay_error_powers, exact_delay_oracle,
+                          kernel_fourier0_numeric, lemma_kernel,
                           lemma_kernel_expanded, order2_remainder, poisson_check,
                           poisson_closed_form, resample_delay_reference)
 from fdsic.signals import BasebandSignal, SignalSpec, draw_symbols, gen_frame
@@ -48,6 +50,18 @@ def _delay_full_convolution(x, d):
     return np.convolve(np.concatenate([x, x]), kern)[n_len:2 * n_len]
 
 
+def _lemma_sinc_deriv2_two_sins(x):
+    """_lemma_sinc_deriv2 with the closed form calling np.sin twice."""
+    return oracle._series_or_closed(
+        x, 0.1, lambda xs: -1.0 / 3.0 + xs**2 / 10.0 - xs**4 / 168.0 + xs**6 / 6480.0,
+        lambda xl: (2.0 * np.sin(xl) / xl**3 - np.sin(xl) / xl
+                    - 2.0 * np.cos(xl) / xl**2))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 def _delay_powers_complex_product(spec, tau, trials):
     """exact_delay_oracle's two powers from one complex product per weight."""
     g, gd = oracle._pulse_functions(spec)
@@ -84,6 +98,21 @@ class TestLemmaKernel:
 
     def test_frozen_value(self, oracle_frozen):
         assert lemma_kernel(np.pi) == pytest.approx(oracle_frozen["kernel_at_pi"], rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.1, 1e4), st.floats(-1e4, -0.1)),
+                    min_size=1, max_size=64))
+    def test_deriv2_one_sin_matches_two_sins(self, xs):
+        x = np.array(xs)
+        assert np.array_equal(_bits(oracle._lemma_sinc_deriv2(x)),
+                              _bits(_lemma_sinc_deriv2_two_sins(x)))
+
+    def test_deriv2_one_sin_matches_two_sins_on_poisson_grid(self):
+        # every point poisson_check evaluates in the poisson verify suite
+        n = np.arange(-POISSON_N_MAX, POISSON_N_MAX + 1)
+        x = np.linspace(0.0, 1.0, 100)[:, None] - n[None, :]
+        assert np.array_equal(_bits(oracle._lemma_sinc_deriv2(x)),
+                              _bits(_lemma_sinc_deriv2_two_sins(x)))
 
 
 class TestKernelFourier:
@@ -172,6 +201,22 @@ class TestExactDelayOracle:
         err, der = _delay_powers_complex_product(RRC_SPEC, tau, 20_000)
         assert r["err_power"] == pytest.approx(err, rel=1e-12)
         assert r["deriv_power"] == pytest.approx(der, rel=1e-12)
+
+
+class TestDelayErrorPowers:
+    @pytest.mark.parametrize("spec", [SINC_SPEC, RRC_SPEC], ids=["sinc", "rrc"])
+    @pytest.mark.parametrize("trials", [100_000, 1_000])
+    def test_matches_per_tau_oracle_exactly(self, spec, trials):
+        taus = (0.0, *LEMMA_TAU_GRID)
+        expected = [exact_delay_oracle(spec, tau, trials=trials)["err_power"] for tau in taus]
+        assert delay_error_powers(spec, taus, trials=trials) == expected
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_nonpositive_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            delay_error_powers(SINC_SPEC, LEMMA_TAU_GRID, trials=trials)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            exact_delay_oracle(SINC_SPEC, 0.01, trials=trials)
 
 
 class TestResampleDelayReference:
