@@ -157,18 +157,15 @@ def _write_psd_csvs(psds: dict) -> None:
         _atomic_write(path, "freq_hz,power_db\n" + rows % tuple(p.power_db.tolist()))
 
 
-def _check_stage(stage: str) -> None:
-    if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
-
-
 def _stage_psd(c: _Cancellation, stage: str) -> metrics.Psd:
-    """PSD over the evaluation slice of one of STAGES."""
-    _check_stage(stage)
+    """PSD over the evaluation slice of the SI, the RF residual or the digital residual."""
+    if stage == "pre":
+        return _psd(BasebandSignal(c.si.samples[c.eval_slice], c.x.sample_rate_hz))
+    if stage == "rf":
+        return _psd(BasebandSignal(c.rx.samples[c.eval_slice], c.x.sample_rate_hz))
     if stage == "digital":
         return _psd(c.canceled)
-    samples = (c.si if stage == "pre" else c.rx).samples[c.eval_slice]
-    return _psd(BasebandSignal(samples, c.x.sample_rate_hz))
+    raise ValueError(f"unknown stage {stage!r}")
 
 
 # report.txt format of each CancellationReport field not written as .2f
@@ -268,7 +265,8 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
 
 def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
     """Write the PSD CSV of one pipeline stage, checking its name before the run."""
-    _check_stage(stage)
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
     path = Path(cfg.output_dir) / f"{stage}.csv"
     _write_psd_csvs({path: _stage_psd(_cancel(cfg, cfg.digital_order), stage)})
     return path

@@ -230,8 +230,7 @@ def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE
     return {"err_power": err, "deriv_power": der}
 
 
-def delay_error_powers(spec: SignalSpec, taus, trials: int = ORACLE_TRIALS,
-                       seed: int = ORACLE_SEED) -> list:
+def delay_error_powers(spec: SignalSpec, taus) -> list:
     """exact_delay_oracle's err_power at each delay of `taus`, bit for bit,
     from one draw: the offsets, g(v), g'(v) and the symbols are shared, and
     each delay evaluates only g(v - tau) and its error weight."""
@@ -247,7 +246,7 @@ def delay_error_powers(spec: SignalSpec, taus, trials: int = ORACLE_TRIALS,
             return w
         return map(error_weight, map(float, taus))
 
-    return _pulse_train_powers(spec, g, weights, trials, seed)
+    return _pulse_train_powers(spec, g, weights, ORACLE_TRIALS, ORACLE_SEED)
 
 
 def order2_remainder(spec: SignalSpec, tau_over_T: float) -> float:
