@@ -97,6 +97,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Every check a run needs, made before any frame is generated."""
+        for obj in (self, self.signal, self.channel, self.impairments):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if isinstance(value, (float, tuple)) and not np.isfinite(np.array(value)).all():
+                    raise ValueError(f"{FILE_KEYS.get(f.name, f.name)} = {_format(value)} "
+                                     "must be finite")
         sig, n = self.signal, self.signal.frame_len
         if self.digital_order not in (1, 2):
             raise ValueError("digital_order must be 1 or 2")

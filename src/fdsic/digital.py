@@ -2,9 +2,9 @@
 coefficient estimation, reconstruction/subtraction, and complexity counts.
 
 The received residual is modelled as y ~ a0 x - c1 x' + c2 x'' with x', x''
-obtained by short FIR differentiators on the known transmit samples; the
-coefficients come from a direct 2x2 or 3x3 normal-equation solve, and the
-2x2 system is the leading block of the 3x3 one.
+obtained by short FIR differentiators on the known transmit samples. The
+digital stage is fit_orders: one normal-equation system on the training slice,
+its leading 2x2 block solved for order 1 and its 3x3 for order 2.
 """
 
 from __future__ import annotations
@@ -118,23 +118,33 @@ def model(cols: list, coef) -> np.ndarray:
     return acc
 
 
-def solve(cols: list, b: np.ndarray, system: tuple, order: int) -> LsEstimate:
-    """Order-`order` estimate and its residual from the leading block of
-    `system` = normal_equations(cols, b). Raises IllConditionedFitError when
-    the block's condition number exceeds 1e12."""
-    k = order + 1
-    gram, rhs = system[0][:k, :k], system[1][:k]
-    if np.linalg.cond(gram) > CONDITION_LIMIT:
-        raise IllConditionedFitError("normal equations are ill-conditioned")
-    coef = np.linalg.solve(gram, rhs)
-    resid = (b - model(cols[:k], coef))[EDGE_MARGIN:len(b) - EDGE_MARGIN]
-    return LsEstimate(residual_power_db=power_db(resid),
-                      **{name: complex(c) for name, c in zip(LS_TERMS, coef)})
+def fit_orders(x: BasebandSignal, y: BasebandSignal, train: slice, ev: slice,
+               order: int) -> tuple:
+    """Fit orders 1..order on x, y over `train`, cancel each over `ev`, and return
+    (each order's LsEstimate, each order's `ev` residual in dB, the top order's
+    canceled `ev` samples, the `ev` design columns); residuals skip EDGE_MARGIN
+    samples per end. Raises IllConditionedFitError past condition number 1e12."""
+    fs = x.sample_rate_hz
+    b, y_ev = y.samples[train], y.samples[ev]
+    cols = design_columns(BasebandSignal(x.samples[train], fs), order)
+    gram, rhs = normal_equations(cols, b)
+    eval_cols = design_columns(BasebandSignal(x.samples[ev], fs), order)
+    estimates, residuals_db = [], []
+    for k in range(2, order + 2):  # order k - 1 solves the leading k x k block
+        if np.linalg.cond(gram[:k, :k]) > CONDITION_LIMIT:
+            raise IllConditionedFitError("normal equations are ill-conditioned")
+        coef = np.linalg.solve(gram[:k, :k], rhs[:k])
+        resid = (b - model(cols[:k], coef))[EDGE_MARGIN:len(b) - EDGE_MARGIN]
+        estimates.append(LsEstimate(residual_power_db=power_db(resid),
+                                    **{name: complex(c) for name, c in zip(LS_TERMS, coef)}))
+        canceled = y_ev - model(eval_cols[:k], estimates[-1].coef)
+        residuals_db.append(power_db(canceled[EDGE_MARGIN:len(y_ev) - EDGE_MARGIN]))
+    return tuple(estimates), tuple(residuals_db), canceled, eval_cols
 
 
 def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
     """Fit (a0, c1[, c2]) on the aligned window, leaving EDGE_MARGIN samples at
-    each end out of the fit and the residual; see solve for the errors."""
+    each end out of the fit and the residual; see fit_orders for the errors."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if len(y) != len(x):
@@ -143,8 +153,7 @@ def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
     if x.mean_power == 0:
         raise ValueError("x has zero power")
-    cols = design_columns(x, order)
-    return solve(cols, y.samples, normal_equations(cols, y.samples), order)
+    return fit_orders(x, y, slice(None), slice(None), order)[0][-1]
 
 
 def cancel(y: BasebandSignal, x: BasebandSignal, est: LsEstimate) -> BasebandSignal:

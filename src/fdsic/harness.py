@@ -85,7 +85,6 @@ def _psd(signal: BasebandSignal) -> metrics.Psd:
 def _cancel(cfg: ExperimentConfig, order: int) -> _Cancellation:
     """Generate, channel, RF tune, impair and fit orders 1..order."""
     x = gen_frame(cfg.signal)
-    n = len(x)
     channel = cfg.channel.build()
     det = DetectorConfig(window_samples=cfg.detector_window,
                          symbol_samples=cfg.signal.oversampling)
@@ -93,27 +92,13 @@ def _cancel(cfg: ExperimentConfig, order: int) -> _Cancellation:
     rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
 
     train = slice(EDGE_GUARD, EDGE_GUARD + cfg.train_len)
-    ev = slice(train.stop, n - EDGE_GUARD)
-    fs = x.sample_rate_hz
-    x_eval = BasebandSignal(x.samples[ev], fs)
-    y_eval = BasebandSignal(rx.samples[ev], fs)
-    # One system for all orders; order k solves its leading (k + 1)-square block
-    b = rx.samples[train]
-    cols = digital.design_columns(BasebandSignal(x.samples[train], fs), order)
-    system = digital.normal_equations(cols, b)
-    eval_cols = digital.design_columns(x_eval, order)
-    inner = slice(EDGE_MARGIN, len(x_eval) - EDGE_MARGIN)
-    residuals_db = []
-    for k in range(1, order + 1):
-        est = digital.solve(cols, b, system, k)
-        canceled = y_eval.samples - digital.model(eval_cols[:k + 1], est.coef)
-        residuals_db.append(power_db(canceled[inner]))
-
+    ev = slice(train.stop, len(x) - EDGE_GUARD)
+    estimates, residuals_db, canceled, eval_cols = digital.fit_orders(x, rx, train, ev, order)
     return _Cancellation(
-        x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, fs), estimate=est,
-        tune=tune_res, eval_slice=ev, digital_residuals_db=tuple(residuals_db),
-        tx_power_db=power_db(np.sqrt(channel.tx_gain) * x_eval.samples),
-        rf_residual_db=power_db(y_eval.samples), d1_eval=eval_cols[1])
+        x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, x.sample_rate_hz),
+        estimate=estimates[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=residuals_db,
+        tx_power_db=power_db(np.sqrt(channel.tx_gain) * x.samples[ev]),
+        rf_residual_db=power_db(rx.samples[ev]), d1_eval=eval_cols[1])
 
 
 def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
@@ -246,11 +231,13 @@ def _order0_residual_db(c: _Cancellation) -> float:
 def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
     """Transmit-power sweep. Each point is one order-2 cancellation, without
     the report; its order-1 residual and a signal-only fit on its RF residual
-    give the per-term split of the digital cancellation."""
+    give the per-term split of the digital cancellation. Every point's config
+    is built, and so validated, before any point runs."""
+    point_cfgs = [dataclasses.replace(cfg, channel=dataclasses.replace(
+        cfg.channel, tx_gain_db=float(p_dbm))) for p_dbm in power_list_db]
     rows = []
-    for p_dbm in power_list_db:
-        chan = dataclasses.replace(cfg.channel, tx_gain_db=float(p_dbm))
-        c = _cancel(dataclasses.replace(cfg, channel=chan), 2)
+    for p_dbm, point_cfg in zip(power_list_db, point_cfgs):
+        c = _cancel(point_cfg, 2)
         res1_db, res2_db = c.digital_residuals_db
         res0_db = _order0_residual_db(c)
         rf_db, dig1, total1 = c.cancellation_db(1)

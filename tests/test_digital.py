@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdsic.digital import (D1_3TAP, D1_9TAP, D2_9TAP, EDGE_MARGIN, IllConditionedFitError,
                            LsEstimate, cancel, complexity, deriv_filter, design_columns,
-                           filter_response, ls_fit, normal_equations, solve)
+                           filter_response, fit_orders, ls_fit, normal_equations, power_db)
 from fdsic.signals import BasebandSignal
 
 FS = 80e6
@@ -233,8 +233,8 @@ class TestNestedOrders:
 
     def test_order1_from_order2_system_equals_ls_fit(self):
         y, x = delayed_pair(4096, seed=31)
-        cols = design_columns(x, 2)
-        est = solve(cols, y.samples, normal_equations(cols, y.samples), 1)
+        whole = slice(None)
+        est = fit_orders(x, y, whole, whole, 2)[0][0]
         ref = ls_fit(y, x, 1)
         assert (est.a0, est.c1, est.c2) == (ref.a0, ref.c1, None)
         assert est.residual_power_db == ref.residual_power_db
@@ -251,10 +251,33 @@ class TestNestedOrders:
 
     def test_singular_leading_block_rejected(self):
         x = BasebandSignal(np.ones(4096, dtype=complex), FS)  # x' = 0
-        cols = design_columns(x, 2)
-        system = normal_equations(cols, x.samples)
+        whole = slice(None)
         with pytest.raises(IllConditionedFitError):
-            solve(cols, x.samples, system, 1)
+            fit_orders(x, x, whole, whole, 2)
+
+
+class TestFitOrders:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_lstsq_and_cancel_on_disjoint_slices(self, order):
+        y, x = delayed_pair(8192, seed=33)
+        train, ev = slice(64, 4160), slice(4160, 8128)
+        estimates, residuals_db, canceled, eval_cols = fit_orders(x, y, train, ev, order)
+        assert [est.order for est in estimates] == list(range(1, order + 1))
+        assert len(residuals_db) == order
+        x_tr, y_tr = (BasebandSignal(s.samples[train], FS) for s in (x, y))
+        x_ev, y_ev = (BasebandSignal(s.samples[ev], FS) for s in (x, y))
+        inner = slice(EDGE_MARGIN, len(x_ev) - EDGE_MARGIN)
+        trim = slice(EDGE_MARGIN, len(x_tr) - EDGE_MARGIN)
+        cols = design_columns(x_tr, order)
+        for k, (est, res_db) in enumerate(zip(estimates, residuals_db), start=1):
+            a = np.stack([c[trim] for c in cols[:k + 1]], axis=1)
+            ref = np.linalg.lstsq(a, y_tr.samples[trim], rcond=None)[0]
+            np.testing.assert_allclose(est.coef, ref, rtol=1e-9)
+            out = cancel(y_ev, x_ev, est)
+            assert res_db == power_db(out.samples[inner])
+        assert np.array_equal(canceled, out.samples)
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(eval_cols, design_columns(x_ev, order)))
 
 
 class TestCancel:

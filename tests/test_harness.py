@@ -227,6 +227,25 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=re.escape(name)):
             load_config(path)
 
+    @pytest.mark.parametrize("section, key, text", [
+        ("channel", "tx_gain_db", "nan"),
+        ("channel", "carrier_hz", "inf"),
+        ("channel", "reflector_distances_m", "0.125, nan"),
+        ("channel", "taps", "-18:nan"),
+        ("channel", "circulator_gain_db", "nan"),
+        ("impairments", "noise_power", "nan"),
+        ("impairments", "sample_offset", "nan"),
+        ("signal", "bandwidth_hz", "inf"),
+        ("signal", "bandwidth_hz", "nan"),
+    ])
+    def test_rejects_non_finite_value(self, tmp_path, section, key, text):
+        # nan passes every ordered comparison and inf overflows the frame
+        # arithmetic, so each is refused first, naming the file key
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ValueError, match=rf"^{key} = .* must be finite$"):
+            load_config(path)
+
     def test_sample_offset_below_one_sample(self, tmp_path):
         # default signal: 20 MHz x 4 = 80 MHz, so T_s = 12.5 ns
         ExperimentConfig(impairments=ReceiverImpairments(sample_offset=12e-9))
@@ -428,6 +447,26 @@ class TestSweeps:
         monkeypatch.setattr(harness, "_cancel", lambda *args: pytest.fail("point ran"))
         with pytest.raises(ValueError, match="carrier_hz"):
             run_sweep_bandwidth(cfg, [20e6, 300e6])
+        assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
+
+    @pytest.mark.parametrize("points, name", [
+        ([0, -4000], "tx_gain must be positive"),  # 10^-400 underflows to 0
+        ([0, float("nan")], "tx_gain_db = nan must be finite"),
+        ([0, float("inf")], "tx_gain_db = inf must be finite"),
+    ])
+    def test_power_sweep_validates_every_point_first(self, tmp_path, monkeypatch, points, name):
+        cfg = small_cfg(tmp_path)
+        monkeypatch.setattr(harness, "_cancel", lambda *args: pytest.fail("point ran"))
+        with pytest.raises(ValueError, match=re.escape(name)):
+            run_sweep_power(cfg, points)
+        assert not (Path(cfg.output_dir) / "power_sweep.csv").exists()
+
+    @pytest.mark.parametrize("bw", [float("nan"), float("inf")])
+    def test_bandwidth_sweep_rejects_non_finite_point(self, tmp_path, monkeypatch, bw):
+        cfg = small_cfg(tmp_path)
+        monkeypatch.setattr(harness, "_cancel", lambda *args: pytest.fail("point ran"))
+        with pytest.raises(ValueError, match=f"^bandwidth_hz = {bw} must be finite$"):
+            run_sweep_bandwidth(cfg, [20e6, bw])
         assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
 
     def test_power_sweep_columns(self, tmp_path):
