@@ -10,21 +10,18 @@ from pathlib import Path
 
 import numpy as np
 
-from fdsic.harness import LEMMA_TAU_GRID
+from fdsic.harness import LEMMA_SPEC, LEMMA_TAU_GRID
 from fdsic.oracle import (exact_delay_oracle, kernel_fourier0_numeric,
                           lemma_kernel, order2_remainder, poisson_check)
-from fdsic.signals import SignalSpec
 
 FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "data" / "oracle_frozen.txt"
 
 
 def render() -> str:
     """The fixture text, from a fresh run of the oracle."""
-    spec = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
-                      num_symbols=8, pulse="sinc", seed=1)
     lines = ["# frozen oracle outputs; regenerate with scripts/freeze_oracle_values.py"]
     for tau in LEMMA_TAU_GRID:
-        r = exact_delay_oracle(spec, tau, trials=100_000)
+        r = exact_delay_oracle(LEMMA_SPEC, tau)
         lines.append(f"lemma_err_power_tau_{tau} = {r['err_power']:.12e}")
         lines.append(f"lemma_deriv_power_tau_{tau} = {r['deriv_power']:.12e}")
     lines.append(f"fhat0_numeric = {kernel_fourier0_numeric():.12e}")
@@ -35,7 +32,7 @@ def render() -> str:
     # measured remainder / (tau/T)^6, used as the order-2 budget constant
     consts = []
     for tau in LEMMA_TAU_GRID:
-        r2 = order2_remainder(spec, tau)
+        r2 = order2_remainder(LEMMA_SPEC, tau)
         consts.append(r2 / tau ** 6)
         lines.append(f"order2_remainder_tau_{tau} = {r2:.12e}")
     lines.append(f"order2_constant_max = {max(consts):.12e}")

@@ -47,7 +47,10 @@ def path_loss(model: PathLossModel, distance_m: float) -> float:
         raise ValueError("distance must be >= 0")
     if distance_m == 0:
         return model.cap_delta
-    return float(min(model.cap_delta, model.k_const * distance_m ** -model.alpha))
+    try:
+        return float(min(model.cap_delta, model.k_const * distance_m ** -model.alpha))
+    except OverflowError:  # k d^-alpha beyond the float range: far above the cap
+        return model.cap_delta
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,10 @@ def taps_from_geometry(distances_m, model: PathLossModel, carrier_hz: float,
         if d <= 0:
             raise ValueError("reflector distances must be positive")
         rt = 2.0 * d
-        taps.append(ChannelTap(gain=float(np.sqrt(path_loss(model, rt))),
-                               delay_s=rt / SPEED_OF_LIGHT))
+        gain = float(np.sqrt(path_loss(model, rt)))
+        if gain == 0.0:  # k (2d)^-alpha underflowed
+            raise ValueError(f"reflector_distances_m = {d} is out of range")
+        taps.append(ChannelTap(gain=gain, delay_s=rt / SPEED_OF_LIGHT))
     return MultipathChannel(taps=tuple(taps), carrier_hz=carrier_hz, tx_gain=tx_gain)
 
 

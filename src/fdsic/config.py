@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +43,28 @@ def slope_band(spec: SignalSpec) -> tuple:
     return (0.05 * edge, 0.9 * edge)
 
 
+def _power(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
+def _amplitude(db: float) -> float:
+    return 10.0 ** (db / 20.0)
+
+
+def _linear(form, **values) -> float:
+    """form(*values), the linear form of the file values given by key. Where it
+    overflows, or underflows to 0, a ValueError names them; a value of 0, nan
+    or infinity passes, to fail the check made for it."""
+    try:
+        linear = form(*values.values())
+    except OverflowError:
+        linear = math.inf
+    if linear in (0.0, math.inf) and all(v != 0 and math.isfinite(v) for v in values.values()):
+        raise ValueError(", ".join(f"{key} = {_format(v)}" for key, v in values.items())
+                         + (" is" if len(values) == 1 else " are") + " out of range")
+    return linear
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Channel description: explicit taps and/or reflector geometry."""
@@ -58,24 +81,31 @@ class ChannelConfig:
     pathloss_calib_db: float = -30.0
 
     def __post_init__(self):
+        if self.pathloss_calib_distance_m < 0:  # d^alpha would be complex or |d|^alpha
+            raise ValueError(f"pathloss_calib_distance_m = {self.pathloss_calib_distance_m} "
+                             "must not be negative")
         self.build()  # a channel that cannot be built fails here, at load
 
     def path_loss_model(self) -> PathLossModel:
         """The capped model through (calib distance, calib loss) below the cap."""
-        k = (10.0 ** (self.pathloss_calib_db / 10.0)
-             * self.pathloss_calib_distance_m ** self.pathloss_alpha)
-        return PathLossModel(10.0 ** (self.pathloss_cap_db / 10.0), k, self.pathloss_alpha)
+        k = _linear(lambda db, d, alpha: _power(db) * d ** alpha,
+                    pathloss_calib_db=self.pathloss_calib_db,
+                    pathloss_calib_distance_m=self.pathloss_calib_distance_m,
+                    pathloss_alpha=self.pathloss_alpha)
+        return PathLossModel(_linear(_power, pathloss_cap_db=self.pathloss_cap_db), k,
+                             self.pathloss_alpha)
 
     def build(self) -> MultipathChannel:
-        tx_gain = 10.0 ** (self.tx_gain_db / 10.0)
+        tx_gain = _linear(_power, tx_gain_db=self.tx_gain_db)
         if self.taps_db_ns:
-            taps = tuple(ChannelTap(gain=10.0 ** (g_db / 20.0), delay_s=d_ns * 1e-9)
+            taps = tuple(ChannelTap(gain=_linear(_amplitude, taps=g_db), delay_s=d_ns * 1e-9)
                          for g_db, d_ns in self.taps_db_ns)
             return MultipathChannel(taps=taps, carrier_hz=self.carrier_hz,
                                     tx_gain=tx_gain)
         extra = ()
         if self.circulator_gain_db is not None:
-            extra = (ChannelTap(gain=10.0 ** (self.circulator_gain_db / 20.0),
+            gain = _linear(_amplitude, circulator_gain_db=self.circulator_gain_db)
+            extra = (ChannelTap(gain=gain,
                                 delay_s=self.circulator_delay_ns * 1e-9),)
         return taps_from_geometry(self.reflector_distances_m,
                                   self.path_loss_model(), self.carrier_hz,
@@ -183,7 +213,10 @@ def load_config(path) -> ExperimentConfig:
     # no header can name the empty default section, so [DEFAULT] is unknown too
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None, default_section="")
-    parser.read_string(Path(path).read_text())
+    try:  # a repeated section or key, a key before any section, a line with no =
+        parser.read_string(Path(path).read_text(), source=str(path))
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from None
     cfg = ExperimentConfig()
     top = {}
     for section in parser.sections():

@@ -22,6 +22,9 @@ from .rfstage import DetectorConfig, rf_stage
 from .signals import BasebandSignal, SignalSpec, gen_frame
 
 LEMMA_TAU_GRID = (0.001, 0.005, 0.01, 0.05, 0.1)
+# The lemma suite's signal: sin(x)/x pulses of unit symbol time
+LEMMA_SPEC = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
+                        num_symbols=8, pulse="sinc", seed=1)
 
 # PSD stages: the SI, the RF residual and the digital residual
 STAGES = ("pre", "rf", "digital")
@@ -260,10 +263,8 @@ def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
 
 
 def _verify_lemma() -> list:
-    spec = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
-                      num_symbols=8, pulse="sinc", seed=1)
     # one draw for the whole grid; each err_power is exact_delay_oracle's, bit for bit
-    errs = oracle.delay_error_powers(spec, LEMMA_TAU_GRID)
+    errs = oracle.delay_error_powers(LEMMA_SPEC, LEMMA_TAU_GRID)
     rows = []
     for tau, err in zip(LEMMA_TAU_GRID, errs):
         bound = taylor.LEMMA_CONST * tau ** 4

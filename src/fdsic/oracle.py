@@ -179,31 +179,28 @@ def _pulse_functions(spec: SignalSpec):
     return g, gd
 
 
-def _pulse_train_powers(spec: SignalSpec, g, weights, trials: int, seed: int) -> list:
-    """Monte Carlo mean powers of sum_n s_n w(t - n) over random symbols s_n
-    and sampling instants t, relative to the power of the pulse train
-    x(t) = sum_n s_n g(t - n). `weights(v, g(v))`, for v = t - n, runs before
-    the symbol draw and returns the w(v); a lazy iterable evaluates each w
-    after the draw, and each is freed before the next."""
+def _pulse_train_draw(spec: SignalSpec, g, trials: int, seed: int):
+    """Monte Carlo draw of the pulse train x(t) = sum_n s_n g(t - n): from one
+    RNG, the sampling offsets v = t - n, then the symbols s_n. Returns v, g(v)
+    and power(w), the mean power of sum_n s_n w(t - n) relative to that of x.
+    Weights w never use the RNG, so they may be computed after the draw."""
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     n_offsets = 256
     n_trials = max(1, int(np.ceil(trials / n_offsets)))
     n = np.arange(-SYMBOL_HALF_WINDOW, SYMBOL_HALF_WINDOW + 1)
-    t0 = rng.uniform(0.0, 1.0, size=n_offsets)
-    v = t0[:, None] - n[None, :]              # (offsets, symbols)
+    v = rng.uniform(0.0, 1.0, size=n_offsets)[:, None] - n[None, :]  # (offsets, symbols)
     gv = g(v)
     # E|x|^2 = mean_t sum_n g^2 for unit-variance uncorrelated symbols
     mean_power = float(np.mean(np.sum(gv**2, axis=1)))
-    ws = weights(v, gv)
     syms = draw_symbols(rng, (n_trials, len(n)), spec.constellation)
     re, im = syms.real, syms.imag
 
     def power(w):
         # w is real, so |syms @ w.T|^2 splits into two real products
         return float(np.mean((re @ w.T) ** 2 + (im @ w.T) ** 2) / mean_power)
-    return list(map(power, ws))  # map drops each w before it asks for the next
+    return v, gv, power
 
 
 def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE_TRIALS,
@@ -221,13 +218,9 @@ def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE
     """
     g, gd = _pulse_functions(spec)
     eps = float(tau_over_T)
-
-    def weights(v, gv):
-        dv = eps * gd(v)
-        return g(v - eps) - gv + dv, dv
-
-    err, der = _pulse_train_powers(spec, g, weights, trials, seed)
-    return {"err_power": err, "deriv_power": der}
+    v, gv, power = _pulse_train_draw(spec, g, trials, seed)
+    dv = eps * gd(v)
+    return {"err_power": power(g(v - eps) - gv + dv), "deriv_power": power(dv)}
 
 
 def delay_error_powers(spec: SignalSpec, taus) -> list:
@@ -235,18 +228,16 @@ def delay_error_powers(spec: SignalSpec, taus) -> list:
     from one draw: the offsets, g(v), g'(v) and the symbols are shared, and
     each delay evaluates only g(v - tau) and its error weight."""
     g, gd = _pulse_functions(spec)
-
-    def weights(v, gv):
-        gdv = gd(v)
-
-        def error_weight(tau):
-            w = g(v - tau)  # (g(v - tau) - g(v)) + tau g'(v), in place
-            w -= gv
-            w += tau * gdv
-            return w
-        return map(error_weight, map(float, taus))
-
-    return _pulse_train_powers(spec, g, weights, ORACLE_TRIALS, ORACLE_SEED)
+    v, gv, power = _pulse_train_draw(spec, g, ORACLE_TRIALS, ORACLE_SEED)
+    gdv = gd(v)
+    errs = []
+    for tau in map(float, taus):
+        w = g(v - tau)  # (g(v - tau) - g(v)) + tau g'(v), in place
+        w -= gv
+        w += tau * gdv
+        errs.append(power(w))
+        del w  # freed before the next delay's g(v - tau)
+    return errs
 
 
 def order2_remainder(spec: SignalSpec, tau_over_T: float) -> float:
@@ -260,13 +251,9 @@ def order2_remainder(spec: SignalSpec, tau_over_T: float) -> float:
     if spec.pulse != "sinc":
         raise ValueError("order2_remainder supports the sinc pulse only")
     eps = float(tau_over_T)
-
-    def weights(v, gv):
-        return [_lemma_sinc(v - eps) - gv + eps * _lemma_sinc_deriv(v)
-                - 0.5 * eps**2 * _lemma_sinc_deriv2(v)]
-
-    (rem,) = _pulse_train_powers(spec, _lemma_sinc, weights, ORACLE_TRIALS, ORACLE_SEED)
-    return rem
+    v, gv, power = _pulse_train_draw(spec, _lemma_sinc, ORACLE_TRIALS, ORACLE_SEED)
+    return power(_lemma_sinc(v - eps) - gv + eps * _lemma_sinc_deriv(v)
+                 - 0.5 * eps**2 * _lemma_sinc_deriv2(v))
 
 
 def resample_delay_reference(signal: BasebandSignal, delay_s: float) -> BasebandSignal:

@@ -48,6 +48,12 @@ class TestPathLoss:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert max(vals) <= m.cap_delta
 
+    @pytest.mark.parametrize("d", [1e-100, 1e-300])
+    def test_distance_whose_law_overflows_returns_cap(self, d):
+        # d^-4 is beyond the float range, and min(cap, k d^-alpha) is the cap
+        m = ChannelConfig().path_loss_model()
+        assert path_loss(m, d) == m.cap_delta
+
     def test_rejects_shallow_exponent(self):
         with pytest.raises(ValueError):
             PathLossModel(cap_delta=0.01, k_const=1e-6, alpha=2.0)

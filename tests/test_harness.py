@@ -211,6 +211,36 @@ class TestConfigIO:
          "check taps, circulator_delay_ns, reflector_distances_m"),
         ("[channel]\nreflector_distances_m =\ncirculator_gain_db = none\n",
          "invalid [channel]: channel needs at least one tap"),
+        # dB and distance values whose linear form overflows or underflows to
+        # 0, refused naming the keys it is made from
+        ("[channel]\ntx_gain_db = 4000\n",
+         "invalid [channel]: tx_gain_db = 4000.0 is out of range"),
+        ("[channel]\ntx_gain_db = -4000\n", "tx_gain_db = -4000.0 is out of range"),
+        ("[channel]\ncirculator_gain_db = 7000\n", "circulator_gain_db = 7000.0 is out of range"),
+        ("[channel]\ncirculator_gain_db = -7000\n",
+         "circulator_gain_db = -7000.0 is out of range"),
+        ("[channel]\ntaps = 7000:1\n", "taps = 7000.0 is out of range"),
+        ("[channel]\ntaps = -7000:1\n", "taps = -7000.0 is out of range"),
+        ("[channel]\npathloss_cap_db = 4000\n", "pathloss_cap_db = 4000.0 is out of range"),
+        ("[channel]\npathloss_cap_db = -4000\n", "pathloss_cap_db = -4000.0 is out of range"),
+        ("[channel]\npathloss_calib_db = 4000\n", "pathloss_calib_db = 4000.0, "
+         "pathloss_calib_distance_m = 0.25, pathloss_alpha = 4.0 are out of range"),
+        ("[channel]\npathloss_calib_db = -4000\n", "pathloss_calib_db = -4000.0, "),
+        ("[channel]\npathloss_calib_distance_m = 1e300\n", "pathloss_calib_distance_m = 1e+300, "),
+        ("[channel]\npathloss_alpha = 1e6\n", "pathloss_alpha = 1000000.0 are out of range"),
+        ("[channel]\nreflector_distances_m = 1e100\n",
+         "invalid [channel]: reflector_distances_m = 1e+100 is out of range"),
+        # a negative distance would make d^alpha complex, or |d|^alpha
+        ("[channel]\npathloss_calib_distance_m = -0.25\npathloss_alpha = 4.5\n",
+         "invalid [channel]: pathloss_calib_distance_m = -0.25 must not be negative"),
+        ("[channel]\npathloss_calib_distance_m = -0.25\n",
+         "pathloss_calib_distance_m = -0.25 must not be negative"),
+        # file structure configparser refuses, naming the key, section or line
+        ("[run]\nseed = 1\nseed = 2\n", "option 'seed' in section 'run' already exists"),
+        ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
+        ("seed = 1\n", "no section headers.\nfile: "),
+        ("seed = 1\n", "'seed = 1\\n'"),
+        ("[run]\nseed\n", "[line  2]: 'seed\\n'"),
         # slope-diagnostic bands that used to fail after the RF and digital
         # stages: an RRC rolloff of 1 leaves no band, and 4 carriers of a
         # 64-bin grid (2 symbols at oversampling 5, 720 samples) give the
@@ -226,6 +256,12 @@ class TestConfigIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(name)):
             load_config(path)
+
+    def test_reflector_whose_path_loss_overflows_loads_at_the_cap(self, tmp_path):
+        path = tmp_path / "near.cfg"
+        path.write_text("[channel]\nreflector_distances_m = 1e-100, 0.3\n")
+        ch = load_config(path).channel
+        assert np.sqrt(ch.path_loss_model().cap_delta) in [t.gain for t in ch.build().taps]
 
     @pytest.mark.parametrize("section, key, text", [
         ("channel", "tx_gain_db", "nan"),
@@ -450,9 +486,10 @@ class TestSweeps:
         assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
 
     @pytest.mark.parametrize("points, name", [
-        ([0, -4000], "tx_gain must be positive"),  # 10^-400 underflows to 0
+        ([0, -4000], "tx_gain_db = -4000.0 is out of range"),  # 10^-400 underflows to 0
         ([0, float("nan")], "tx_gain_db = nan must be finite"),
         ([0, float("inf")], "tx_gain_db = inf must be finite"),
+        ([0, 4000], "tx_gain_db = 4000.0 is out of range"),  # 10^400 overflows
     ])
     def test_power_sweep_validates_every_point_first(self, tmp_path, monkeypatch, points, name):
         cfg = small_cfg(tmp_path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdsic import oracle
 from fdsic.channel import fractional_delay
-from fdsic.harness import LEMMA_TAU_GRID
+from fdsic.harness import LEMMA_SPEC, LEMMA_TAU_GRID
 from fdsic.oracle import (FHAT0_CLOSED, ORACLE_SEED, POISSON_N_MAX, SYMBOL_HALF_WINDOW,
                           delay_error_powers, exact_delay_oracle,
                           kernel_fourier0_numeric, lemma_kernel,
@@ -18,8 +18,6 @@ from fdsic.taylor import ORDER2_CONST
 
 REPO = Path(__file__).resolve().parents[1]
 
-SINC_SPEC = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
-                       num_symbols=8, pulse="sinc", seed=1)
 RRC_SPEC = SignalSpec(kind="single-carrier", bandwidth_hz=1.0, oversampling=4,
                       num_symbols=8, pulse="rrc", rolloff=0.3, seed=1)
 
@@ -163,20 +161,20 @@ class TestPoissonCheck:
 
 class TestExactDelayOracle:
     def test_zero_delay_zero_error(self):
-        r = exact_delay_oracle(SINC_SPEC, 0.0, trials=10_000)
+        r = exact_delay_oracle(LEMMA_SPEC, 0.0, trials=10_000)
         assert r["err_power"] <= 1e-20
 
     def test_bound_at_working_point(self):
-        r = exact_delay_oracle(SINC_SPEC, 0.01, trials=100_000)
+        r = exact_delay_oracle(LEMMA_SPEC, 0.01, trials=100_000)
         assert r["err_power"] <= 7.5e-10
 
     def test_derivative_dominates_error(self):
-        r = exact_delay_oracle(SINC_SPEC, 0.01, trials=100_000)
+        r = exact_delay_oracle(LEMMA_SPEC, 0.01, trials=100_000)
         assert r["deriv_power"] / r["err_power"] >= 100.0
 
     def test_reproducible_against_fixture(self, oracle_frozen):
         for tau in (0.001, 0.01, 0.1):
-            r = exact_delay_oracle(SINC_SPEC, tau, trials=100_000)
+            r = exact_delay_oracle(LEMMA_SPEC, tau, trials=100_000)
             assert r["err_power"] == pytest.approx(
                 oracle_frozen[f"lemma_err_power_tau_{tau}"], rel=1e-12)
             assert r["deriv_power"] == pytest.approx(
@@ -184,7 +182,7 @@ class TestExactDelayOracle:
 
     def test_order2_remainder_against_fixture(self, oracle_frozen):
         for tau in LEMMA_TAU_GRID:
-            assert order2_remainder(SINC_SPEC, tau) == pytest.approx(
+            assert order2_remainder(LEMMA_SPEC, tau) == pytest.approx(
                 oracle_frozen[f"order2_remainder_tau_{tau}"], rel=1e-9)
         assert ORDER2_CONST >= oracle_frozen["order2_constant_max"]
 
@@ -205,13 +203,19 @@ class TestExactDelayOracle:
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rejects_nonpositive_trials(self, trials):
         with pytest.raises(ValueError, match="trials must be positive"):
-            exact_delay_oracle(SINC_SPEC, 0.01, trials=trials)
+            exact_delay_oracle(LEMMA_SPEC, 0.01, trials=trials)
 
 
 class TestDelayErrorPowers:
-    @pytest.mark.parametrize("spec", [SINC_SPEC, RRC_SPEC], ids=["sinc", "rrc"])
-    def test_matches_per_tau_oracle_exactly(self, spec):
-        taus = (0.0, *LEMMA_TAU_GRID)
+    # the reversed grid repeats a delay and ends at 0, so a weight carried
+    # over from one delay into the next changes a later power
+    @pytest.mark.parametrize("spec, taus", [
+        pytest.param(LEMMA_SPEC, (0.0, *LEMMA_TAU_GRID), id="sinc"),
+        pytest.param(RRC_SPEC, (0.0, *LEMMA_TAU_GRID), id="rrc"),
+        pytest.param(LEMMA_SPEC, (0.1, 0.01, 0.01, 0.0), id="sinc-reversed"),
+        pytest.param(RRC_SPEC, (0.1, 0.01, 0.01, 0.0), id="rrc-reversed"),
+    ])
+    def test_matches_per_tau_oracle_exactly(self, spec, taus):
         expected = [exact_delay_oracle(spec, tau)["err_power"] for tau in taus]
         assert delay_error_powers(spec, taus) == expected
 
