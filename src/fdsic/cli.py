@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, sweep-bandwidth, sweep-power, verify, spectrum.
-Exit code is 0 iff every check the invocation ran has passed.
+Exit status 0: every check the invocation ran passed; 1: a check failed; 2: a usage
+error, or a refused config, which prints one stderr line "fdsic: error: <message>".
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import dataclasses
 import functools
 import sys
 
-from .config import ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (STAGES, format_point, run_simulate, run_spectrum, run_sweep_bandwidth,
                       run_sweep_power, run_verify, VERIFY_SUITES)
 
@@ -99,36 +100,37 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]
     args = _parser().parse_args(argv)
     _keep_freed_memory()
+    try:  # only config loading and sweep point building raise ConfigError
+        if args.command == "simulate":
+            report = run_simulate(_load(args))
+            print(f"rf_cancellation_db = {report.rf_cancellation_db:.2f}")
+            print(f"digital_cancellation_db = {report.digital_cancellation_db:.2f}")
+            print(f"total_db = {report.total_db:.2f}")
+            return 0
 
-    if args.command == "simulate":
-        report = run_simulate(_load(args))
-        print(f"rf_cancellation_db = {report.rf_cancellation_db:.2f}")
-        print(f"digital_cancellation_db = {report.digital_cancellation_db:.2f}")
-        print(f"total_db = {report.total_db:.2f}")
-        return 0
+        if args.command == "sweep-bandwidth":
+            for bw, rf_db, dig_db, tot in run_sweep_bandwidth(_load(args), args.bw):
+                print(f"{format_point(bw / 1e6)} MHz: rf={rf_db:.2f} dB "
+                      f"digital={dig_db:.2f} dB total={tot:.2f} dB")
+            return 0
 
-    if args.command == "sweep-bandwidth":
-        rows = run_sweep_bandwidth(_load(args), args.bw)
-        for bw, rf_db, dig_db, tot in rows:
-            print(f"{format_point(bw / 1e6)} MHz: rf={rf_db:.2f} dB "
-                  f"digital={dig_db:.2f} dB total={tot:.2f} dB")
-        return 0
+        if args.command == "sweep-power":
+            for row in run_sweep_power(_load(args), args.dbm):
+                print(f"{format_point(row[0])} dBm: rf={row[1]:.2f} dB "
+                      f"total(order2)={row[5]:.2f} dB")
+            return 0
 
-    if args.command == "sweep-power":
-        rows = run_sweep_power(_load(args), args.dbm)
-        for row in rows:
-            print(f"{format_point(row[0])} dBm: rf={row[1]:.2f} dB total(order2)={row[5]:.2f} dB")
-        return 0
+        if args.command == "verify":
+            ok = run_verify(args.suite, output_dir=args.output_dir)
+            print(f"suite {args.suite}: {'pass' if ok else 'fail'}")
+            return 0 if ok else 1
 
-    if args.command == "verify":
-        ok = run_verify(args.suite, output_dir=args.output_dir)
-        print(f"suite {args.suite}: {'pass' if ok else 'fail'}")
-        return 0 if ok else 1
-
-    if args.command == "spectrum":
-        path = run_spectrum(_load(args), args.stage)
-        print(f"wrote {path}")
-        return 0
+        if args.command == "spectrum":
+            print(f"wrote {run_spectrum(_load(args), args.stage)}")
+            return 0
+    except ConfigError as exc:
+        print("fdsic: error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -65,9 +65,13 @@ def _linear(form, **values) -> float:
     return linear
 
 
+class ConfigError(ValueError):
+    """A refused config: a file that cannot be read, or a value no run can take."""
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel description: explicit taps and/or reflector geometry."""
+    """Channel description: explicit taps or reflector geometry, not both."""
 
     carrier_hz: float = 2.395e9
     tx_gain_db: float = 0.0
@@ -81,6 +85,10 @@ class ChannelConfig:
     pathloss_calib_db: float = -30.0
 
     def __post_init__(self):
+        geometry = [f.name for f in dataclasses.fields(self)[3:]  # the fields after taps_db_ns
+                    if getattr(self, f.name) != f.default]
+        if self.taps_db_ns and geometry:  # build() would drop the geometry without a word
+            raise ValueError(f"taps cannot be combined with {', '.join(geometry)}")
         if self.pathloss_calib_distance_m < 0:  # d^alpha would be complex or |d|^alpha
             raise ValueError(f"pathloss_calib_distance_m = {self.pathloss_calib_distance_m} "
                              "must not be negative")
@@ -135,7 +143,7 @@ class ExperimentConfig:
                                      "must be finite")
         sig, n = self.signal, self.signal.frame_len
         if self.digital_order not in (1, 2):
-            raise ValueError("digital_order must be 1 or 2")
+            raise ValueError(f"digital_order = {self.digital_order!r} must be 1 or 2")
         if not MIN_VM_BITS <= self.vm_bits <= MAX_VM_BITS:
             raise ValueError(f"vm_bits = {self.vm_bits} must be in [{MIN_VM_BITS}, {MAX_VM_BITS}]")
         if self.tune_budget <= 0:
@@ -208,15 +216,19 @@ def _format(value, sep: str = ", ") -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from a flat key=value file. Missing keys keep
-    their defaults; unknown sections and keys and bad values raise ValueError."""
+    """Read an ExperimentConfig from a flat key=value file. Missing keys keep their
+    defaults; an unreadable file, unknown sections and keys and bad values raise ConfigError."""
     # no header can name the empty default section, so [DEFAULT] is unknown too
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None, default_section="")
-    try:  # a repeated section or key, a key before any section, a line with no =
+    try:  # configparser.Error: a repeated section or key, a key before any section, no =
         parser.read_string(Path(path).read_text(), source=str(path))
-    except configparser.Error as exc:
-        raise ValueError(str(exc)) from None
+        return _from_sections(parser)
+    except (OSError, configparser.Error, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _from_sections(parser: configparser.ConfigParser) -> ExperimentConfig:
     cfg = ExperimentConfig()
     top = {}
     for section in parser.sections():

@@ -95,6 +95,8 @@ EDGE_MARGIN = len(D1_9TAP) // 2
 
 def design_columns(x: BasebandSignal, order: int) -> list:
     """Design-matrix columns x, -D1 x (, D2 x); order 1's are order 2's first two."""
+    if order not in (1, 2):
+        raise ValueError(f"order = {order!r} must be 1 or 2")
     cols = [x.samples, -deriv_filter(x, D1_9TAP).samples]
     if order == 2:
         cols.append(deriv_filter(x, D2_9TAP).samples)
@@ -145,8 +147,6 @@ def fit_orders(x: BasebandSignal, y: BasebandSignal, train: slice, ev: slice,
 def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
     """Fit (a0, c1[, c2]) on the aligned window, leaving EDGE_MARGIN samples at
     each end out of the fit and the residual; see fit_orders for the errors."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     if len(y) != len(x):
         raise ValueError("y and x must be aligned and equal length")
     if len(x) < MIN_FIT_SAMPLES:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
 from .channel import fractional_delay, impair
-from .config import EDGE_GUARD, ExperimentConfig, slope_band, welch_segment
+from .config import EDGE_GUARD, ConfigError, ExperimentConfig, slope_band, welch_segment
 from .digital import D1_9TAP, D2_9TAP, EDGE_MARGIN, power_db
 from .metrics import psd, slope_diagnostic
 from .rfstage import DetectorConfig, rf_stage
@@ -85,8 +85,8 @@ def _psd(signal: BasebandSignal) -> metrics.Psd:
     return psd(signal, segment_len=welch_segment(len(signal)))
 
 
-def _cancel(cfg: ExperimentConfig, order: int) -> _Cancellation:
-    """Generate, channel, RF tune, impair and fit orders 1..order."""
+def _cancel(cfg: ExperimentConfig) -> _Cancellation:
+    """Generate, channel, RF tune, impair and fit orders 1..cfg.digital_order."""
     x = gen_frame(cfg.signal)
     channel = cfg.channel.build()
     det = DetectorConfig(window_samples=cfg.detector_window,
@@ -96,20 +96,20 @@ def _cancel(cfg: ExperimentConfig, order: int) -> _Cancellation:
 
     train = slice(EDGE_GUARD, EDGE_GUARD + cfg.train_len)
     ev = slice(train.stop, len(x) - EDGE_GUARD)
-    estimates, residuals_db, canceled, eval_cols = digital.fit_orders(x, rx, train, ev, order)
+    ests, res_db, canceled, eval_cols = digital.fit_orders(x, rx, train, ev, cfg.digital_order)
     return _Cancellation(
         x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, x.sample_rate_hz),
-        estimate=estimates[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=residuals_db,
+        estimate=ests[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=res_db,
         tx_power_db=power_db(np.sqrt(channel.tx_gain) * x.samples[ev]),
         rf_residual_db=power_db(rx.samples[ev]), d1_eval=eval_cols[1])
 
 
 def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
-    """Full chain: generate, channel, RF tune, impair, digital cancel, report."""
-    order = cfg.digital_order if digital_order is None else digital_order
-    c = _cancel(cfg, order)
+    """Full chain, fitting digital_order in place of the config's order if one is given."""
+    cfg = cfg if digital_order is None else dataclasses.replace(cfg, digital_order=digital_order)
+    c = _cancel(cfg)
     inner = slice(EDGE_MARGIN, len(c.d1_eval) - EDGE_MARGIN)
-    rf_c, dig_c, total = c.cancellation_db(order)
+    rf_c, dig_c, total = c.cancellation_db(cfg.digital_order)
     rf_psd = _stage_psd(c, "rf")
     diag = slope_diagnostic(rf_psd, slope_band(cfg.signal))
     report = CancellationReport(
@@ -209,15 +209,22 @@ def _write_sweep_csv(cfg: ExperimentConfig, name: str, header: str, rows) -> Non
         ",".join([format_point(row[0]), *(f"{v:.2f}" for v in row[1:])]) for row in rows)])
 
 
+def _point_configs(points, point_config) -> list:
+    """point_config(p) of every sweep point, built, and so validated, before any point runs."""
+    try:
+        return [point_config(p) for p in points]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def run_sweep_bandwidth(cfg: ExperimentConfig, bw_list) -> list:
     """Per-bandwidth pipeline runs; returns (bw_hz, rf_db, digital_db,
-    total_db) rows and writes bandwidth_sweep.csv. Every point's config is
-    built, and so validated, before any point runs."""
-    point_cfgs = [dataclasses.replace(cfg, signal=dataclasses.replace(
-        cfg.signal, bandwidth_hz=float(bw))) for bw in bw_list]
+    total_db) rows and writes bandwidth_sweep.csv."""
+    point_cfgs = _point_configs(bw_list, lambda bw: dataclasses.replace(
+        cfg, signal=dataclasses.replace(cfg.signal, bandwidth_hz=float(bw))))
     rows = []
     for bw, point_cfg in zip(bw_list, point_cfgs):
-        c = _cancel(point_cfg, point_cfg.digital_order)
+        c = _cancel(point_cfg)
         rows.append((float(bw), *c.cancellation_db(point_cfg.digital_order)))
     _write_sweep_csv(cfg, "bandwidth_sweep.csv", "bandwidth_hz,rf_db,digital_db,total_db", rows)
     return rows
@@ -234,13 +241,12 @@ def _order0_residual_db(c: _Cancellation) -> float:
 def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
     """Transmit-power sweep. Each point is one order-2 cancellation, without
     the report; its order-1 residual and a signal-only fit on its RF residual
-    give the per-term split of the digital cancellation. Every point's config
-    is built, and so validated, before any point runs."""
-    point_cfgs = [dataclasses.replace(cfg, channel=dataclasses.replace(
-        cfg.channel, tx_gain_db=float(p_dbm))) for p_dbm in power_list_db]
+    give the per-term split of the digital cancellation."""
+    point_cfgs = _point_configs(power_list_db, lambda p_dbm: dataclasses.replace(
+        cfg, digital_order=2, channel=dataclasses.replace(cfg.channel, tx_gain_db=float(p_dbm))))
     rows = []
     for p_dbm, point_cfg in zip(power_list_db, point_cfgs):
-        c = _cancel(point_cfg, 2)
+        c = _cancel(point_cfg)
         res1_db, res2_db = c.digital_residuals_db
         res0_db = _order0_residual_db(c)
         rf_db, dig1, total1 = c.cancellation_db(1)
@@ -258,7 +264,7 @@ def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     path = Path(cfg.output_dir) / f"{stage}.csv"
-    _write_psd_csvs({path: _stage_psd(_cancel(cfg, cfg.digital_order), stage)})
+    _write_psd_csvs({path: _stage_psd(_cancel(cfg), stage)})
     return path
 
 

@@ -138,8 +138,9 @@ def rrc_pulse(t: np.ndarray, rolloff: float) -> np.ndarray:
     den = np.pi * tr * (1 - (4 * b * tr) ** 2)
     out[reg] = num / den
     out[zero] = 1 - b + 4 * b / np.pi
-    out[sing] = (b / np.sqrt(2.0)) * ((1 + 2 / np.pi) * np.sin(np.pi / (4 * b))
-                                      + (1 - 2 / np.pi) * np.cos(np.pi / (4 * b)))
+    if sing.any():  # pi/(4b) overflows for a subnormal rolloff, where no t is singular
+        out[sing] = (b / np.sqrt(2.0)) * ((1 + 2 / np.pi) * np.sin(np.pi / (4 * b))
+                                          + (1 - 2 / np.pi) * np.cos(np.pi / (4 * b)))
     return out
 
 

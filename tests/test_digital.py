@@ -155,9 +155,13 @@ class TestLsFit:
             ls_fit(short, short, order=1)
 
     def test_order_validation(self):
+        # design_columns, the one place that maps an order to columns, refuses it
         x = bandlimited_noise(512, seed=6)
-        with pytest.raises(ValueError):
-            ls_fit(x, x, order=3)
+        for order in (0, 3):
+            for fit in (lambda: ls_fit(x, x, order), lambda: design_columns(x, order),
+                        lambda: fit_orders(x, x, slice(0, 256), slice(256, 512), order)):
+                with pytest.raises(ValueError, match=f"^order = {order} must be 1 or 2$"):
+                    fit()
 
     def test_scale_equivariance(self):
         x = bandlimited_noise(8192, seed=7)

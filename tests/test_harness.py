@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fdsic import cli, digital, harness, oracle
 from fdsic.channel import SPEED_OF_LIGHT, ReceiverImpairments, fractional_delay
@@ -47,9 +47,8 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-def _has_tap(channel: dict) -> bool:
-    return bool(channel["taps_db_ns"] or channel["reflector_distances_m"]
-                or channel["circulator_gain_db"] is not None)
+def _has_tap(geometry: dict) -> bool:
+    return bool(geometry["reflector_distances_m"] or geometry["circulator_gain_db"] is not None)
 
 
 def _longest_delay_s(ch: ChannelConfig) -> float:
@@ -98,17 +97,20 @@ def config_fields(draw, runnable=True):
         ofdm_fft_size=st.just(fft_size),
         ofdm_used_carriers=st.integers(1, min(255, fft_size - 6) if runnable else 255),
         seed=st.integers(0, 2**32))))
+    # a channel has explicit taps or reflector geometry, never both
+    taps = st.builds(dict, taps_db_ns=st.lists(
+        st.tuples(_floats(-80.0, 0.0), _floats(0.0, 100.0)), min_size=1, max_size=3).map(tuple))
+    geometry = st.builds(
+        dict, reflector_distances_m=st.lists(_floats(0.01, 10.0), max_size=3).map(tuple),
+        circulator_gain_db=st.none() | _floats(-60.0, 0.0),
+        circulator_delay_ns=_floats(0.0, 10.0), pathloss_cap_db=_floats(-60.0, 0.0),
+        pathloss_alpha=_floats(2.5, 6.0), pathloss_calib_distance_m=_floats(0.01, 10.0),
+        pathloss_calib_db=_floats(-90.0, 0.0)).filter(_has_tap)
     fields = draw(st.fixed_dictionaries(dict(
         channel=st.builds(
-            dict, carrier_hz=_floats(1e6, 1e11), tx_gain_db=_floats(-50.0, 50.0),
-            taps_db_ns=st.lists(st.tuples(_floats(-80.0, 0.0), _floats(0.0, 100.0)),
-                                max_size=3).map(tuple),
-            reflector_distances_m=st.lists(_floats(0.01, 10.0), max_size=3).map(tuple),
-            circulator_gain_db=st.none() | _floats(-60.0, 0.0),
-            circulator_delay_ns=_floats(0.0, 10.0), pathloss_cap_db=_floats(-60.0, 0.0),
-            pathloss_alpha=_floats(2.5, 6.0), pathloss_calib_distance_m=_floats(0.01, 10.0),
-            pathloss_calib_db=_floats(-90.0, 0.0)).filter(_has_tap).map(
-                lambda kw: ChannelConfig(**kw)),
+            lambda common, layout: ChannelConfig(**common, **layout),
+            st.builds(dict, carrier_hz=_floats(1e6, 1e11), tx_gain_db=_floats(-50.0, 50.0)),
+            taps | geometry),
         impairments=st.builds(
             ReceiverImpairments, noise_power=_floats(0.0, 1.0),
             adc_bits=st.sampled_from([0, 4, 12, 16]), sample_offset=_floats(0.0, 1e-9)),
@@ -211,6 +213,15 @@ class TestConfigIO:
          "check taps, circulator_delay_ns, reflector_distances_m"),
         ("[channel]\nreflector_distances_m =\ncirculator_gain_db = none\n",
          "invalid [channel]: channel needs at least one tap"),
+        # explicit taps replace the geometry, so geometry away from its default
+        # is refused with them, naming each such field
+        ("[channel]\ntaps = -18:0.5\nreflector_distances_m = 0.05\npathloss_cap_db = -5\n",
+         "invalid [channel]: taps cannot be combined with reflector_distances_m, "
+         "pathloss_cap_db"),
+        ("[channel]\ntaps = -18:0.5\ncirculator_gain_db = none\n",
+         "taps cannot be combined with circulator_gain_db"),
+        ("[channel]\ncirculator_delay_ns = 1\npathloss_alpha = 3\ntaps = -18:0.5\n",
+         "taps cannot be combined with circulator_delay_ns, pathloss_alpha"),
         # dB and distance values whose linear form overflows or underflows to
         # 0, refused naming the keys it is made from
         ("[channel]\ntx_gain_db = 4000\n",
@@ -363,6 +374,10 @@ taps = -18.0:0.5, -30.0:0.833
         assert len(ch.taps) == 2
         assert ch.taps[0].gain == pytest.approx(10 ** (-18 / 20))
         assert ch.taps[1].delay_s == pytest.approx(0.833e-9)
+        # save_config writes every geometry field at its default, which taps allow
+        save_config(cfg, tmp_path / "saved.cfg")
+        assert "reflector_distances_m = 0.125, 0.3" in (tmp_path / "saved.cfg").read_text()
+        assert load_config(tmp_path / "saved.cfg") == cfg
 
     def test_shipped_configs_parse(self):
         for name in ("ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"):
@@ -405,6 +420,14 @@ def short_frame_fields(draw):
 class TestConfigThatLoadsRuns:
     @settings(max_examples=60, deadline=None)
     @given(fields=short_frame_fields())
+    # a subnormal RRC rolloff: pi / (4 rolloff) overflows to inf, and the
+    # singular-point value of rrc_pulse must not be computed from it
+    @example(fields=dict(
+        signal=SignalSpec(kind="single-carrier", bandwidth_hz=1e6, num_symbols=100, pulse="rrc",
+                          rolloff=2.225073858507203e-309, ofdm_fft_size=16,
+                          ofdm_used_carriers=1, seed=0),
+        channel=ChannelConfig(), impairments=ReceiverImpairments(), vm_bits=1, tune_budget=1,
+        digital_order=1, train_len=100, detector_window=256, seed=0))
     def test_accepted_config_runs(self, fields):
         try:
             cfg = ExperimentConfig(**fields)
@@ -412,6 +435,15 @@ class TestConfigThatLoadsRuns:
             assume(False)
         report = run_pipeline(cfg).report
         assert all(np.isfinite(v) for v in dataclasses.astuple(report))
+
+
+class TestDigitalOrder:
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_run_pipeline_refuses_order_before_any_frame(self, tmp_path, monkeypatch, order):
+        # the argument is applied to the config, which refuses it
+        monkeypatch.setattr(harness, "gen_frame", lambda *args: pytest.fail("frame generated"))
+        with pytest.raises(ValueError, match=f"^digital_order = {order} must be 1 or 2$"):
+            run_pipeline(small_cfg(tmp_path), digital_order=order)
 
 
 class TestRunSimulate:
@@ -689,10 +721,11 @@ class TestComputeOnce:
         assert (len(psds), len(diagnostics)) == (0, 0)
 
     def test_power_sweep_point_runs_the_core_once(self, tmp_path, monkeypatch):
+        # each point's config carries order 2, whatever the sweep's config says
         pipelines = self.count_calls(monkeypatch, "run_pipeline")
         cores = self.count_calls(monkeypatch, "_cancel")
-        run_sweep_power(small_cfg(tmp_path), [0, 3])
-        assert (len(pipelines), [order for _, order in cores]) == (0, [2, 2])
+        run_sweep_power(small_cfg(tmp_path, digital_order=1), [0, 3])
+        assert (len(pipelines), [cfg.digital_order for cfg, in cores]) == (0, [2, 2])
 
     def test_bandwidth_sweep_point_computes_no_psd(self, tmp_path, monkeypatch):
         psds = self.count_calls(monkeypatch, "psd")
@@ -1063,6 +1096,35 @@ class TestCli:
                              "--output-dir", str(tmp_path / form)]) == 0
         assert ((tmp_path / "spaced" / csv).read_bytes()
                 == (tmp_path / "joined" / csv).read_bytes())
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--config", "{gain}"], "tx_gain_db = 4000.0 is out of range"),
+        (["simulate", "--config", "{missing}"], "No such file or directory: '{missing}'"),
+        (["sweep-power", "--dbm=0,4000"], "tx_gain_db = 4000.0 is out of range"),
+        (["sweep-bandwidth", "--bw=-5e6"], "bandwidth_hz must be positive"),
+    ])
+    def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, args, message):
+        paths = dict(gain=tmp_path / "gain.cfg", missing=tmp_path / "missing.cfg")
+        paths["gain"].write_text("[channel]\ntx_gain_db = 4000\n")
+        args = [a.format(**paths) for a in args]
+        assert cli.main([*args, "--output-dir", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("fdsic: error: ") and err.count("\n") == 1
+        assert message.format(**paths) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_config_exits_2_from_the_command_line(self, tmp_path):
+        proc = self._run("simulate", "--config", str(tmp_path / "missing.cfg"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("fdsic: error: [Errno 2] ") and "Traceback" not in proc.stderr
+
+    def test_pipeline_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # a ValueError inside the pipeline is a bug, not a refused input
+        def broken(*args):
+            raise ValueError("inside the pipeline")
+        monkeypatch.setattr(harness, "gen_frame", broken)
+        with pytest.raises(ValueError, match="inside the pipeline"):
+            cli.main(["simulate", "--output-dir", str(tmp_path / "out")])
 
     def test_parser_is_built_once_and_keeps_no_state(self):
         assert cli._parser() is cli._parser()
