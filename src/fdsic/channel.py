@@ -110,7 +110,7 @@ def taps_from_geometry(distances_m, model: PathLossModel, carrier_hz: float,
     taps = list(extra_taps)
     for d in distances_m:
         if d <= 0:
-            raise ValueError("reflector distances must be positive")
+            raise ValueError(f"reflector_distances_m = {d} must be positive")
         rt = 2.0 * d
         gain = float(np.sqrt(path_loss(model, rt)))
         if gain == 0.0:  # k (2d)^-alpha underflowed

@@ -89,9 +89,16 @@ class ChannelConfig:
                     if getattr(self, f.name) != f.default]
         if self.taps_db_ns and geometry:  # build() would drop the geometry without a word
             raise ValueError(f"taps cannot be combined with {', '.join(geometry)}")
-        if self.pathloss_calib_distance_m < 0:  # d^alpha would be complex or |d|^alpha
+        if self.pathloss_calib_distance_m <= 0:  # d^alpha would be 0, complex or |d|^alpha
             raise ValueError(f"pathloss_calib_distance_m = {self.pathloss_calib_distance_m} "
-                             "must not be negative")
+                             "must be positive")
+        if self.pathloss_alpha <= 2:
+            raise ValueError(f"pathloss_alpha = {self.pathloss_alpha} must exceed 2")
+        if self.circulator_delay_ns < 0:
+            raise ValueError(f"circulator_delay_ns = {self.circulator_delay_ns} must be >= 0")
+        for gain_db, delay_ns in self.taps_db_ns:
+            if delay_ns < 0:
+                raise ValueError(f"taps = {gain_db}:{delay_ns} holds a negative delay")
         self.build()  # a channel that cannot be built fails here, at load
 
     def path_loss_model(self) -> PathLossModel:
@@ -142,6 +149,8 @@ class ExperimentConfig:
                     raise ValueError(f"{FILE_KEYS.get(f.name, f.name)} = {_format(value)} "
                                      "must be finite")
         sig, n = self.signal, self.signal.frame_len
+        if self.seed < 0:
+            raise ValueError(f"invalid [run]: seed = {self.seed} must not be negative")
         if self.digital_order not in (1, 2):
             raise ValueError(f"digital_order = {self.digital_order!r} must be 1 or 2")
         if not MIN_VM_BITS <= self.vm_bits <= MAX_VM_BITS:

@@ -1,9 +1,9 @@
 """Independent brute-force references used to certify the main implementation.
 
 Nothing here shares delay, convolution, or derivative code with the modules
-it checks: signals are evaluated from pulse closed forms, delays by direct
-periodic-kernel summation, and integrals by blockwise quadrature. Only the
-symbol alphabets come from `signals.draw_symbols`.
+it checks: pulse trains are evaluated from the closed form of sin(x)/x,
+delays by direct periodic-kernel summation, and integrals by blockwise
+quadrature. Only the symbol alphabets come from `signals.draw_symbols`.
 """
 
 from __future__ import annotations
@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import BasebandSignal, SignalSpec, draw_symbols, rrc_pulse
+from .signals import BasebandSignal, SignalSpec, draw_symbols
 
 # Symbol window half-width for the Monte Carlo pulse-train evaluation. The
 # truncation bias in the measured error power is O(1/SYMBOL_HALF_WINDOW) and
 # only ever lowers it.
 SYMBOL_HALF_WINDOW = 256
 
-# Default Monte Carlo draw of the pulse-train oracles; the frozen fixture
-# values in tests/data/oracle_frozen.txt come from this draw.
+# Default sample count and only seed of the pulse-train oracles' Monte Carlo
+# draw; the frozen values in tests/data/oracle_frozen.txt come from this draw.
 ORACLE_TRIALS = 100_000
 ORACLE_SEED = 12345
 
@@ -162,36 +162,23 @@ def poisson_check(delta_over_T: float) -> PoissonCheck:
                         closed_form=poisson_closed_form(delta_over_T))
 
 
-def _pulse_functions(spec: SignalSpec):
-    """Closed-form pulse and derivative, in symbol-duration units."""
-    if spec.pulse == "sinc":
-        return _lemma_sinc, _lemma_sinc_deriv
-    b = spec.rolloff
-
-    def g(v):
-        return rrc_pulse(v, b)
-
-    def gd(v, h=1e-4):
-        # Richardson central difference of the closed form; adequate for
-        # the informational RRC path (error ~ h^4).
-        return (8.0 * (g(v + h) - g(v - h)) - (g(v + 2 * h) - g(v - 2 * h))) / (12.0 * h)
-
-    return g, gd
-
-
-def _pulse_train_draw(spec: SignalSpec, g, trials: int, seed: int):
-    """Monte Carlo draw of the pulse train x(t) = sum_n s_n g(t - n): from one
-    RNG, the sampling offsets v = t - n, then the symbols s_n. Returns v, g(v)
-    and power(w), the mean power of sum_n s_n w(t - n) relative to that of x.
-    Weights w never use the RNG, so they may be computed after the draw."""
+def _pulse_train_draw(spec: SignalSpec, trials: int):
+    """Monte Carlo draw of the lemma's pulse train x(t) = sum_n s_n g(t - n),
+    g(v) = sin(v)/v: from one RNG seeded with ORACLE_SEED, the sampling offsets
+    v = t - n, then the symbols s_n. Returns v, g(v) and power(w), the mean power
+    of sum_n s_n w(t - n) relative to that of x. Weights w never use the RNG, so
+    they may be computed after the draw."""
+    if spec.pulse != "sinc":
+        raise ValueError("the Monte Carlo oracle evaluates the sinc pulse only, "
+                         f"not {spec.pulse!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ORACLE_SEED)
     n_offsets = 256
     n_trials = max(1, int(np.ceil(trials / n_offsets)))
     n = np.arange(-SYMBOL_HALF_WINDOW, SYMBOL_HALF_WINDOW + 1)
     v = rng.uniform(0.0, 1.0, size=n_offsets)[:, None] - n[None, :]  # (offsets, symbols)
-    gv = g(v)
+    gv = _lemma_sinc(v)
     # E|x|^2 = mean_t sum_n g^2 for unit-variance uncorrelated symbols
     mean_power = float(np.mean(np.sum(gv**2, axis=1)))
     syms = draw_symbols(rng, (n_trials, len(n)), spec.constellation)
@@ -203,36 +190,33 @@ def _pulse_train_draw(spec: SignalSpec, g, trials: int, seed: int):
     return v, gv, power
 
 
-def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE_TRIALS,
-                       seed: int = ORACLE_SEED) -> dict:
-    """Monte Carlo first-order Taylor error of a delayed pulse train.
+def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE_TRIALS) -> dict:
+    """Monte Carlo first-order Taylor error of a delayed sinc pulse train.
 
     Draws random symbol sequences and sampling instants, evaluates
-    x(t - tau), x(t) and x'(t) from the pulse closed form (no FIR filters),
-    and returns the measured powers of
+    x(t - tau), x(t) and x'(t) from the closed forms of sin(x)/x and its
+    derivative (no FIR filters), and returns the measured powers of
 
         E = x(t - tau) - x(t) + tau x'(t)      and of      tau x'(t)
 
-    for the unit-power normalized signal. For the sinc pulse sin(x)/x this
-    is the quantity bounded by 0.075 (tau/T)^4.
+    for the unit-power normalized signal: the quantity bounded by
+    0.075 (tau/T)^4. A spec with any other pulse is refused.
     """
-    g, gd = _pulse_functions(spec)
     eps = float(tau_over_T)
-    v, gv, power = _pulse_train_draw(spec, g, trials, seed)
-    dv = eps * gd(v)
-    return {"err_power": power(g(v - eps) - gv + dv), "deriv_power": power(dv)}
+    v, gv, power = _pulse_train_draw(spec, trials)
+    dv = eps * _lemma_sinc_deriv(v)
+    return {"err_power": power(_lemma_sinc(v - eps) - gv + dv), "deriv_power": power(dv)}
 
 
 def delay_error_powers(spec: SignalSpec, taus) -> list:
     """exact_delay_oracle's err_power at each delay of `taus`, bit for bit,
     from one draw: the offsets, g(v), g'(v) and the symbols are shared, and
     each delay evaluates only g(v - tau) and its error weight."""
-    g, gd = _pulse_functions(spec)
-    v, gv, power = _pulse_train_draw(spec, g, ORACLE_TRIALS, ORACLE_SEED)
-    gdv = gd(v)
+    v, gv, power = _pulse_train_draw(spec, ORACLE_TRIALS)
+    gdv = _lemma_sinc_deriv(v)
     errs = []
     for tau in map(float, taus):
-        w = g(v - tau)  # (g(v - tau) - g(v)) + tau g'(v), in place
+        w = _lemma_sinc(v - tau)  # (g(v - tau) - g(v)) + tau g'(v), in place
         w -= gv
         w += tau * gdv
         errs.append(power(w))
@@ -248,10 +232,8 @@ def order2_remainder(spec: SignalSpec, tau_over_T: float) -> float:
     of the unit-power sinc pulse train, from the closed forms of sin(x)/x
     and its derivatives, over exact_delay_oracle's default draw.
     """
-    if spec.pulse != "sinc":
-        raise ValueError("order2_remainder supports the sinc pulse only")
     eps = float(tau_over_T)
-    v, gv, power = _pulse_train_draw(spec, _lemma_sinc, ORACLE_TRIALS, ORACLE_SEED)
+    v, gv, power = _pulse_train_draw(spec, ORACLE_TRIALS)
     return power(_lemma_sinc(v - eps) - gv + eps * _lemma_sinc_deriv(v)
                  - 0.5 * eps**2 * _lemma_sinc_deriv2(v))
 

@@ -65,6 +65,8 @@ class SignalSpec:
             raise ValueError(f"unknown pulse {self.pulse!r}")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ValueError("rolloff must be in [0, 1]")
+        if self.seed < 0:  # numpy's default_rng refuses it
+            raise ValueError(f"seed = {self.seed} must not be negative")
         if self.kind == "ofdm":
             _ofdm_used_bins(self.ofdm_fft_size, self.ofdm_used_carriers)
 

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -201,14 +202,20 @@ class TestConfigIO:
         ("[signal]\noversampling = 2\n", "oversampling = 2 "),
         ("[signal]\nofdm_fft_size = 256\nofdm_used_carriers = 255\n",
          "[signal]: ofdm_used_carriers = 255 "),
-        # channels that cannot be built or run, rejected at load: a reflector
-        # behind the antenna, a shallow path-loss law, a zero calibration
-        # distance, a tap delay beyond 10 % of the 691 us default frame, no tap
+        # channels that cannot be built or run, rejected at load naming the
+        # key and value: a reflector behind the antenna, a shallow path-loss
+        # law, a zero calibration distance, negative delays, a tap delay beyond
+        # 10 % of the 691 us default frame, no tap
         ("[channel]\nreflector_distances_m = -1\n",
-         "invalid [channel]: reflector distances must be positive"),
-        ("[channel]\npathloss_alpha = 1\n", "invalid [channel]: alpha must exceed 2"),
+         "invalid [channel]: reflector_distances_m = -1.0 must be positive"),
+        ("[channel]\npathloss_alpha = 1\n",
+         "invalid [channel]: pathloss_alpha = 1.0 must exceed 2"),
         ("[channel]\npathloss_calib_distance_m = 0\n",
-         "invalid [channel]: path loss constants must be positive"),
+         "invalid [channel]: pathloss_calib_distance_m = 0.0 must be positive"),
+        ("[channel]\ncirculator_delay_ns = -1\n",
+         "invalid [channel]: circulator_delay_ns = -1.0 must be >= 0"),
+        ("[channel]\ntaps = -18:0.5, -30:-2\n",
+         "invalid [channel]: taps = -30.0:-2.0 holds a negative delay"),
         ("[channel]\ntaps = -18:100000\n", "tap delay 100000 ns exceeds 10% of the frame: "
          "check taps, circulator_delay_ns, reflector_distances_m"),
         ("[channel]\nreflector_distances_m =\ncirculator_gain_db = none\n",
@@ -243,15 +250,18 @@ class TestConfigIO:
          "invalid [channel]: reflector_distances_m = 1e+100 is out of range"),
         # a negative distance would make d^alpha complex, or |d|^alpha
         ("[channel]\npathloss_calib_distance_m = -0.25\npathloss_alpha = 4.5\n",
-         "invalid [channel]: pathloss_calib_distance_m = -0.25 must not be negative"),
+         "invalid [channel]: pathloss_calib_distance_m = -0.25 must be positive"),
         ("[channel]\npathloss_calib_distance_m = -0.25\n",
-         "pathloss_calib_distance_m = -0.25 must not be negative"),
+         "pathloss_calib_distance_m = -0.25 must be positive"),
         # file structure configparser refuses, naming the key, section or line
         ("[run]\nseed = 1\nseed = 2\n", "option 'seed' in section 'run' already exists"),
         ("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists"),
         ("seed = 1\n", "no section headers.\nfile: "),
         ("seed = 1\n", "'seed = 1\\n'"),
         ("[run]\nseed\n", "[line  2]: 'seed\\n'"),
+        # numpy's default_rng refuses a negative seed, so the load does
+        ("[signal]\nseed = -1\n", "invalid [signal]: seed = -1 must not be negative"),
+        ("[run]\nseed = -1\n", "invalid [run]: seed = -1 must not be negative"),
         # slope-diagnostic bands that used to fail after the RF and digital
         # stages: an RRC rolloff of 1 leaves no band, and 4 carriers of a
         # 64-bin grid (2 symbols at oversampling 5, 720 samples) give the
@@ -1102,10 +1112,15 @@ class TestCli:
         (["simulate", "--config", "{missing}"], "No such file or directory: '{missing}'"),
         (["sweep-power", "--dbm=0,4000"], "tx_gain_db = 4000.0 is out of range"),
         (["sweep-bandwidth", "--bw=-5e6"], "bandwidth_hz must be positive"),
+        (["simulate", "--config", "{signal_seed}"], "[signal]: seed = -1 must not be negative"),
+        (["simulate", "--config", "{run_seed}"], "[run]: seed = -1 must not be negative"),
     ])
     def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, args, message):
-        paths = dict(gain=tmp_path / "gain.cfg", missing=tmp_path / "missing.cfg")
+        paths = {name: tmp_path / f"{name}.cfg"
+                 for name in ("gain", "missing", "signal_seed", "run_seed")}
         paths["gain"].write_text("[channel]\ntx_gain_db = 4000\n")
+        paths["signal_seed"].write_text("[signal]\nseed = -1\n")
+        paths["run_seed"].write_text("[run]\nseed = -1\n")
         args = [a.format(**paths) for a in args]
         assert cli.main([*args, "--output-dir", str(tmp_path / "out")]) == 2
         out, err = capsys.readouterr()
@@ -1170,3 +1185,20 @@ class TestCli:
                               capture_output=True, text=True, cwd=REPO)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout.split()[-1]) < 500
+
+
+def test_reproduce_trends_quick_writes_what_it_reports(tmp_path, monkeypatch, capsys):
+    path = REPO / "scripts" / "reproduce_trends.py"
+    module_spec = importlib.util.spec_from_file_location("reproduce_trends", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [str(path), "--quick", "--out", str(tmp_path)])
+    module.main()
+    out = capsys.readouterr().out
+    assert f"power sweep written to {tmp_path / 'power' / 'power_sweep.csv'}\n" in out
+    for name in ("ofdm_20mhz", "single_carrier_10mhz"):
+        assert f"{name}: rf=" in out
+        assert (tmp_path / name / "report.txt").is_file()
+    for name in ("bandwidth_full", "bandwidth_circulator"):
+        assert (tmp_path / name / "bandwidth_sweep.csv").is_file()
+    assert (tmp_path / "power" / "power_sweep.csv").is_file()
