@@ -100,25 +100,6 @@ class ReceiverImpairments:
             raise ValueError("sample_offset must be >= 0")
 
 
-def taps_from_geometry(distances_m, model: PathLossModel, carrier_hz: float,
-                       extra_taps=(), tx_gain: float = 1.0) -> MultipathChannel:
-    """Channel from one-way reflector distances plus explicit extra taps.
-
-    Per reflector: round trip 2d, tau = 2d/c, amplitude sqrt(loss(2d)).
-    Extra taps (e.g. circulator leakage) are merged as given.
-    """
-    taps = list(extra_taps)
-    for d in distances_m:
-        if d <= 0:
-            raise ValueError(f"reflector_distances_m = {d} must be positive")
-        rt = 2.0 * d
-        gain = float(np.sqrt(path_loss(model, rt)))
-        if gain == 0.0:  # k (2d)^-alpha underflowed
-            raise ValueError(f"reflector_distances_m = {d} is out of range")
-        taps.append(ChannelTap(gain=gain, delay_s=rt / SPEED_OF_LIGHT))
-    return MultipathChannel(taps=tuple(taps), carrier_hz=carrier_hz, tx_gain=tx_gain)
-
-
 def fractional_delay(signal: BasebandSignal, delay_s: float) -> BasebandSignal:
     """Circular sub-sample delay via a frequency-domain phase ramp.
 

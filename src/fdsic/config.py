@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (MAX_DELAY_FRACTION, ChannelTap, MultipathChannel, PathLossModel,
-                      ReceiverImpairments, check_carrier, taps_from_geometry)
+from .channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
+                      PathLossModel, ReceiverImpairments, check_carrier, path_loss)
 from .digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
 from .metrics import MIN_BAND_BINS, band_mask
 from .rfstage import MAX_VM_BITS, MIN_DETECTOR_SYMBOLS, MIN_VM_BITS
@@ -53,16 +53,23 @@ def _amplitude(db: float) -> float:
 
 def _linear(form, **values) -> float:
     """form(*values), the linear form of the file values given by key. Where it
-    overflows, or underflows to 0, a ValueError names them; a value of 0, nan
-    or infinity passes, to fail the check made for it."""
+    overflows, or underflows to 0, a ValueError names them."""
     try:
         linear = form(*values.values())
     except OverflowError:
         linear = math.inf
-    if linear in (0.0, math.inf) and all(v != 0 and math.isfinite(v) for v in values.values()):
+    if linear in (0.0, math.inf):
         raise ValueError(", ".join(f"{key} = {_format(v)}" for key, v in values.items())
                          + (" is" if len(values) == 1 else " are") + " out of range")
     return linear
+
+
+def _check_finite(values: dict) -> None:
+    """Refuse a nan or infinite float, or list entry, of the fields given by name,
+    naming its file key: nan passes every ordered comparison, so this runs first."""
+    for name, value in values.items():
+        if isinstance(value, (float, tuple)) and not np.isfinite(np.array(value)).all():
+            raise ValueError(f"{FILE_KEYS.get(name, name)} = {_format(value)} must be finite")
 
 
 class ConfigError(ValueError):
@@ -85,10 +92,14 @@ class ChannelConfig:
     pathloss_calib_db: float = -30.0
 
     def __post_init__(self):
+        _check_finite(vars(self))  # first, then the field rules, then the build
         geometry = [f.name for f in dataclasses.fields(self)[3:]  # the fields after taps_db_ns
                     if getattr(self, f.name) != f.default]
         if self.taps_db_ns and geometry:  # build() would drop the geometry without a word
             raise ValueError(f"taps cannot be combined with {', '.join(geometry)}")
+        if not (self.taps_db_ns or self.reflector_distances_m) and self.circulator_gain_db is None:
+            raise ValueError("circulator_gain_db = none and an empty reflector_distances_m "
+                             "leave no tap")
         if self.pathloss_calib_distance_m <= 0:  # d^alpha would be 0, complex or |d|^alpha
             raise ValueError(f"pathloss_calib_distance_m = {self.pathloss_calib_distance_m} "
                              "must be positive")
@@ -99,6 +110,9 @@ class ChannelConfig:
         for gain_db, delay_ns in self.taps_db_ns:
             if delay_ns < 0:
                 raise ValueError(f"taps = {gain_db}:{delay_ns} holds a negative delay")
+        for d in self.reflector_distances_m:
+            if d <= 0:
+                raise ValueError(f"reflector_distances_m = {d} must be positive")
         self.build()  # a channel that cannot be built fails here, at load
 
     def path_loss_model(self) -> PathLossModel:
@@ -111,20 +125,22 @@ class ChannelConfig:
                              self.pathloss_alpha)
 
     def build(self) -> MultipathChannel:
+        """The explicit taps, or the circulator tap, then per reflector at distance d
+        a tap of amplitude sqrt(loss(2d)) and delay 2d/c (the round trip)."""
         tx_gain = _linear(_power, tx_gain_db=self.tx_gain_db)
         if self.taps_db_ns:
-            taps = tuple(ChannelTap(gain=_linear(_amplitude, taps=g_db), delay_s=d_ns * 1e-9)
-                         for g_db, d_ns in self.taps_db_ns)
-            return MultipathChannel(taps=taps, carrier_hz=self.carrier_hz,
-                                    tx_gain=tx_gain)
-        extra = ()
-        if self.circulator_gain_db is not None:
-            gain = _linear(_amplitude, circulator_gain_db=self.circulator_gain_db)
-            extra = (ChannelTap(gain=gain,
-                                delay_s=self.circulator_delay_ns * 1e-9),)
-        return taps_from_geometry(self.reflector_distances_m,
-                                  self.path_loss_model(), self.carrier_hz,
-                                  extra_taps=extra, tx_gain=tx_gain)
+            taps = [ChannelTap(gain=_linear(_amplitude, taps=g_db), delay_s=d_ns * 1e-9)
+                    for g_db, d_ns in self.taps_db_ns]
+        else:
+            taps = [] if self.circulator_gain_db is None else [ChannelTap(
+                gain=_linear(_amplitude, circulator_gain_db=self.circulator_gain_db),
+                delay_s=self.circulator_delay_ns * 1e-9)]
+            model = self.path_loss_model()  # made, and so checked, with no reflector too
+            for d in self.reflector_distances_m:
+                gain = _linear(lambda d: float(np.sqrt(path_loss(model, 2.0 * d))),
+                               reflector_distances_m=d)
+                taps.append(ChannelTap(gain=gain, delay_s=2.0 * d / SPEED_OF_LIGHT))
+        return MultipathChannel(taps=tuple(taps), carrier_hz=self.carrier_hz, tx_gain=tx_gain)
 
 
 @dataclass(frozen=True)
@@ -142,12 +158,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Every check a run needs, made before any frame is generated."""
-        for obj in (self, self.signal, self.channel, self.impairments):
-            for f in dataclasses.fields(obj):
-                value = getattr(obj, f.name)
-                if isinstance(value, (float, tuple)) and not np.isfinite(np.array(value)).all():
-                    raise ValueError(f"{FILE_KEYS.get(f.name, f.name)} = {_format(value)} "
-                                     "must be finite")
+        _check_finite(vars(self) | vars(self.signal) | vars(self.impairments))
         sig, n = self.signal, self.signal.frame_len
         if self.seed < 0:
             raise ValueError(f"invalid [run]: seed = {self.seed} must not be negative")
@@ -255,7 +266,8 @@ def _from_sections(parser: configparser.ConfigParser) -> ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"bad value {text!r} for {key!r} in [{section}]: {exc}") from None
         if obj is not cfg:
-            try:
+            try:  # a non-finite value is refused before the section's own rules
+                _check_finite(values)
                 values = {SECTIONS[section]: dataclasses.replace(obj, **values)}
             except ValueError as exc:
                 raise ValueError(f"invalid [{section}]: {exc}") from None

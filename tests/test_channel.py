@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from fdsic.channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
                            PathLossModel, ReceiverImpairments, _delayed, apply_channel,
-                           fractional_delay, impair, path_loss, taps_from_geometry)
+                           fractional_delay, impair, path_loss)
 from fdsic.config import ChannelConfig, load_config
 from fdsic.oracle import resample_delay_reference
 from fdsic.signals import BasebandSignal, SignalSpec, gen_frame, gen_ofdm
+from test_harness import config_fields
 
 FS = 80e6
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -59,26 +60,59 @@ class TestPathLoss:
             PathLossModel(cap_delta=0.01, k_const=1e-6, alpha=2.0)
 
 
+def _taps_from_geometry(distances_m, model: PathLossModel, carrier_hz: float,
+                        extra_taps=(), tx_gain: float = 1.0) -> MultipathChannel:
+    """The geometry channel as made before ChannelConfig.build made it itself:
+    per reflector, round trip 2d, tau = 2d/c, amplitude sqrt(loss(2d)), after
+    the extra taps (the circulator leakage) as given."""
+    taps = list(extra_taps)
+    for d in distances_m:
+        if d <= 0:
+            raise ValueError(f"reflector_distances_m = {d} must be positive")
+        rt = 2.0 * d
+        gain = float(np.sqrt(path_loss(model, rt)))
+        if gain == 0.0:  # k (2d)^-alpha underflowed
+            raise ValueError(f"reflector_distances_m = {d} is out of range")
+        taps.append(ChannelTap(gain=gain, delay_s=rt / SPEED_OF_LIGHT))
+    return MultipathChannel(taps=tuple(taps), carrier_hz=carrier_hz, tx_gain=tx_gain)
+
+
+# the channel of every drawn config that describes reflector geometry
+GEOMETRY_CHANNELS = config_fields(runnable=False).map(lambda f: f["channel"]).filter(
+    lambda ch: not ch.taps_db_ns)
+
+
 class TestTapsFromGeometry:
     def test_reflector_delay_830ps(self):
-        ch = taps_from_geometry([0.125], ChannelConfig().path_loss_model(), 2.395e9)
+        ch = ChannelConfig(reflector_distances_m=(0.125,), circulator_gain_db=None).build()
         assert ch.taps[0].delay_s == pytest.approx(0.25 / SPEED_OF_LIGHT)
         assert ch.taps[0].delay_s == pytest.approx(830e-12, rel=0.01)
 
     def test_circulator_only(self):
-        circ = ChannelTap(gain=10 ** (-18 / 20), delay_s=0.5e-9)
-        ch = taps_from_geometry([], ChannelConfig().path_loss_model(), 2.395e9, extra_taps=[circ])
+        ch = ChannelConfig(reflector_distances_m=()).build()  # -18 dB at 0.5 ns
         assert len(ch.taps) == 1
         assert ch.taps[0].gain == pytest.approx(10 ** (-18 / 20))
 
     def test_equal_distances_stable_order(self):
-        ch = taps_from_geometry([0.2, 0.2], ChannelConfig().path_loss_model(), 2.395e9)
+        ch = ChannelConfig(reflector_distances_m=(0.2, 0.2), circulator_gain_db=None).build()
         assert ch.taps[0].gain == ch.taps[1].gain
         assert ch.taps[0].delay_s == ch.taps[1].delay_s
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            taps_from_geometry([], ChannelConfig().path_loss_model(), 2.395e9)
+            ChannelConfig(reflector_distances_m=(), circulator_gain_db=None).build()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ch=GEOMETRY_CHANNELS)
+    def test_build_equals_the_former_geometry_channel(self, ch):
+        # tap for tap: gain, delay, order after the sort, and transmit gain
+        extra = () if ch.circulator_gain_db is None else (ChannelTap(
+            gain=10.0 ** (ch.circulator_gain_db / 20.0), delay_s=ch.circulator_delay_ns * 1e-9),)
+        want = _taps_from_geometry(ch.reflector_distances_m, ch.path_loss_model(), ch.carrier_hz,
+                                   extra_taps=extra, tx_gain=10.0 ** (ch.tx_gain_db / 10.0))
+        got = ch.build()
+        assert [(t.gain, t.delay_s) for t in got.taps] == [(t.gain, t.delay_s) for t in want.taps]
+        assert (got.tx_gain, got.carrier_hz) == (want.tx_gain, want.carrier_hz)
 
     def test_taps_sorted_by_gain(self, default_channel):
         gains = [t.gain for t in default_channel.taps]

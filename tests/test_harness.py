@@ -19,14 +19,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fdsic import cli, digital, harness, oracle
 from fdsic.channel import SPEED_OF_LIGHT, ReceiverImpairments, fractional_delay
-from fdsic.config import (EDGE_GUARD, ChannelConfig, ExperimentConfig, load_config, save_config,
-                          slope_band)
+from fdsic.config import (EDGE_GUARD, FILE_KEYS, ChannelConfig, ExperimentConfig, load_config,
+                          save_config, slope_band)
 from fdsic.digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
                            run_sweep_bandwidth, run_sweep_power, run_verify)
 from fdsic.metrics import Psd, slope_diagnostic
 from fdsic.rfstage import MIN_DETECTOR_SYMBOLS
 from fdsic.signals import PULSE_SPAN, BasebandSignal, SignalSpec, gen_frame
+from fdsic.taylor import taylor_coeffs
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = {"ofdm": "ofdm_20mhz.cfg", "sc": "single_carrier_10mhz.cfg"}
@@ -73,6 +74,26 @@ def _band_ok(sig: dict, eval_len: int) -> bool:
     seg = 1 << min(12, eval_len.bit_length() - 1)  # the largest power of two up to 4096
     absf = np.abs(np.fft.fftfreq(seg, 1 / (sig["oversampling"] * bw)))
     return edge > 0 and np.count_nonzero((absf >= 0.05 * edge) & (absf <= 0.9 * edge)) >= 8
+
+
+def _non_finite_inputs() -> list:
+    """(section, key, text) of every float and list key of [signal], [channel]
+    and [impairments], each with nan, inf and -inf; a list holds it after a
+    finite entry, and taps hold it as a gain and as a delay."""
+    rows, cfg = [], ExperimentConfig()
+    for section in ("signal", "channel", "impairments"):
+        for f in dataclasses.fields(getattr(cfg, section)):
+            if not isinstance(f.default, (float, tuple)):
+                continue
+            key = FILE_KEYS.get(f.name, f.name)
+            for v in ("nan", "inf", "-inf"):
+                texts = {"taps": [f"{v}:1", f"-18:{v}"],
+                         "reflector_distances_m": [f"0.125, {v}"]}.get(key, [v])
+                rows += [(section, key, text) for text in texts]
+    return rows
+
+
+NON_FINITE_INPUTS = _non_finite_inputs()
 
 
 @st.composite
@@ -219,7 +240,8 @@ class TestConfigIO:
         ("[channel]\ntaps = -18:100000\n", "tap delay 100000 ns exceeds 10% of the frame: "
          "check taps, circulator_delay_ns, reflector_distances_m"),
         ("[channel]\nreflector_distances_m =\ncirculator_gain_db = none\n",
-         "invalid [channel]: channel needs at least one tap"),
+         "invalid [channel]: circulator_gain_db = none and an empty reflector_distances_m "
+         "leave no tap"),
         # explicit taps replace the geometry, so geometry away from its default
         # is refused with them, naming each such field
         ("[channel]\ntaps = -18:0.5\nreflector_distances_m = 0.05\npathloss_cap_db = -5\n",
@@ -284,23 +306,14 @@ class TestConfigIO:
         ch = load_config(path).channel
         assert np.sqrt(ch.path_loss_model().cap_delta) in [t.gain for t in ch.build().taps]
 
-    @pytest.mark.parametrize("section, key, text", [
-        ("channel", "tx_gain_db", "nan"),
-        ("channel", "carrier_hz", "inf"),
-        ("channel", "reflector_distances_m", "0.125, nan"),
-        ("channel", "taps", "-18:nan"),
-        ("channel", "circulator_gain_db", "nan"),
-        ("impairments", "noise_power", "nan"),
-        ("impairments", "sample_offset", "nan"),
-        ("signal", "bandwidth_hz", "inf"),
-        ("signal", "bandwidth_hz", "nan"),
-    ])
+    @pytest.mark.parametrize("section, key, text", NON_FINITE_INPUTS)
     def test_rejects_non_finite_value(self, tmp_path, section, key, text):
         # nan passes every ordered comparison and inf overflows the frame
         # arithmetic, so each is refused first, naming the file key
         path = tmp_path / "bad.cfg"
         path.write_text(f"[{section}]\n{key} = {text}\n")
-        with pytest.raises(ValueError, match=rf"^{key} = .* must be finite$"):
+        with pytest.raises(ValueError,
+                           match=rf"^invalid \[{section}\]: {key} = .* must be finite$"):
             load_config(path)
 
     def test_sample_offset_below_one_sample(self, tmp_path):
@@ -498,6 +511,25 @@ class TestRunSimulate:
             run_pipeline(small_cfg(tmp_path, signal=sig))
 
 
+class TestTwoParameterModel:
+    # Both channels are a -18 dB circulator tap and one or two weaker taps. A strong
+    # direct tap (-10 dB at 0 ns, -25 dB at 2 ns) left the tuned gain 1.83 LSB
+    # from -C0 on the OFDM config, so the LSB bound is not general.
+    @pytest.mark.parametrize("taps", [(), ((-18.0, 0.5), (-30.0, 0.833))], ids=["geometry", "taps"])
+    @pytest.mark.parametrize("tag", SHIPPED)
+    def test_fit_and_tune_find_c1_and_c0(self, tag, taps):
+        # the order-1 digital fit finds sqrt(G_t) C1 per sample, and the RF
+        # tuner cancels C0 to within one LSB of the vector modulator
+        cfg = load_config(REPO / "configs" / SHIPPED[tag])
+        cfg = dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, taps_db_ns=taps))
+        result = run_pipeline(cfg, digital_order=1)
+        channel = cfg.channel.build()
+        c0, c1 = taylor_coeffs(channel, 1)
+        want = np.sqrt(channel.tx_gain) * c1 * cfg.signal.sample_rate_hz
+        assert abs(result.estimate.c1 - want) <= 1e-3 * abs(want)
+        assert abs(result.tune.state.complex_gain + c0) <= 2 / 2 ** cfg.vm_bits
+
+
 class TestSweeps:
     def test_bandwidth_single_point_matches_simulate(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -532,6 +564,7 @@ class TestSweeps:
         ([0, float("nan")], "tx_gain_db = nan must be finite"),
         ([0, float("inf")], "tx_gain_db = inf must be finite"),
         ([0, 4000], "tx_gain_db = 4000.0 is out of range"),  # 10^400 overflows
+        ([0, float("-inf")], "tx_gain_db = -inf must be finite"),
     ])
     def test_power_sweep_validates_every_point_first(self, tmp_path, monkeypatch, points, name):
         cfg = small_cfg(tmp_path)
@@ -1114,6 +1147,7 @@ class TestCli:
         (["sweep-bandwidth", "--bw=-5e6"], "bandwidth_hz must be positive"),
         (["simulate", "--config", "{signal_seed}"], "[signal]: seed = -1 must not be negative"),
         (["simulate", "--config", "{run_seed}"], "[run]: seed = -1 must not be negative"),
+        (["sweep-power", "--dbm=0,-inf"], "tx_gain_db = -inf must be finite"),
     ])
     def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, args, message):
         paths = {name: tmp_path / f"{name}.cfg"
