@@ -93,11 +93,11 @@ class ReceiverImpairments:
 
     def __post_init__(self):
         if self.noise_power < 0:
-            raise ValueError("noise_power must be >= 0")
+            raise ValueError(f"noise_power = {self.noise_power} must be >= 0")
         if self.adc_bits != 0 and not 4 <= self.adc_bits <= 16:
-            raise ValueError("adc_bits must be 0 or in [4, 16]")
+            raise ValueError(f"adc_bits = {self.adc_bits} must be 0 or in [4, 16]")
         if self.sample_offset < 0:
-            raise ValueError("sample_offset must be >= 0")
+            raise ValueError(f"sample_offset = {self.sample_offset} must be >= 0")
 
 
 def fractional_delay(signal: BasebandSignal, delay_s: float) -> BasebandSignal:
@@ -154,6 +154,7 @@ def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSigna
     for tap in channel.taps:
         phase = np.exp(-2j * np.pi * channel.carrier_hz * tap.delay_s)
         delayed = x.samples if tap.delay_s == 0.0 else _delayed(X, freqs, tap.delay_s)
+        # scalar on the left: numpy's complex multiply rounds s * delayed and delayed * s apart
         acc += tap.gain * phase * delayed
     acc *= np.sqrt(channel.tx_gain)
     return BasebandSignal(acc, x.sample_rate_hz)

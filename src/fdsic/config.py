@@ -17,18 +17,13 @@ import numpy as np
 from .channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
                       PathLossModel, ReceiverImpairments, check_carrier, path_loss)
 from .digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
-from .metrics import MIN_BAND_BINS, band_mask
+from .metrics import MIN_BAND_BINS, band_mask, welch_segment
 from .rfstage import MAX_VM_BITS, MIN_DETECTOR_SYMBOLS, MIN_VM_BITS
 from .signals import SignalSpec
 
 # Samples dropped at both frame ends before any power measurement: covers the
 # FIR edge convention and the wrap vicinity of the periodic delay.
 EDGE_GUARD = 64
-
-
-def welch_segment(n: int) -> int:
-    """Welch segment of an n-sample PSD: the largest power of two up to 4096."""
-    return min(4096, 1 << (n.bit_length() - 1))
 
 
 def slope_band(spec: SignalSpec) -> tuple:
@@ -167,7 +162,7 @@ class ExperimentConfig:
         if not MIN_VM_BITS <= self.vm_bits <= MAX_VM_BITS:
             raise ValueError(f"vm_bits = {self.vm_bits} must be in [{MIN_VM_BITS}, {MAX_VM_BITS}]")
         if self.tune_budget <= 0:
-            raise ValueError("tune_budget must be positive")
+            raise ValueError(f"tune_budget = {self.tune_budget} must be positive")
         if sig.oversampling < MIN_OVERSAMPLING:
             raise ValueError(f"oversampling = {sig.oversampling} must be >= {MIN_OVERSAMPLING}")
         if self.train_len < MIN_FIT_SAMPLES:
@@ -187,8 +182,8 @@ class ExperimentConfig:
             raise ValueError(f"detector_window = {self.detector_window} must lie between "
                              f"{MIN_DETECTOR_SYMBOLS} symbols and the {n}-sample frame")
         if self.impairments.sample_offset >= 1.0 / sig.sample_rate_hz:
-            raise ValueError("sample_offset must be below one sample period, "
-                             f"{1.0 / sig.sample_rate_hz:g} s")
+            raise ValueError(f"sample_offset = {self.impairments.sample_offset} must be below "
+                             f"one sample period, {1.0 / sig.sample_rate_hz:g} s")
         check_carrier(self.channel.carrier_hz, sig.sample_rate_hz)
         delay = max(tap.delay_s for tap in self.channel.build().taps)
         if delay > MAX_DELAY_FRACTION * (n / sig.sample_rate_hz):  # apply_channel's bound

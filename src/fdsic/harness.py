@@ -15,7 +15,7 @@ import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
 from .channel import fractional_delay, impair
-from .config import EDGE_GUARD, ConfigError, ExperimentConfig, slope_band, welch_segment
+from .config import EDGE_GUARD, ConfigError, ExperimentConfig, slope_band
 from .digital import D1_9TAP, D2_9TAP, EDGE_MARGIN, power_db
 from .metrics import psd, slope_diagnostic
 from .rfstage import DetectorConfig, rf_stage
@@ -81,10 +81,6 @@ class PipelineResult(_Cancellation):
     rf_psd: metrics.Psd  # PSD of rx over eval_slice
 
 
-def _psd(signal: BasebandSignal) -> metrics.Psd:
-    return psd(signal, segment_len=welch_segment(len(signal)))
-
-
 def _cancel(cfg: ExperimentConfig) -> _Cancellation:
     """Generate, channel, RF tune, impair and fit orders 1..cfg.digital_order."""
     x = gen_frame(cfg.signal)
@@ -148,11 +144,11 @@ def _write_psd_csvs(psds: dict) -> None:
 def _stage_psd(c: _Cancellation, stage: str) -> metrics.Psd:
     """PSD over the evaluation slice of the SI, the RF residual or the digital residual."""
     if stage == "pre":
-        return _psd(BasebandSignal(c.si.samples[c.eval_slice], c.x.sample_rate_hz))
+        return psd(BasebandSignal(c.si.samples[c.eval_slice], c.x.sample_rate_hz))
     if stage == "rf":
-        return _psd(BasebandSignal(c.rx.samples[c.eval_slice], c.x.sample_rate_hz))
+        return psd(BasebandSignal(c.rx.samples[c.eval_slice], c.x.sample_rate_hz))
     if stage == "digital":
-        return _psd(c.canceled)
+        return psd(c.canceled)
     raise ValueError(f"unknown stage {stage!r}")
 
 

@@ -35,13 +35,17 @@ class Psd:
         return 10.0 ** (self.power_db / 10.0)
 
 
-def psd(signal: BasebandSignal, segment_len: int = 1024) -> Psd:
-    """Two-sided Hann-windowed averaged periodogram (density scaling) over
-    half-overlapping segments.
+def welch_segment(n: int) -> int:
+    """Welch segment of an n-sample PSD: the largest power of two up to 4096."""
+    return min(4096, 1 << (n.bit_length() - 1))
 
-    Normalized so the integral over frequency equals the mean power.
-    """
+
+def psd(signal: BasebandSignal, segment_len: int | None = None) -> Psd:
+    """Two-sided Hann-windowed averaged periodogram (density scaling) over
+    half-overlapping segments of segment_len samples, by default welch_segment(n),
+    normalized so the integral over frequency equals the mean power."""
     n = len(signal)
+    segment_len = welch_segment(n) if segment_len is None else segment_len
     if segment_len < 2 or segment_len & (segment_len - 1):
         raise ValueError("segment_len must be a power of two")
     if segment_len > n:

@@ -54,17 +54,17 @@ class SignalSpec:
         if self.kind not in ("single-carrier", "ofdm"):
             raise ValueError(f"unknown signal kind {self.kind!r}")
         if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
+            raise ValueError(f"bandwidth_hz = {self.bandwidth_hz} must be positive")
         if self.oversampling < 1:
-            raise ValueError("oversampling must be >= 1")
+            raise ValueError(f"oversampling = {self.oversampling} must be >= 1")
         if self.num_symbols < 1:
-            raise ValueError("num_symbols must be >= 1")
+            raise ValueError(f"num_symbols = {self.num_symbols} must be >= 1")
         if self.constellation not in ("qpsk4", "qam16"):
             raise ValueError(f"unknown constellation {self.constellation!r}")
         if self.pulse not in ("sinc", "rrc"):
             raise ValueError(f"unknown pulse {self.pulse!r}")
         if not 0.0 <= self.rolloff <= 1.0:
-            raise ValueError("rolloff must be in [0, 1]")
+            raise ValueError(f"rolloff = {self.rolloff} must be in [0, 1]")
         if self.seed < 0:  # numpy's default_rng refuses it
             raise ValueError(f"seed = {self.seed} must not be negative")
         if self.kind == "ofdm":

@@ -10,7 +10,7 @@ from fdsic.channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, Multi
 from fdsic.config import ChannelConfig, load_config
 from fdsic.oracle import resample_delay_reference
 from fdsic.signals import BasebandSignal, SignalSpec, gen_frame, gen_ofdm
-from test_harness import config_fields
+from test_harness import CHANNEL_COMMON, CHANNEL_GEOMETRY
 
 FS = 80e6
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -78,8 +78,8 @@ def _taps_from_geometry(distances_m, model: PathLossModel, carrier_hz: float,
 
 
 # the channel of every drawn config that describes reflector geometry
-GEOMETRY_CHANNELS = config_fields(runnable=False).map(lambda f: f["channel"]).filter(
-    lambda ch: not ch.taps_db_ns)
+GEOMETRY_CHANNELS = st.builds(lambda common, geometry: ChannelConfig(**common, **geometry),
+                              CHANNEL_COMMON, CHANNEL_GEOMETRY)
 
 
 class TestTapsFromGeometry:

@@ -24,7 +24,7 @@ from fdsic.config import (EDGE_GUARD, FILE_KEYS, ChannelConfig, ExperimentConfig
 from fdsic.digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
 from fdsic.harness import (run_pipeline, run_simulate, run_spectrum,
                            run_sweep_bandwidth, run_sweep_power, run_verify)
-from fdsic.metrics import Psd, slope_diagnostic
+from fdsic.metrics import Psd, psd, slope_diagnostic
 from fdsic.rfstage import MIN_DETECTOR_SYMBOLS
 from fdsic.signals import PULSE_SPAN, BasebandSignal, SignalSpec, gen_frame
 from fdsic.taylor import taylor_coeffs
@@ -95,6 +95,18 @@ def _non_finite_inputs() -> list:
 
 NON_FINITE_INPUTS = _non_finite_inputs()
 
+# [channel] keyword arguments: the keys every channel has, and either explicit
+# taps or reflector geometry, never both; every drawn channel has a tap
+CHANNEL_COMMON = st.builds(dict, carrier_hz=_floats(1e6, 1e11), tx_gain_db=_floats(-50.0, 50.0))
+CHANNEL_TAPS = st.builds(dict, taps_db_ns=st.lists(
+    st.tuples(_floats(-80.0, 0.0), _floats(0.0, 100.0)), min_size=1, max_size=3).map(tuple))
+CHANNEL_GEOMETRY = st.builds(
+    dict, reflector_distances_m=st.lists(_floats(0.01, 10.0), max_size=3).map(tuple),
+    circulator_gain_db=st.none() | _floats(-60.0, 0.0),
+    circulator_delay_ns=_floats(0.0, 10.0), pathloss_cap_db=_floats(-60.0, 0.0),
+    pathloss_alpha=_floats(2.5, 6.0), pathloss_calib_distance_m=_floats(0.01, 10.0),
+    pathloss_calib_db=_floats(-90.0, 0.0)).filter(_has_tap)
+
 
 @st.composite
 def config_fields(draw, runnable=True):
@@ -119,20 +131,9 @@ def config_fields(draw, runnable=True):
         ofdm_fft_size=st.just(fft_size),
         ofdm_used_carriers=st.integers(1, min(255, fft_size - 6) if runnable else 255),
         seed=st.integers(0, 2**32))))
-    # a channel has explicit taps or reflector geometry, never both
-    taps = st.builds(dict, taps_db_ns=st.lists(
-        st.tuples(_floats(-80.0, 0.0), _floats(0.0, 100.0)), min_size=1, max_size=3).map(tuple))
-    geometry = st.builds(
-        dict, reflector_distances_m=st.lists(_floats(0.01, 10.0), max_size=3).map(tuple),
-        circulator_gain_db=st.none() | _floats(-60.0, 0.0),
-        circulator_delay_ns=_floats(0.0, 10.0), pathloss_cap_db=_floats(-60.0, 0.0),
-        pathloss_alpha=_floats(2.5, 6.0), pathloss_calib_distance_m=_floats(0.01, 10.0),
-        pathloss_calib_db=_floats(-90.0, 0.0)).filter(_has_tap)
     fields = draw(st.fixed_dictionaries(dict(
-        channel=st.builds(
-            lambda common, layout: ChannelConfig(**common, **layout),
-            st.builds(dict, carrier_hz=_floats(1e6, 1e11), tx_gain_db=_floats(-50.0, 50.0)),
-            taps | geometry),
+        channel=st.builds(lambda common, layout: ChannelConfig(**common, **layout),
+                          CHANNEL_COMMON, CHANNEL_TAPS | CHANNEL_GEOMETRY),
         impairments=st.builds(
             ReceiverImpairments, noise_power=_floats(0.0, 1.0),
             adc_bits=st.sampled_from([0, 4, 12, 16]), sample_offset=_floats(0.0, 1e-9)),
@@ -211,7 +212,8 @@ class TestConfigIO:
         ("[rf]\nvm_bits = 30\n", "vm_bits = 30 must be in [1, 24]"),
         # rejected by the section's dataclass: its message, under the section
         ("[signal]\nkind = foo\n", "[signal]: unknown signal kind 'foo'"),
-        ("[impairments]\nnoise_power = -1.0\n", "[impairments]: noise_power must be >= 0"),
+        ("[impairments]\nnoise_power = -1.0\n",
+         "invalid [impairments]: noise_power = -1.0 must be >= 0"),
         # below 2.5 x the default 80 MHz sample rate
         ("[channel]\ncarrier_hz = 1e8\n", "carrier_hz = 1e+08"),
         # frame limits, checked when the config is built: below 64 symbols of
@@ -363,7 +365,7 @@ class TestConfigIO:
         eval_slice = BasebandSignal(rng.standard_normal(n - 2 * EDGE_GUARD - train_len),
                                     spec.sample_rate_hz)
         with contextlib.nullcontext() if accepted else pytest.raises(ValueError):
-            slope_diagnostic(harness._psd(eval_slice), slope_band(spec))
+            slope_diagnostic(psd(eval_slice), slope_band(spec))
 
     def test_config_at_the_band_limit_runs(self, tmp_path):
         # 6 carriers of the 64-bin grid above give 8 bins in the band
@@ -752,7 +754,7 @@ class TestComputeOnce:
         assert len(calls) == 3
         res = run_pipeline(cfg)
         rx_eval = BasebandSignal(res.rx.samples[res.eval_slice], res.x.sample_rate_hz)
-        harness._write_psd_csvs({tmp_path / "rf_expected.csv": harness._psd(rx_eval)})
+        harness._write_psd_csvs({tmp_path / "rf_expected.csv": psd(rx_eval)})
         assert ((Path(cfg.output_dir) / "rf.csv").read_text()
                 == (tmp_path / "rf_expected.csv").read_text())
 
@@ -1144,7 +1146,8 @@ class TestCli:
         (["simulate", "--config", "{gain}"], "tx_gain_db = 4000.0 is out of range"),
         (["simulate", "--config", "{missing}"], "No such file or directory: '{missing}'"),
         (["sweep-power", "--dbm=0,4000"], "tx_gain_db = 4000.0 is out of range"),
-        (["sweep-bandwidth", "--bw=-5e6"], "bandwidth_hz must be positive"),
+        (["sweep-bandwidth", "--bw=-5e6"],
+         "fdsic: error: bandwidth_hz = -5000000.0 must be positive\n"),
         (["simulate", "--config", "{signal_seed}"], "[signal]: seed = -1 must not be negative"),
         (["simulate", "--config", "{run_seed}"], "[run]: seed = -1 must not be negative"),
         (["sweep-power", "--dbm=0,-inf"], "tx_gain_db = -inf must be finite"),

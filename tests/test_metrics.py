@@ -6,7 +6,7 @@ from scipy import signal as sp_signal
 
 from fdsic import harness
 from fdsic.config import load_config
-from fdsic.metrics import Psd, psd, slope_diagnostic
+from fdsic.metrics import Psd, psd, slope_diagnostic, welch_segment
 from fdsic.signals import BasebandSignal
 
 FS = 80e6
@@ -61,6 +61,16 @@ class TestPsd:
         p = psd(white_noise(8192), 512)
         assert np.all(np.diff(p.freqs_hz) > 0)
 
+    @pytest.mark.parametrize("n, segment_len", [(3000, 2048), (51000, 4096)])
+    def test_default_segment_is_welch_segment(self, n, segment_len):
+        # below 4096 samples the largest power of two that fits, above it 4096
+        x = white_noise(n, seed=n)
+        assert welch_segment(n) == segment_len
+        got, want = psd(x), psd(x, welch_segment(n))
+        assert np.array_equal(got.freqs_hz, want.freqs_hz)
+        assert np.array_equal(got.power_db, want.power_db)
+        assert got.rbw_hz == want.rbw_hz
+
 
 def welch_db(x, segment_len):
     """The scipy.signal.welch call psd replaced, kept as its oracle: sorted
@@ -97,7 +107,7 @@ class TestWelchOracle:
     @pytest.mark.parametrize("name", ["ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"])
     def test_shipped_stage_signals(self, shipped_stage_signals, name, stage):
         x = shipped_stage_signals[name, stage]
-        segment_len = len(harness._psd(x).freqs_hz)
+        segment_len = len(psd(x).freqs_hz)
         assert segment_len == 4096
         assert_equals_welch(x, segment_len)
 
