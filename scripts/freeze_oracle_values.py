@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from fdsic.harness import LEMMA_SPEC, LEMMA_TAU_GRID
-from fdsic.oracle import (exact_delay_oracle, kernel_fourier0_numeric,
-                          lemma_kernel, order2_remainder, poisson_check)
+from fdsic.oracle import exact_delay_oracle, kernel_fourier0_numeric, lemma_kernel, poisson_check
 
 FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "data" / "oracle_frozen.txt"
 
@@ -20,8 +19,8 @@ FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "data" / "oracle_froze
 def render() -> str:
     """The fixture text, from a fresh run of the oracle."""
     lines = ["# frozen oracle outputs; regenerate with scripts/freeze_oracle_values.py"]
-    for tau in LEMMA_TAU_GRID:
-        r = exact_delay_oracle(LEMMA_SPEC, tau)
+    draws = {tau: exact_delay_oracle(LEMMA_SPEC, tau) for tau in LEMMA_TAU_GRID}
+    for tau, r in draws.items():
         lines.append(f"lemma_err_power_tau_{tau} = {r['err_power']:.12e}")
         lines.append(f"lemma_deriv_power_tau_{tau} = {r['deriv_power']:.12e}")
     lines.append(f"fhat0_numeric = {kernel_fourier0_numeric():.12e}")
@@ -31,8 +30,8 @@ def render() -> str:
     # second-order Taylor remainder constant: max over the grid of
     # measured remainder / (tau/T)^6, used as the order-2 budget constant
     consts = []
-    for tau in LEMMA_TAU_GRID:
-        r2 = order2_remainder(LEMMA_SPEC, tau)
+    for tau, r in draws.items():
+        r2 = r["order2_power"]
         consts.append(r2 / tau ** 6)
         lines.append(f"order2_remainder_tau_{tau} = {r2:.12e}")
     lines.append(f"order2_constant_max = {max(consts):.12e}")

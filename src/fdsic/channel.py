@@ -160,7 +160,7 @@ def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSigna
     return BasebandSignal(acc, x.sample_rate_hz)
 
 
-def impair(rx: BasebandSignal, imp: ReceiverImpairments, seed: int = 0) -> BasebandSignal:
+def impair(rx: BasebandSignal, imp: ReceiverImpairments, seed: int) -> BasebandSignal:
     """Receiver chain: sub-sample offset, complex AWGN, then I/Q quantization.
 
     The ADC full scale is ADC_FULLSCALE_RMS times the pre-quantizer RMS.

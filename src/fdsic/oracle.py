@@ -191,21 +191,24 @@ def _pulse_train_draw(spec: SignalSpec, trials: int):
 
 
 def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE_TRIALS) -> dict:
-    """Monte Carlo first-order Taylor error of a delayed sinc pulse train.
+    """Monte Carlo Taylor errors of a delayed sinc pulse train.
 
     Draws random symbol sequences and sampling instants, evaluates
-    x(t - tau), x(t) and x'(t) from the closed forms of sin(x)/x and its
-    derivative (no FIR filters), and returns the measured powers of
+    x(t - tau), x(t) and its derivatives from the closed forms of sin(x)/x
+    (no FIR filters), and returns the measured powers of
 
-        E = x(t - tau) - x(t) + tau x'(t)      and of      tau x'(t)
+        E = x(t - tau) - x(t) + tau x'(t),   tau x'(t)   and   E - (tau^2 / 2) x''(t)
 
-    for the unit-power normalized signal: the quantity bounded by
-    0.075 (tau/T)^4. A spec with any other pulse is refused.
+    for the unit-power normalized signal: err_power is the quantity bounded
+    by 0.075 (tau/T)^4, order2_power the second-order remainder that
+    calibrates the order-2 budget. A spec with any other pulse is refused.
     """
     eps = float(tau_over_T)
     v, gv, power = _pulse_train_draw(spec, trials)
     dv = eps * _lemma_sinc_deriv(v)
-    return {"err_power": power(_lemma_sinc(v - eps) - gv + dv), "deriv_power": power(dv)}
+    err = _lemma_sinc(v - eps) - gv + dv
+    return {"err_power": power(err), "deriv_power": power(dv),
+            "order2_power": power(err - 0.5 * eps**2 * _lemma_sinc_deriv2(v))}
 
 
 def delay_error_powers(spec: SignalSpec, taus) -> list:
@@ -222,20 +225,6 @@ def delay_error_powers(spec: SignalSpec, taus) -> list:
         errs.append(power(w))
         del w  # freed before the next delay's g(v - tau)
     return errs
-
-
-def order2_remainder(spec: SignalSpec, tau_over_T: float) -> float:
-    """Monte Carlo power of the second-order Taylor remainder
-
-        x(t - tau) - x(t) + tau x'(t) - (tau^2 / 2) x''(t)
-
-    of the unit-power sinc pulse train, from the closed forms of sin(x)/x
-    and its derivatives, over exact_delay_oracle's default draw.
-    """
-    eps = float(tau_over_T)
-    v, gv, power = _pulse_train_draw(spec, ORACLE_TRIALS)
-    return power(_lemma_sinc(v - eps) - gv + eps * _lemma_sinc_deriv(v)
-                 - 0.5 * eps**2 * _lemma_sinc_deriv2(v))
 
 
 def resample_delay_reference(signal: BasebandSignal, delay_s: float) -> BasebandSignal:

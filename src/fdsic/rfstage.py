@@ -45,7 +45,7 @@ class VmState:
 
     g1: float
     g2: float
-    bits: int = 16
+    bits: int
 
     def __post_init__(self):
         if not MIN_VM_BITS <= self.bits <= MAX_VM_BITS:
@@ -63,7 +63,7 @@ class VmState:
 @dataclass(frozen=True)
 class DetectorConfig:
     window_samples: int
-    symbol_samples: int = 4  # samples per symbol duration, for validation
+    symbol_samples: int  # samples per symbol duration, for validation
 
     def __post_init__(self):
         if self.window_samples < MIN_DETECTOR_SYMBOLS * self.symbol_samples:
@@ -79,18 +79,6 @@ class TuneResult:
     converged: bool
     # state visited at each accepted reading, aligned with detector_readings
     accepted_states: tuple
-
-
-def vm_apply(state: VmState, tapped: BasebandSignal) -> BasebandSignal:
-    """Apply the control pair as a complex gain."""
-    return BasebandSignal(state.complex_gain * tapped.samples, tapped.sample_rate_hz)
-
-
-def combine(si: BasebandSignal, vm_out: BasebandSignal) -> BasebandSignal:
-    """Ideal power combiner: sample-wise sum."""
-    if len(si) != len(vm_out) or si.sample_rate_hz != vm_out.sample_rate_hz:
-        raise ValueError("combiner inputs must share length and rate")
-    return BasebandSignal(si.samples + vm_out.samples, si.sample_rate_hz)
 
 
 def power_detect(residual: BasebandSignal, cfg: DetectorConfig) -> float:
@@ -148,14 +136,14 @@ def tune(env, init: VmState, budget: int) -> TuneResult:
 
 
 def detector_env(si: BasebandSignal, tap: BasebandSignal, cfg: DetectorConfig):
-    """The detector reading of combine(si, vm_apply(state, tap)) as a function
-    of the VM state, for the tuner.
+    """The detector reading of the residual si + g tap, g the VM state's
+    complex gain, as a function of the VM state, for the tuner.
 
     Over the window the reading is a quadratic in the VM gain g,
     2 (|s|^2 + 2 Re(g <s, t>) + |g|^2 |t|^2) / W, so each call is scalar
     arithmetic on three inner products computed once, as numpy sums rather
     than BLAS so that they are the same at any BLAS thread count.
-    power_detect on the combined signal is the reference it replaces.
+    power_detect on that residual is the reference it replaces.
     """
     w = cfg.window_samples
     if len(si) < w:
@@ -183,5 +171,6 @@ def rf_stage(x: BasebandSignal, channel: MultipathChannel, vm_bits: int,
     si = apply_channel(channel, x)
     tap = BasebandSignal(np.sqrt(channel.tx_gain) * x.samples, x.sample_rate_hz)
     result = tune(detector_env(si, tap, detector_cfg), VmState(0.0, 0.0, vm_bits), budget)
-    residual = combine(si, vm_apply(result.state, tap))
+    residual = BasebandSignal(si.samples + result.state.complex_gain * tap.samples,
+                              x.sample_rate_hz)
     return residual, result, si

@@ -295,6 +295,17 @@ class TestConfigIO:
         ("[signal]\nofdm_fft_size = 64\nofdm_used_carriers = 4\nnum_symbols = 2\n"
          "oversampling = 5\n[rf]\ndetector_window = 720\n[digital]\ntrain_len = 221\n",
          "of the 256-point PSD: check ofdm_used_carriers, train_len"),
+        # run and section limits, each refused naming its value
+        ("[rf]\ntune_budget = 0\n", "tune_budget = 0 must be positive"),
+        ("[digital]\ntrain_len = 50\n", "train_len = 50 is below 100 samples"),
+        ("[signal]\noversampling = 0\n", "invalid [signal]: oversampling = 0 must be >= 1"),
+        ("[signal]\nnum_symbols = 0\n", "invalid [signal]: num_symbols = 0 must be >= 1"),
+        ("[signal]\nrolloff = 1.5\n", "invalid [signal]: rolloff = 1.5 must be in [0, 1]"),
+        ("[signal]\nconstellation = qam64\n",
+         "invalid [signal]: unknown constellation 'qam64'"),
+        ("[signal]\npulse = gauss\n", "invalid [signal]: unknown pulse 'gauss'"),
+        ("[impairments]\nsample_offset = -1e-10\n",
+         "invalid [impairments]: sample_offset = -1e-10 must be >= 0"),
     ])
     def test_rejects_unknown_or_bad_entry(self, tmp_path, text, name):
         path = tmp_path / "bad.cfg"
@@ -1114,6 +1125,19 @@ class TestCli:
         proc = self._run("spectrum", "--config", str(cfg_path), "--stage", "pre")
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "pre.csv").exists()
+
+    @pytest.mark.parametrize("stage", ["pre", "rf", "digital"])
+    def test_spectrum_writes_simulate_csv(self, tmp_path, capsys, stage):
+        cfg_path = tmp_path / "exp.cfg"
+        save_config(small_cfg(tmp_path), cfg_path)
+        spec_dir, sim_dir = tmp_path / "spectrum", tmp_path / "simulate"
+        assert cli.main(["spectrum", "--config", str(cfg_path), "--stage", stage,
+                         "--output-dir", str(spec_dir)]) == 0
+        assert capsys.readouterr().out == f"wrote {spec_dir / f'{stage}.csv'}\n"
+        assert cli.main(["simulate", "--config", str(cfg_path),
+                         "--output-dir", str(sim_dir)]) == 0
+        assert ((spec_dir / f"{stage}.csv").read_bytes()
+                == (sim_dir / f"{stage}.csv").read_bytes())
 
     @pytest.mark.parametrize("command, flag, text", [
         ("sweep-power", "--dbm", "5..-3"),      # reversed range

@@ -12,7 +12,7 @@ from fdsic.harness import LEMMA_SPEC, LEMMA_TAU_GRID
 from fdsic.oracle import (FHAT0_CLOSED, ORACLE_SEED, POISSON_N_MAX, SYMBOL_HALF_WINDOW,
                           delay_error_powers, exact_delay_oracle,
                           kernel_fourier0_numeric, lemma_kernel,
-                          lemma_kernel_expanded, order2_remainder, poisson_check,
+                          lemma_kernel_expanded, poisson_check,
                           poisson_closed_form, resample_delay_reference)
 from fdsic.signals import BasebandSignal, SignalSpec, draw_symbols, gen_frame
 from fdsic.taylor import ORDER2_CONST
@@ -183,7 +183,7 @@ class TestExactDelayOracle:
 
     def test_order2_remainder_against_fixture(self, oracle_frozen):
         for tau in LEMMA_TAU_GRID:
-            assert order2_remainder(LEMMA_SPEC, tau) == pytest.approx(
+            assert exact_delay_oracle(LEMMA_SPEC, tau)["order2_power"] == pytest.approx(
                 oracle_frozen[f"order2_remainder_tau_{tau}"], rel=1e-9)
         assert ORDER2_CONST >= oracle_frozen["order2_constant_max"]
 
@@ -202,8 +202,7 @@ class TestExactDelayOracle:
     def test_refuses_any_pulse_but_sinc(self):
         # the lemma bounds the sin(x)/x pulse train; no other pulse is drawn
         for oracle_fn in (lambda: exact_delay_oracle(RRC_SPEC, 0.01),
-                          lambda: delay_error_powers(RRC_SPEC, LEMMA_TAU_GRID),
-                          lambda: order2_remainder(RRC_SPEC, 0.01)):
+                          lambda: delay_error_powers(RRC_SPEC, LEMMA_TAU_GRID)):
             with pytest.raises(ValueError, match="^the Monte Carlo oracle evaluates the sinc "
                                                  "pulse only, not 'rrc'$"):
                 oracle_fn()

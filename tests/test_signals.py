@@ -8,7 +8,7 @@ from fdsic.config import load_config
 from fdsic.metrics import psd
 from fdsic.signals import (OFDM_JUNCTION_TAPER_FRACTION, PULSE_SPAN, BasebandSignal, SignalSpec,
                            _normalize, _ofdm_used_bins, draw_symbols, gen_frame, gen_ofdm,
-                           gen_single_carrier, papr_db)
+                           gen_single_carrier, papr_db, rrc_pulse)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -77,6 +77,20 @@ class TestSingleCarrier:
         edge = spec.bandwidth_hz / 2 * (1 + SINC_CONFINEMENT_EPS)
         frac = spectrum[np.abs(freqs) <= edge].sum() / spectrum.sum()
         assert frac >= 0.99
+
+
+class TestRrcPulse:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("rolloff", [0.25, 0.5, 1.0])
+    def test_singular_point_is_the_limit(self, rolloff, sign):
+        # the closed form is 0/0 at |t| = 1/(4 rolloff); its value there is the limit
+        t = sign / (4.0 * rolloff)
+        sides = rrc_pulse(np.array([t * (1 - 1e-4), t * (1 + 1e-4)]), rolloff)
+        assert rrc_pulse(np.array([t]), rolloff)[0] == pytest.approx(np.mean(sides), abs=1e-7)
+
+    def test_zero_rolloff_is_sinc(self):
+        t = np.linspace(-8.0, 8.0, 1001)
+        assert np.array_equal(rrc_pulse(t, 0.0), np.sinc(t))
 
 
 class TestOfdm:
