@@ -151,10 +151,16 @@ class ExperimentConfig:
     output_dir: str = "out"
     seed: int = 1
 
+    @property
+    def slices(self) -> tuple:
+        """(train, ev): train_len samples after EDGE_GUARD, then up to EDGE_GUARD from the end."""
+        train = slice(EDGE_GUARD, EDGE_GUARD + self.train_len)
+        return train, slice(train.stop, self.signal.frame_len - EDGE_GUARD)
+
     def __post_init__(self):
         """Every check a run needs, made before any frame is generated."""
         _check_finite(vars(self) | vars(self.signal) | vars(self.impairments))
-        sig, n = self.signal, self.signal.frame_len
+        sig, n, ev = self.signal, self.signal.frame_len, self.slices[1]
         if self.seed < 0:
             raise ValueError(f"invalid [run]: seed = {self.seed} must not be negative")
         if self.digital_order not in (1, 2):
@@ -167,11 +173,11 @@ class ExperimentConfig:
             raise ValueError(f"oversampling = {sig.oversampling} must be >= {MIN_OVERSAMPLING}")
         if self.train_len < MIN_FIT_SAMPLES:
             raise ValueError(f"train_len = {self.train_len} is below {MIN_FIT_SAMPLES} samples")
-        if n - 2 * EDGE_GUARD - self.train_len < 4 * EDGE_GUARD:
+        if ev.stop - ev.start < 4 * EDGE_GUARD:
             raise ValueError(f"train_len = {self.train_len} leaves fewer than "
                              f"{4 * EDGE_GUARD} of the {n} frame samples to evaluate on")
         band = slope_band(sig)
-        seg = welch_segment(n - 2 * EDGE_GUARD - self.train_len)  # the evaluation slice's PSD
+        seg = welch_segment(ev.stop - ev.start)  # the evaluation slice's PSD
         grid = np.fft.fftfreq(seg, 1 / sig.sample_rate_hz)  # metrics.psd's bins, unsorted
         # an empty band (RRC rolloff 1) is (0, 0) and holds the DC bin alone
         if np.count_nonzero(band_mask(grid, band)) < MIN_BAND_BINS:

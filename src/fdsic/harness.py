@@ -15,7 +15,7 @@ import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
 from .channel import fractional_delay, impair
-from .config import EDGE_GUARD, ConfigError, ExperimentConfig, slope_band
+from .config import ConfigError, ExperimentConfig, slope_band
 from .digital import D1_9TAP, D2_9TAP, EDGE_MARGIN, power_db
 from .metrics import psd, slope_diagnostic
 from .rfstage import DetectorConfig, rf_stage
@@ -90,8 +90,7 @@ def _cancel(cfg: ExperimentConfig) -> _Cancellation:
     residual_rf, tune_res, si = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
     rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
 
-    train = slice(EDGE_GUARD, EDGE_GUARD + cfg.train_len)
-    ev = slice(train.stop, len(x) - EDGE_GUARD)
+    train, ev = cfg.slices
     ests, res_db, canceled, eval_cols = digital.fit_orders(x, rx, train, ev, cfg.digital_order)
     return _Cancellation(
         x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, x.sample_rate_hz),
@@ -147,9 +146,7 @@ def _stage_psd(c: _Cancellation, stage: str) -> metrics.Psd:
         return psd(BasebandSignal(c.si.samples[c.eval_slice], c.x.sample_rate_hz))
     if stage == "rf":
         return psd(BasebandSignal(c.rx.samples[c.eval_slice], c.x.sample_rate_hz))
-    if stage == "digital":
-        return psd(c.canceled)
-    raise ValueError(f"unknown stage {stage!r}")
+    return psd(c.canceled)
 
 
 # report.txt format of each CancellationReport field not written as .2f

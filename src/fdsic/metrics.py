@@ -45,11 +45,13 @@ def psd(signal: BasebandSignal, segment_len: int | None = None) -> Psd:
     half-overlapping segments of segment_len samples, by default welch_segment(n),
     normalized so the integral over frequency equals the mean power."""
     n = len(signal)
+    if n < 2:
+        raise ValueError(f"psd needs at least 2 samples, got {n}")
     segment_len = welch_segment(n) if segment_len is None else segment_len
     if segment_len < 2 or segment_len & (segment_len - 1):
-        raise ValueError("segment_len must be a power of two")
+        raise ValueError(f"segment_len = {segment_len} must be a power of two >= 2")
     if segment_len > n:
-        raise ValueError("segment_len exceeds the signal length")
+        raise ValueError(f"segment_len = {segment_len} exceeds the {n}-sample signal")
     # scipy.signal.welch's arithmetic: periodic Hann window scaled to density
     # (summed left to right), one FFT over every hop-th window of a strided view,
     # and each bin's segments laid out contiguously so the mean sums them pairwise

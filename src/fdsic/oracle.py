@@ -85,21 +85,6 @@ def lemma_kernel(x) -> np.ndarray:
     return out if np.ndim(x) else float(out[0])
 
 
-def lemma_kernel_expanded(x) -> np.ndarray:
-    """Same kernel via the expanded trig identity (independent evaluation):
-
-        f = sin^2 x / x^2 + 2 sin 2x / x^3 + 4 cos 2x / x^4
-            - 4 sin 2x / x^5 + 4 sin^2 x / x^6
-    """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(arr) < 1e-3):
-        raise ValueError("expanded form is numerically unstable near zero")
-    s, s2, c2 = np.sin(arr), np.sin(2 * arr), np.cos(2 * arr)
-    out = (s**2 / arr**2 + 2 * s2 / arr**3 + 4 * c2 / arr**4
-           - 4 * s2 / arr**5 + 4 * s**2 / arr**6)
-    return out if np.ndim(x) else float(out[0])
-
-
 def _gauss_blocks(lo_block: int, hi_block: int) -> float:
     """Integral of the kernel over [lo_block*pi, hi_block*pi) by per-block
     Gauss-Legendre quadrature."""
@@ -190,6 +175,14 @@ def _pulse_train_draw(spec: SignalSpec, trials: int):
     return v, gv, power
 
 
+def _error_weight(v, gv, gdv, eps: float) -> np.ndarray:
+    """First-order error weight (g(v - eps) - g(v)) + eps g'(v), in place on g(v - eps)."""
+    w = _lemma_sinc(v - eps)
+    w -= gv
+    w += eps * gdv
+    return w
+
+
 def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE_TRIALS) -> dict:
     """Monte Carlo Taylor errors of a delayed sinc pulse train.
 
@@ -205,26 +198,18 @@ def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE
     """
     eps = float(tau_over_T)
     v, gv, power = _pulse_train_draw(spec, trials)
-    dv = eps * _lemma_sinc_deriv(v)
-    err = _lemma_sinc(v - eps) - gv + dv
-    return {"err_power": power(err), "deriv_power": power(dv),
+    gdv = _lemma_sinc_deriv(v)
+    err = _error_weight(v, gv, gdv, eps)
+    return {"err_power": power(err), "deriv_power": power(eps * gdv),
             "order2_power": power(err - 0.5 * eps**2 * _lemma_sinc_deriv2(v))}
 
 
 def delay_error_powers(spec: SignalSpec, taus) -> list:
-    """exact_delay_oracle's err_power at each delay of `taus`, bit for bit,
-    from one draw: the offsets, g(v), g'(v) and the symbols are shared, and
-    each delay evaluates only g(v - tau) and its error weight."""
+    """exact_delay_oracle's err_power at each delay of `taus`, bit for bit, from
+    one draw: the offsets, g(v), g'(v) and the symbols are shared."""
     v, gv, power = _pulse_train_draw(spec, ORACLE_TRIALS)
     gdv = _lemma_sinc_deriv(v)
-    errs = []
-    for tau in map(float, taus):
-        w = _lemma_sinc(v - tau)  # (g(v - tau) - g(v)) + tau g'(v), in place
-        w -= gv
-        w += tau * gdv
-        errs.append(power(w))
-        del w  # freed before the next delay's g(v - tau)
-    return errs
+    return [power(_error_weight(v, gv, gdv, tau)) for tau in map(float, taus)]
 
 
 def resample_delay_reference(signal: BasebandSignal, delay_s: float) -> BasebandSignal:

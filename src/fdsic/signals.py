@@ -239,12 +239,3 @@ def gen_frame(spec: SignalSpec) -> BasebandSignal:
     if spec.kind == "ofdm":
         return gen_ofdm(spec)
     return gen_single_carrier(spec)
-
-
-def papr_db(signal: BasebandSignal) -> float:
-    """Peak-to-average power ratio, 10 log10(max|x|^2 / mean|x|^2)."""
-    p = np.abs(signal.samples) ** 2
-    mean = p.mean()
-    if mean == 0:
-        raise ValueError("zero-power signal")
-    return float(10.0 * np.log10(p.max() / mean))

@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .channel import MultipathChannel, PathLossModel, path_loss, SPEED_OF_LIGHT
+from .channel import MultipathChannel
 from .signals import BasebandSignal
 
 MAX_ORDER = 4
@@ -94,22 +94,3 @@ def total_error_budget(channel: MultipathChannel, symbol_T: float,
     per_tap = tuple(const * t.gain ** 2 * (t.delay_s / symbol_T) ** expo
                     for t in channel.taps)
     return ErrorBudget(per_tap_bound=per_tap)
-
-
-def distance_error_curve(model: PathLossModel, symbol_T: float, distances_m):
-    """Per-distance error contribution loss(d) * (d / (cT))^4, in dB.
-
-    d is the round-trip path length; loss(d) is the power gain a^2 of a path
-    of that length, so each point is the a^2 (tau/T)^4 factor of the error
-    budget expressed against distance. symbol_T is the budget's, 1/(pi W) for
-    a signal of two-sided bandwidth W (see LEMMA_CONST).
-    """
-    if symbol_T <= 0:
-        raise ValueError("symbol duration must be positive")
-    out = []
-    for d in distances_m:
-        if d <= 0:
-            raise ValueError("distances must be positive")
-        val = path_loss(model, d) * (d / (SPEED_OF_LIGHT * symbol_T)) ** 4
-        out.append((float(d), float(10.0 * np.log10(val))))
-    return out

@@ -745,6 +745,15 @@ class TestPsdCsv:
             harness._write_psd_csvs({tmp_path / "a.csv": a, tmp_path / "b.csv": b})
 
 
+@pytest.mark.parametrize("tag", sorted(SHIPPED))
+def test_config_slices_are_the_run_slices(shipped_results, tag):
+    train, ev = load_config(REPO / "configs" / SHIPPED[tag]).slices
+    res = shipped_results[tag]
+    assert train == slice(64, 4160)
+    assert ev == res.eval_slice
+    assert ev == slice(train.stop, len(res.x) - EDGE_GUARD)
+
+
 class TestComputeOnce:
     @staticmethod
     def count_calls(monkeypatch, name, module=harness):
@@ -822,7 +831,7 @@ class TestComputeOnce:
     def test_order1_residual_equals_stand_alone_order1_fit(self, tmp_path):
         res = run_pipeline(small_cfg(tmp_path), digital_order=2)
         fs = res.x.sample_rate_hz
-        train = slice(harness.EDGE_GUARD, res.eval_slice.start)
+        train = slice(EDGE_GUARD, res.eval_slice.start)
         est = digital.ls_fit(BasebandSignal(res.rx.samples[train], fs),
                              BasebandSignal(res.x.samples[train], fs), 1)
         y_eval = BasebandSignal(res.rx.samples[res.eval_slice], fs)

@@ -52,10 +52,16 @@ class TestPsd:
 
     def test_segment_validation(self):
         x = white_noise(4096)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^segment_len = 1000 must be a power of two >= 2$"):
             psd(x, 1000)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^segment_len = 8192 exceeds the 4096-sample signal$"):
             psd(x, 8192)
+        with pytest.raises(ValueError, match="^segment_len = 1 must be a power of two >= 2$"):
+            psd(x, 1)
+
+    def test_refuses_one_sample(self):
+        with pytest.raises(ValueError, match="^psd needs at least 2 samples, got 1$"):
+            psd(white_noise(1))
 
     def test_freqs_strictly_increasing(self):
         p = psd(white_noise(8192), 512)

@@ -11,11 +11,11 @@ from fdsic.channel import fractional_delay
 from fdsic.harness import LEMMA_SPEC, LEMMA_TAU_GRID
 from fdsic.oracle import (FHAT0_CLOSED, ORACLE_SEED, POISSON_N_MAX, SYMBOL_HALF_WINDOW,
                           delay_error_powers, exact_delay_oracle,
-                          kernel_fourier0_numeric, lemma_kernel,
-                          lemma_kernel_expanded, poisson_check,
+                          kernel_fourier0_numeric, lemma_kernel, poisson_check,
                           poisson_closed_form, resample_delay_reference)
 from fdsic.signals import BasebandSignal, SignalSpec, draw_symbols, gen_frame
 from fdsic.taylor import ORDER2_CONST
+from reference import lemma_kernel_expanded
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -8,7 +8,8 @@ from fdsic.config import load_config
 from fdsic.metrics import psd
 from fdsic.signals import (OFDM_JUNCTION_TAPER_FRACTION, PULSE_SPAN, BasebandSignal, SignalSpec,
                            _normalize, _ofdm_used_bins, draw_symbols, gen_frame, gen_ofdm,
-                           gen_single_carrier, papr_db, rrc_pulse)
+                           gen_single_carrier, rrc_pulse)
+from reference import papr_db
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdsic.channel import ChannelTap, MultipathChannel, apply_channel
-from fdsic.config import ChannelConfig
 from fdsic.signals import BasebandSignal
-from fdsic.taylor import (MAX_ORDER, distance_error_curve, reconstruct, taylor_coeffs,
-                          total_error_budget)
+from fdsic.taylor import MAX_ORDER, reconstruct, taylor_coeffs, total_error_budget
 
 FC = 2.395e9
 
@@ -180,32 +178,3 @@ class TestTotalErrorBudget:
     def test_unsupported_order(self, default_channel):
         with pytest.raises(ValueError):
             total_error_budget(default_channel, 1e-7, 3)
-
-
-class TestDistanceErrorCurve:
-    def test_flat_in_power_law_region(self):
-        model = ChannelConfig().path_loss_model()
-        T = 1 / 20e6
-        # all distances beyond the cap crossover: alpha = 4 makes the curve flat
-        pts = distance_error_curve(model, T, [0.2, 0.5, 1.0, 2.0])
-        vals = [v for _, v in pts]
-        assert max(vals) - min(vals) <= 1e-9
-
-    def test_max_below_minus_100db(self):
-        model = ChannelConfig().path_loss_model()
-        T = 1 / 20e6
-        d = np.linspace(0.05, 5.0, 400)
-        vals = [v for _, v in distance_error_curve(model, T, d)]
-        assert max(vals) <= -100.0
-
-    def test_halving_T_raises_12db(self):
-        model = ChannelConfig().path_loss_model()
-        d = [0.1, 0.4, 1.0]
-        a = dict(distance_error_curve(model, 1 / 20e6, d))
-        b = dict(distance_error_curve(model, 1 / 40e6, d))
-        for k in d:
-            assert b[k] - a[k] == pytest.approx(10 * np.log10(16.0), abs=1e-9)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            distance_error_curve(ChannelConfig().path_loss_model(), 1e-7, [0.0])
