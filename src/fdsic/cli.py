@@ -45,7 +45,7 @@ def _keep_freed_memory() -> None:
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.output_dir:
+    if args.output_dir is not None:  # "" is the current directory
         cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
     return cfg
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
-                      PathLossModel, ReceiverImpairments, check_carrier, path_loss)
+                      ReceiverImpairments, check_carrier)
 from .digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
 from .metrics import MIN_BAND_BINS, band_mask, welch_segment
 from .rfstage import MAX_VM_BITS, MIN_DETECTOR_SYMBOLS, MIN_VM_BITS
@@ -110,18 +110,10 @@ class ChannelConfig:
                 raise ValueError(f"reflector_distances_m = {d} must be positive")
         self.build()  # a channel that cannot be built fails here, at load
 
-    def path_loss_model(self) -> PathLossModel:
-        """The capped model through (calib distance, calib loss) below the cap."""
-        k = _linear(lambda db, d, alpha: _power(db) * d ** alpha,
-                    pathloss_calib_db=self.pathloss_calib_db,
-                    pathloss_calib_distance_m=self.pathloss_calib_distance_m,
-                    pathloss_alpha=self.pathloss_alpha)
-        return PathLossModel(_linear(_power, pathloss_cap_db=self.pathloss_cap_db), k,
-                             self.pathloss_alpha)
-
     def build(self) -> MultipathChannel:
         """The explicit taps, or the circulator tap, then per reflector at distance d
-        a tap of amplitude sqrt(loss(2d)) and delay 2d/c (the round trip)."""
+        a tap of delay 2d/c (the round trip) and amplitude sqrt(min(cap, k (2d)^-alpha)):
+        the capped power law through (calib distance, calib loss)."""
         tx_gain = _linear(_power, tx_gain_db=self.tx_gain_db)
         if self.taps_db_ns:
             taps = [ChannelTap(gain=_linear(_amplitude, taps=g_db), delay_s=d_ns * 1e-9)
@@ -130,11 +122,22 @@ class ChannelConfig:
             taps = [] if self.circulator_gain_db is None else [ChannelTap(
                 gain=_linear(_amplitude, circulator_gain_db=self.circulator_gain_db),
                 delay_s=self.circulator_delay_ns * 1e-9)]
-            model = self.path_loss_model()  # made, and so checked, with no reflector too
+            # k, then the cap: both checked, in this order, with no reflector too
+            k = _linear(lambda db, d, alpha: _power(db) * d ** alpha,
+                        pathloss_calib_db=self.pathloss_calib_db,
+                        pathloss_calib_distance_m=self.pathloss_calib_distance_m,
+                        pathloss_alpha=self.pathloss_alpha)
+            cap = _linear(_power, pathloss_cap_db=self.pathloss_cap_db)
+
+            def amplitude(d: float) -> float:
+                try:
+                    return float(np.sqrt(min(cap, k * (2.0 * d) ** -self.pathloss_alpha)))
+                except OverflowError:  # k (2d)^-alpha beyond the float range: far above the cap
+                    return float(np.sqrt(cap))
+
             for d in self.reflector_distances_m:
-                gain = _linear(lambda d: float(np.sqrt(path_loss(model, 2.0 * d))),
-                               reflector_distances_m=d)
-                taps.append(ChannelTap(gain=gain, delay_s=2.0 * d / SPEED_OF_LIGHT))
+                taps.append(ChannelTap(gain=_linear(amplitude, reflector_distances_m=d),
+                                       delay_s=2.0 * d / SPEED_OF_LIGHT))
         return MultipathChannel(taps=tuple(taps), carrier_hz=self.carrier_hz, tx_gain=tx_gain)
 
 

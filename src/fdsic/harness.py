@@ -195,32 +195,27 @@ def format_point(value: float) -> str:
     return f"{value:.0f}" if float(value).is_integer() else repr(float(value))
 
 
-def _write_sweep_csv(cfg: ExperimentConfig, name: str, header: str, rows) -> None:
-    """A sweep's CSV: each row's point as format_point writes it, then its
-    values with 2 decimals."""
-    _atomic_write(Path(cfg.output_dir) / name, [header, *(
-        ",".join([format_point(row[0]), *(f"{v:.2f}" for v in row[1:])]) for row in rows)])
-
-
-def _point_configs(points, point_config) -> list:
-    """point_config(p) of every sweep point, built, and so validated, before any point runs."""
+def _sweep(cfg: ExperimentConfig, points, point_config, row, name: str, header: str) -> list:
+    """Build, and so validate, point_config(p) of every sweep point before any
+    point runs; then return the rows (p, *row(point config)) and write them to
+    name: each point as format_point writes it, then its values with 2 decimals."""
     try:
-        return [point_config(p) for p in points]
+        point_cfgs = [point_config(p) for p in points]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    rows = [(float(p), *row(point_cfg)) for p, point_cfg in zip(points, point_cfgs)]
+    _atomic_write(Path(cfg.output_dir) / name, [header, *(
+        ",".join([format_point(r[0]), *(f"{v:.2f}" for v in r[1:])]) for r in rows)])
+    return rows
 
 
 def run_sweep_bandwidth(cfg: ExperimentConfig, bw_list) -> list:
     """Per-bandwidth pipeline runs; returns (bw_hz, rf_db, digital_db,
     total_db) rows and writes bandwidth_sweep.csv."""
-    point_cfgs = _point_configs(bw_list, lambda bw: dataclasses.replace(
-        cfg, signal=dataclasses.replace(cfg.signal, bandwidth_hz=float(bw))))
-    rows = []
-    for bw, point_cfg in zip(bw_list, point_cfgs):
-        c = _cancel(point_cfg)
-        rows.append((float(bw), *c.cancellation_db(point_cfg.digital_order)))
-    _write_sweep_csv(cfg, "bandwidth_sweep.csv", "bandwidth_hz,rf_db,digital_db,total_db", rows)
-    return rows
+    return _sweep(cfg, bw_list, lambda bw: dataclasses.replace(
+        cfg, signal=dataclasses.replace(cfg.signal, bandwidth_hz=float(bw))),
+        lambda point_cfg: _cancel(point_cfg).cancellation_db(point_cfg.digital_order),
+        "bandwidth_sweep.csv", "bandwidth_hz,rf_db,digital_db,total_db")
 
 
 def _order0_residual_db(c: _Cancellation) -> float:
@@ -235,21 +230,19 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
     """Transmit-power sweep. Each point is one order-2 cancellation, without
     the report; its order-1 residual and a signal-only fit on its RF residual
     give the per-term split of the digital cancellation."""
-    point_cfgs = _point_configs(power_list_db, lambda p_dbm: dataclasses.replace(
-        cfg, digital_order=2, channel=dataclasses.replace(cfg.channel, tx_gain_db=float(p_dbm))))
-    rows = []
-    for p_dbm, point_cfg in zip(power_list_db, point_cfgs):
+    def row(point_cfg):
         c = _cancel(point_cfg)
         res1_db, res2_db = c.digital_residuals_db
         res0_db = _order0_residual_db(c)
         rf_db, dig1, total1 = c.cancellation_db(1)
         _, dig2, total2 = c.cancellation_db(2)
-        rows.append((float(p_dbm), rf_db, dig1, dig2, total1, total2,
-                     c.rf_residual_db - res0_db, res0_db - res1_db, res1_db - res2_db))
-    _write_sweep_csv(cfg, "power_sweep.csv", "tx_power_dbm,rf_db,digital_db_order1,"
-                     "digital_db_order2,total_db_order1,total_db_order2,"
-                     "split_signal_db,split_deriv1_db,split_deriv2_db", rows)
-    return rows
+        return (rf_db, dig1, dig2, total1, total2,
+                c.rf_residual_db - res0_db, res0_db - res1_db, res1_db - res2_db)
+
+    return _sweep(cfg, power_list_db, lambda p_dbm: dataclasses.replace(
+        cfg, digital_order=2, channel=dataclasses.replace(cfg.channel, tx_gain_db=float(p_dbm))),
+        row, "power_sweep.csv", "tx_power_dbm,rf_db,digital_db_order1,digital_db_order2,"
+        "total_db_order1,total_db_order2,split_signal_db,split_deriv1_db,split_deriv2_db")
 
 
 def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:

@@ -91,14 +91,14 @@ def slope_diagnostic(p: Psd, band: tuple) -> dict:
     mask = band_mask(p.freqs_hz, band)
     if mask.sum() < MIN_BAND_BINS:
         raise ValueError("too few PSD bins in the requested band")
-    fv = np.abs(p.freqs_hz[mask])
+    fv = np.abs(p.freqs_hz[mask]) / f_hi  # in units of f_hi: polyfit's SVD fails at |f| ~ 1e-200
     amp = np.sqrt(p.power_linear[mask])
     m, b = np.polyfit(fv, amp, 1)
     fit = m * fv + b
     ss_res = float(np.sum((amp - fit) ** 2))
     ss_tot = float(np.sum((amp - amp.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    a_lo = max(m * f_lo + b, 1e-300)
-    a_hi = max(m * f_hi + b, 1e-300)
+    a_lo = max(m * (f_lo / f_hi) + b, 1e-300)
+    a_hi = max(m + b, 1e-300)
     slope = 20.0 * np.log10(a_hi / a_lo) / np.log10(f_hi / f_lo)
     return {"r2": float(r2), "slope_db_per_decade": float(slope)}

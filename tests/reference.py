@@ -1,9 +1,38 @@
 """Test-only references: quantities the tests check the simulator against
 that no command of the simulator computes."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from fdsic.signals import BasebandSignal
+
+
+@dataclass(frozen=True)
+class PathLossModel:
+    """Capped power-law path loss: loss(x) = min(cap_delta, k_const * x^-alpha)."""
+
+    cap_delta: float
+    k_const: float
+    alpha: float
+
+    def __post_init__(self):
+        if self.cap_delta <= 0 or self.k_const <= 0:
+            raise ValueError("path loss constants must be positive")
+        if self.alpha <= 2:
+            raise ValueError("alpha must exceed 2")
+
+
+def path_loss(model: PathLossModel, distance_m: float) -> float:
+    """Linear power gain at the given (round-trip) distance; d = 0 hits the cap."""
+    if distance_m < 0:
+        raise ValueError("distance must be >= 0")
+    if distance_m == 0:
+        return model.cap_delta
+    try:
+        return float(min(model.cap_delta, model.k_const * distance_m ** -model.alpha))
+    except OverflowError:  # k d^-alpha beyond the float range: far above the cap
+        return model.cap_delta
 
 
 def papr_db(signal: BasebandSignal) -> float:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdsic.channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
-                           PathLossModel, ReceiverImpairments, _delayed, apply_channel,
-                           fractional_delay, impair, path_loss)
+                           ReceiverImpairments, _delayed, apply_channel, fractional_delay,
+                           impair)
 from fdsic.config import ChannelConfig, load_config
 from fdsic.oracle import resample_delay_reference
 from fdsic.signals import BasebandSignal, SignalSpec, gen_frame, gen_ofdm
+from reference import PathLossModel, path_loss
 from test_harness import CHANNEL_COMMON, CHANNEL_GEOMETRY
 
 FS = 80e6
@@ -28,36 +29,42 @@ def bandlimited_noise(n, fs, frac=0.1, seed=0):
     return BasebandSignal(x, fs)
 
 
-class TestPathLoss:
-    def test_zero_distance_returns_cap(self):
-        m = ChannelConfig().path_loss_model()
-        assert path_loss(m, 0.0) == m.cap_delta
+def _reflector_gains(distances_m) -> list:
+    """Tap amplitude of each reflector, in the order given, of the default
+    channel without its circulator tap (taps are sorted by gain, so they are
+    matched by delay)."""
+    taps = ChannelConfig(reflector_distances_m=tuple(distances_m),
+                         circulator_gain_db=None).build().taps
+    by_delay = {t.delay_s: t.gain for t in taps}
+    return [by_delay[2.0 * d / SPEED_OF_LIGHT] for d in distances_m]
 
+
+CAP_AMPLITUDE = float(np.sqrt(10.0 ** (ChannelConfig.pathloss_cap_db / 10.0)))
+
+
+class TestPathLoss:
     def test_calibration_point(self):
-        m = ChannelConfig().path_loss_model()
-        assert abs(10 * np.log10(path_loss(m, 0.25)) + 30.0) <= 0.5
+        # a reflector at 0.125 m has the 0.25 m round trip of the calibration
+        [gain] = _reflector_gains([0.125])
+        assert 20 * np.log10(gain) == pytest.approx(-30.0, abs=1e-9)
 
     def test_quartic_law_below_cap(self):
-        m = ChannelConfig().path_loss_model()
-        d = 1.0
-        assert path_loss(m, 2 * d) / path_loss(m, d) == pytest.approx(1 / 16, rel=1e-12)
+        near, far = _reflector_gains([0.5, 1.0])
+        assert (far / near) ** 2 == pytest.approx(1 / 16, rel=1e-12)
 
     def test_non_increasing(self):
-        m = ChannelConfig().path_loss_model()
-        d = np.linspace(0.01, 5.0, 200)
-        vals = [path_loss(m, x) for x in d]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert max(vals) <= m.cap_delta
+        gains = _reflector_gains(np.linspace(0.005, 2.5, 200))
+        assert all(a >= b for a, b in zip(gains, gains[1:]))
+        assert max(gains) <= CAP_AMPLITUDE
 
     @pytest.mark.parametrize("d", [1e-100, 1e-300])
     def test_distance_whose_law_overflows_returns_cap(self, d):
-        # d^-4 is beyond the float range, and min(cap, k d^-alpha) is the cap
-        m = ChannelConfig().path_loss_model()
-        assert path_loss(m, d) == m.cap_delta
+        # (2d)^-4 is beyond the float range, and min(cap, k (2d)^-alpha) is the cap
+        assert _reflector_gains([d]) == [CAP_AMPLITUDE]
 
     def test_rejects_shallow_exponent(self):
-        with pytest.raises(ValueError):
-            PathLossModel(cap_delta=0.01, k_const=1e-6, alpha=2.0)
+        with pytest.raises(ValueError, match="^pathloss_alpha = 2.0 must exceed 2$"):
+            ChannelConfig(pathloss_alpha=2.0)
 
 
 def _taps_from_geometry(distances_m, model: PathLossModel, carrier_hz: float,
@@ -108,7 +115,11 @@ class TestTapsFromGeometry:
         # tap for tap: gain, delay, order after the sort, and transmit gain
         extra = () if ch.circulator_gain_db is None else (ChannelTap(
             gain=10.0 ** (ch.circulator_gain_db / 20.0), delay_s=ch.circulator_delay_ns * 1e-9),)
-        want = _taps_from_geometry(ch.reflector_distances_m, ch.path_loss_model(), ch.carrier_hz,
+        model = PathLossModel(  # the constants as build computes them
+            cap_delta=10.0 ** (ch.pathloss_cap_db / 10.0),
+            k_const=10.0 ** (ch.pathloss_calib_db / 10.0)
+            * ch.pathloss_calib_distance_m ** ch.pathloss_alpha, alpha=ch.pathloss_alpha)
+        want = _taps_from_geometry(ch.reflector_distances_m, model, ch.carrier_hz,
                                    extra_taps=extra, tx_gain=10.0 ** (ch.tx_gain_db / 10.0))
         got = ch.build()
         assert [(t.gain, t.delay_s) for t in got.taps] == [(t.gain, t.delay_s) for t in want.taps]

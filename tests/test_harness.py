@@ -270,6 +270,10 @@ class TestConfigIO:
         ("[channel]\npathloss_calib_db = -4000\n", "pathloss_calib_db = -4000.0, "),
         ("[channel]\npathloss_calib_distance_m = 1e300\n", "pathloss_calib_distance_m = 1e+300, "),
         ("[channel]\npathloss_alpha = 1e6\n", "pathloss_alpha = 1000000.0 are out of range"),
+        # k is checked before the cap: with both out of range, k's keys are named
+        ("[channel]\npathloss_cap_db = -4000\npathloss_alpha = 1e6\n",
+         "invalid [channel]: pathloss_calib_db = -30.0, pathloss_calib_distance_m = 0.25, "
+         "pathloss_alpha = 1000000.0 are out of range"),
         ("[channel]\nreflector_distances_m = 1e100\n",
          "invalid [channel]: reflector_distances_m = 1e+100 is out of range"),
         # a negative distance would make d^alpha complex, or |d|^alpha
@@ -317,7 +321,7 @@ class TestConfigIO:
         path = tmp_path / "near.cfg"
         path.write_text("[channel]\nreflector_distances_m = 1e-100, 0.3\n")
         ch = load_config(path).channel
-        assert np.sqrt(ch.path_loss_model().cap_delta) in [t.gain for t in ch.build().taps]
+        assert np.sqrt(10.0 ** (ch.pathloss_cap_db / 10.0)) in [t.gain for t in ch.build().taps]
 
     @pytest.mark.parametrize("section, key, text", NON_FINITE_INPUTS)
     def test_rejects_non_finite_value(self, tmp_path, section, key, text):
@@ -664,6 +668,21 @@ class TestSweeps:
             assert [line.split(",")[0] for line in csv[1:]] == labels
         else:
             assert [line.split(":")[0] for line in printed] == labels
+
+    @pytest.mark.parametrize("tag, first, last, sha256", [
+        ("ofdm", "5000000,68.29,82.98,151.27", "20000000,56.25,70.86,127.11",
+         "550c411fa6210b1c2a1ad86607c36f7c356f7493d8ae23630e377bf193a2f7fd"),
+        ("sc", "5000000,63.83,59.20,123.04", "20000000,51.79,52.73,104.52",
+         "94c4d3a0c87363c5cd8eddbbe8c54378107398c655bdf993b1596eb87cbd79c9"),
+    ])
+    def test_default_bandwidth_sweep_of_shipped_config(self, tmp_path, tag, first, last, sha256):
+        # no benchmark reference covers this file, so its bytes are pinned here
+        assert cli.main(["sweep-bandwidth", "--config", str(REPO / "configs" / SHIPPED[tag]),
+                         "--output-dir", str(tmp_path)]) == 0
+        data = (tmp_path / "bandwidth_sweep.csv").read_bytes()
+        lines = data.decode().splitlines()
+        assert (len(lines), lines[1], lines[-1]) == (5, first, last)
+        assert hashlib.sha256(data).hexdigest() == sha256
 
     def test_power_sweep_digital_grows_with_power_under_fixed_noise(self, tmp_path):
         cfg = small_cfg(tmp_path,
@@ -1210,6 +1229,33 @@ class TestCli:
         monkeypatch.setattr(harness, "gen_frame", broken)
         with pytest.raises(ValueError, match="inside the pipeline"):
             cli.main(["simulate", "--output-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("args, written", [
+        (["simulate"], "report.txt"),
+        (["sweep-power", "--dbm=0"], "power_sweep.csv"),
+        (["sweep-bandwidth", "--bw=20e6"], "bandwidth_sweep.csv"),
+        (["spectrum", "--stage", "pre"], "pre.csv"),
+        (["verify", "--suite", "filters"], "verdict_filters.txt"),
+    ])
+    def test_empty_output_dir_is_the_current_directory(self, tmp_path, monkeypatch, capsys,
+                                                       args, written):
+        cfg_path = tmp_path / "exp.cfg"
+        save_config(small_cfg(tmp_path), cfg_path)  # its own output_dir is tmp_path / "out"
+        monkeypatch.chdir(tmp_path)
+        config = [] if args[0] == "verify" else ["--config", str(cfg_path)]
+        assert cli.main([*args, *config, "--output-dir", ""]) == 0
+        assert (tmp_path / written).is_file()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tag", sorted(SHIPPED))
+    def test_simulate_runs_at_a_bandwidth_of_1e_minus_200_hz(self, tmp_path, capsys, tag):
+        # the slope fit's |f| ~ 1e-200 Hz, where np.polyfit on |f| itself fails
+        text = (REPO / "configs" / SHIPPED[tag]).read_text()
+        path = tmp_path / "tiny.cfg"
+        path.write_text(re.sub(r"(?m)^bandwidth_hz = .*$", "bandwidth_hz = 1e-200", text))
+        assert load_config(path).signal.bandwidth_hz == 1e-200
+        assert cli.main(["simulate", "--config", str(path),
+                         "--output-dir", str(tmp_path / "out")]) == 0
 
     def test_parser_is_built_once_and_keeps_no_state(self):
         assert cli._parser() is cli._parser()

@@ -166,6 +166,16 @@ class TestSlopeDiagnostic:
         assert da["r2"] == pytest.approx(db["r2"], abs=1e-9)
         assert da["slope_db_per_decade"] == pytest.approx(db["slope_db_per_decade"], abs=1e-9)
 
+    def test_frequency_scale_invariance(self):
+        # at |f| ~ 1e-243 Hz np.polyfit on |f| itself fails; in units of f_hi it cannot
+        p = psd(spectra_signal(1.0, seed=7), 4096)
+        want = slope_diagnostic(p, self.BAND)
+        got = slope_diagnostic(Psd(p.freqs_hz * 1e-250, p.power_db, p.rbw_hz * 1e-250),
+                               (self.BAND[0] * 1e-250, self.BAND[1] * 1e-250))
+        assert got["r2"] == pytest.approx(want["r2"], abs=1e-12)
+        assert got["slope_db_per_decade"] == pytest.approx(want["slope_db_per_decade"],
+                                                           abs=1e-12)
+
     def test_band_validation(self):
         p = psd(white_noise(8192), 512)
         with pytest.raises(ValueError):
