@@ -11,13 +11,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "fdsic"
 
 
+def count_lines() -> dict:
+    """{module file name: non-blank lines}, in file name order."""
+    return {path.name: sum(1 for line in path.read_text().splitlines() if line.strip())
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def main() -> None:
-    total = 0
-    for path in sorted(SRC.glob("*.py")):
-        n = sum(1 for line in path.read_text().splitlines() if line.strip())
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    counts = count_lines()
+    for name, n in counts.items():
+        print(f"{n:6d}  {name}")
+    print(f"{sum(counts.values()):6d}  total")
 
 
 if __name__ == "__main__":

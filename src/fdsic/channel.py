@@ -25,6 +25,10 @@ MAX_DELAY_FRACTION = 0.10
 # with negligible clipping.
 ADC_FULLSCALE_RMS = 4.0
 
+# Bound on |tx_gain_db| and on noise_power, in dB: float64 reaches about +-3,080 dB
+# and digital.power_db's floor sits at -3,000 dB, so no power sum overflows or sinks.
+MAX_POWER_DB = 1000
+
 
 @dataclass(frozen=True)
 class ChannelTap:
@@ -67,6 +71,8 @@ class ReceiverImpairments:
     def __post_init__(self):
         if self.noise_power < 0:
             raise ValueError(f"noise_power = {self.noise_power} must be >= 0")
+        if self.noise_power > 10.0 ** (MAX_POWER_DB / 10):
+            raise ValueError(f"noise_power = {self.noise_power} is out of range")
         if self.adc_bits != 0 and not 4 <= self.adc_bits <= 16:
             raise ValueError(f"adc_bits = {self.adc_bits} must be 0 or in [4, 16]")
         if self.sample_offset < 0:

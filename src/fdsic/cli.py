@@ -52,14 +52,16 @@ def _load(args) -> ExperimentConfig:
 
 def _sweep_points(text: str) -> list:
     """Sweep points: an inclusive integer range lo..hi, or comma-separated
-    numbers. Text that gives no point is a usage error."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        points = list(range(int(lo), int(hi) + 1))
-    else:
-        points = [float(v) for v in text.split(",") if v.strip()]
+    numbers. Text that is neither, or gives no point, is a usage error."""
+    lo, _, hi = text.partition("..")
+    try:  # a bound or an entry that is no number, or a third bound in hi, gives none
+        points = (list(range(int(lo), int(hi) + 1)) if ".." in text
+                  else [float(v) for v in text.split(",") if v.strip()])
+    except ValueError:
+        points = []
     if not points:
-        raise argparse.ArgumentTypeError(f"{text!r} gives no points")
+        raise argparse.ArgumentTypeError(f"{text!r} is neither an integer range lo..hi with "
+                                         "lo <= hi nor a list of comma-separated numbers")
     return points
 
 

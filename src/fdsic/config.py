@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
-                      ReceiverImpairments, check_carrier)
-from .digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
+from .channel import (MAX_DELAY_FRACTION, MAX_POWER_DB, SPEED_OF_LIGHT, ChannelTap,
+                      MultipathChannel, ReceiverImpairments, check_carrier)
+from .digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING, check_order
 from .metrics import MIN_BAND_BINS, band_mask, welch_segment
 from .rfstage import MAX_VM_BITS, MIN_DETECTOR_SYMBOLS, MIN_VM_BITS
 from .signals import SignalSpec
@@ -108,13 +108,15 @@ class ChannelConfig:
         for d in self.reflector_distances_m:
             if d <= 0:
                 raise ValueError(f"reflector_distances_m = {d} must be positive")
+        if abs(self.tx_gain_db) > MAX_POWER_DB:
+            raise ValueError(f"tx_gain_db = {self.tx_gain_db} is out of range")
         self.build()  # a channel that cannot be built fails here, at load
 
     def build(self) -> MultipathChannel:
         """The explicit taps, or the circulator tap, then per reflector at distance d
         a tap of delay 2d/c (the round trip) and amplitude sqrt(min(cap, k (2d)^-alpha)):
         the capped power law through (calib distance, calib loss)."""
-        tx_gain = _linear(_power, tx_gain_db=self.tx_gain_db)
+        tx_gain = _power(self.tx_gain_db)
         if self.taps_db_ns:
             taps = [ChannelTap(gain=_linear(_amplitude, taps=g_db), delay_s=d_ns * 1e-9)
                     for g_db, d_ns in self.taps_db_ns]
@@ -166,8 +168,7 @@ class ExperimentConfig:
         sig, n, ev = self.signal, self.signal.frame_len, self.slices[1]
         if self.seed < 0:
             raise ValueError(f"invalid [run]: seed = {self.seed} must not be negative")
-        if self.digital_order not in (1, 2):
-            raise ValueError(f"digital_order = {self.digital_order!r} must be 1 or 2")
+        check_order(self.digital_order)
         if not MIN_VM_BITS <= self.vm_bits <= MAX_VM_BITS:
             raise ValueError(f"vm_bits = {self.vm_bits} must be in [{MIN_VM_BITS}, {MAX_VM_BITS}]")
         if self.tune_budget <= 0:

@@ -93,10 +93,14 @@ def power_db(samples: np.ndarray) -> float:
 EDGE_MARGIN = len(D1_9TAP) // 2
 
 
-def design_columns(x: BasebandSignal, order: int) -> list:
-    """Design-matrix columns x, -D1 x (, D2 x); order 1's are order 2's first two."""
+def check_order(order: int) -> None:
     if order not in (1, 2):
         raise ValueError(f"order = {order!r} must be 1 or 2")
+
+
+def design_columns(x: BasebandSignal, order: int) -> list:
+    """Design-matrix columns x, -D1 x (, D2 x); order 1's are order 2's first two."""
+    check_order(order)
     cols = [x.samples, -deriv_filter(x, D1_9TAP).samples]
     if order == 2:
         cols.append(deriv_filter(x, D2_9TAP).samples)

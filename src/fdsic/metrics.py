@@ -18,7 +18,6 @@ MIN_BAND_BINS = 8
 class Psd:
     freqs_hz: np.ndarray
     power_db: np.ndarray
-    rbw_hz: float
 
     def __post_init__(self):
         f = np.asarray(self.freqs_hz, dtype=float)
@@ -66,8 +65,7 @@ def psd(signal: BasebandSignal, segment_len: int | None = None) -> Psd:
     freqs = np.fft.fftfreq(segment_len, 1 / fs)
     order = np.argsort(freqs)
     return Psd(freqs_hz=freqs[order],
-               power_db=10.0 * np.log10(pxx[order] + 1e-300),
-               rbw_hz=signal.sample_rate_hz / segment_len)
+               power_db=10.0 * np.log10(pxx[order] + 1e-300))
 
 
 def band_mask(freqs_hz: np.ndarray, band: tuple) -> np.ndarray:

@@ -113,13 +113,8 @@ def kernel_fourier0_numeric() -> float:
 
 @dataclass(frozen=True)
 class PoissonCheck:
-    delta_over_T: float
     direct_sum: float
     closed_form: float
-
-    @property
-    def matches(self) -> bool:
-        return abs(self.direct_sum - self.closed_form) <= 1e-6
 
 
 def poisson_closed_form(delta_over_T: float) -> float:
@@ -143,8 +138,7 @@ def poisson_check(delta_over_T: float) -> PoissonCheck:
     """
     n = np.arange(-POISSON_N_MAX, POISSON_N_MAX + 1)
     direct = float(np.sum(lemma_kernel(delta_over_T - n)))
-    return PoissonCheck(delta_over_T=float(delta_over_T), direct_sum=direct,
-                        closed_form=poisson_closed_form(delta_over_T))
+    return PoissonCheck(direct_sum=direct, closed_form=poisson_closed_form(delta_over_T))
 
 
 def _pulse_train_draw(spec: SignalSpec, trials: int):

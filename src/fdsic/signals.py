@@ -34,7 +34,7 @@ class SignalSpec:
 
     kind: "single-carrier" or "ofdm".
     bandwidth_hz: nominal two-sided bandwidth W; the symbol duration is 1/W.
-    oversampling: sample rate / W, integer >= 1.
+    oversampling: sample rate / W, integer >= 1; >= 2 for a single-carrier sinc pulse.
     pulse: "sinc" or "rrc" (single-carrier only).
     rolloff: RRC roll-off in [0, 1].
     """
@@ -57,6 +57,9 @@ class SignalSpec:
             raise ValueError(f"bandwidth_hz = {self.bandwidth_hz} must be positive")
         if self.oversampling < 1:
             raise ValueError(f"oversampling = {self.oversampling} must be >= 1")
+        if self.kind == "single-carrier" and self.pulse == "sinc" and self.oversampling < 2:
+            # derivative content would alias
+            raise ValueError(f"oversampling = {self.oversampling} must be >= 2 for the sinc pulse")
         if self.num_symbols < 1:
             raise ValueError(f"num_symbols = {self.num_symbols} must be >= 1")
         if self.constellation not in ("qpsk4", "qam16"):
@@ -76,7 +79,7 @@ class SignalSpec:
 
     @property
     def frame_len(self) -> int:
-        """Samples in gen_frame(self); see gen_single_carrier and gen_ofdm."""
+        """Samples in gen_frame(self); see _gen_single_carrier and _gen_ofdm."""
         if self.kind == "ofdm":
             nfft = self.ofdm_fft_size
             return self.num_symbols * (nfft + nfft // 8) * self.oversampling
@@ -153,18 +156,13 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(p)
 
 
-def gen_single_carrier(spec: SignalSpec) -> BasebandSignal:
+def _gen_single_carrier(spec: SignalSpec) -> BasebandSignal:
     """Pulse-shaped symbol stream at rate oversampling * W, unit mean power.
 
     The frame carries the full truncated pulse tails: symbol m is centred at
     sample (PULSE_SPAN + m) * oversampling, and the frame length is
     (num_symbols - 1 + 2 * PULSE_SPAN) * oversampling + 1 samples.
     """
-    if spec.kind != "single-carrier":
-        raise ValueError("spec.kind must be 'single-carrier'")
-    if spec.pulse == "sinc" and spec.oversampling < 2:
-        raise ValueError("sinc pulse requires oversampling >= 2 "
-                         "(derivative content would alias)")
     os_ = spec.oversampling
     rng = np.random.default_rng(spec.seed)
     syms = draw_symbols(rng, spec.num_symbols, spec.constellation)
@@ -191,7 +189,7 @@ def _ofdm_used_bins(fft_size: int, used: int) -> np.ndarray:
     return np.concatenate([np.arange(lo, lo + half + extra), -np.arange(lo, lo + half)])
 
 
-def gen_ofdm(spec: SignalSpec) -> BasebandSignal:
+def _gen_ofdm(spec: SignalSpec) -> BasebandSignal:
     """Windowed CP-OFDM frame at rate oversampling * W, unit mean power.
 
     Carriers occupy symmetric bins of the FFT grid (spacing W/fft_size) with
@@ -204,8 +202,6 @@ def gen_ofdm(spec: SignalSpec) -> BasebandSignal:
     body + cp. A lone symbol has no junctions and is emitted plain so a
     single active carrier stays a pure exponential.
     """
-    if spec.kind != "ofdm":
-        raise ValueError("spec.kind must be 'ofdm'")
     nfft = spec.ofdm_fft_size
     used = spec.ofdm_used_carriers
     os_ = spec.oversampling
@@ -235,7 +231,7 @@ def gen_ofdm(spec: SignalSpec) -> BasebandSignal:
 
 
 def gen_frame(spec: SignalSpec) -> BasebandSignal:
-    """Dispatch on spec.kind."""
+    """The frame spec describes: dispatch on spec.kind, which SignalSpec has checked."""
     if spec.kind == "ofdm":
-        return gen_ofdm(spec)
-    return gen_single_carrier(spec)
+        return _gen_ofdm(spec)
+    return _gen_single_carrier(spec)

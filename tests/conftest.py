@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from fdsic.config import ChannelConfig
-from fdsic.signals import SignalSpec, gen_ofdm
+from fdsic.signals import SignalSpec, gen_frame
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -31,4 +31,4 @@ def default_channel():
 @pytest.fixture(scope="session")
 def ofdm_frame_20mhz():
     spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=12, seed=3)
-    return gen_ofdm(spec)
+    return gen_frame(spec)

@@ -9,7 +9,7 @@ from fdsic.channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, Multi
                            impair)
 from fdsic.config import ChannelConfig, load_config
 from fdsic.oracle import resample_delay_reference
-from fdsic.signals import BasebandSignal, SignalSpec, gen_frame, gen_ofdm
+from fdsic.signals import BasebandSignal, SignalSpec, gen_frame
 from reference import PathLossModel, path_loss
 from test_harness import CHANNEL_COMMON, CHANNEL_GEOMETRY
 
@@ -166,7 +166,7 @@ class TestFractionalDelay:
     def test_matches_reference_resampler_on_fine_grid(self):
         spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=2,
                           ofdm_fft_size=512, ofdm_used_carriers=300, seed=21)
-        x = gen_ofdm(spec)
+        x = gen_frame(spec)
         tau = 23 / (64 * x.sample_rate_hz)
         a = fractional_delay(x, tau)
         b = resample_delay_reference(x, tau)
@@ -359,7 +359,7 @@ class TestApplyChannel:
 
     def test_carrier_guard_names_the_sample_rate_bound(self):
         # 20 MHz x 8 = 160 MHz: 300 MHz clears ten bandwidths but not 2.5 x fs
-        x = gen_ofdm(SignalSpec(kind="ofdm", bandwidth_hz=20e6, oversampling=8,
+        x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=20e6, oversampling=8,
                                 num_symbols=1, seed=1))
         ch = MultipathChannel(taps=(ChannelTap(1.0, 0.0),), carrier_hz=300e6)
         with pytest.raises(ValueError, match=r"^carrier_hz = 3e\+08 must be at least "

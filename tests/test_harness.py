@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fdsic import cli, digital, harness, oracle
-from fdsic.channel import SPEED_OF_LIGHT, ReceiverImpairments, fractional_delay
+from fdsic.channel import MAX_POWER_DB, SPEED_OF_LIGHT, ReceiverImpairments, fractional_delay
 from fdsic.config import (EDGE_GUARD, FILE_KEYS, ChannelConfig, ExperimentConfig, load_config,
                           save_config, slope_band)
 from fdsic.digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
@@ -310,6 +310,15 @@ class TestConfigIO:
         ("[signal]\npulse = gauss\n", "invalid [signal]: unknown pulse 'gauss'"),
         ("[impairments]\nsample_offset = -1e-10\n",
          "invalid [impairments]: sample_offset = -1e-10 must be >= 0"),
+        # past channel.MAX_POWER_DB the power sums overflow or sink into power_db's floor
+        ("[channel]\ntx_gain_db = 3080\n",
+         "invalid [channel]: tx_gain_db = 3080.0 is out of range"),
+        ("[channel]\ntx_gain_db = -1000.5\n",
+         "invalid [channel]: tx_gain_db = -1000.5 is out of range"),
+        ("[channel]\ntx_gain_db = 1000.0000000000001\n",
+         "invalid [channel]: tx_gain_db = 1000.0000000000001 is out of range"),
+        ("[impairments]\nnoise_power = 1.0000000000000002e100\n",
+         "invalid [impairments]: noise_power = 1.0000000000000002e+100 is out of range"),
     ])
     def test_rejects_unknown_or_bad_entry(self, tmp_path, text, name):
         path = tmp_path / "bad.cfg"
@@ -477,12 +486,31 @@ class TestConfigThatLoadsRuns:
         assert all(np.isfinite(v) for v in dataclasses.astuple(report))
 
 
+class TestPowerBounds:
+    """channel.MAX_POWER_DB bounds the transmit gain and the noise power: at the
+    bound a config runs clean (the refusals past it are rows of
+    test_rejects_unknown_or_bad_entry)."""
+
+    @pytest.mark.parametrize("tx_gain_db", [-MAX_POWER_DB, MAX_POWER_DB])
+    def test_transmit_gain_at_the_bound_cancels_as_at_0_db(self, tmp_path, tx_gain_db):
+        # every cancellation figure is a ratio of powers that scale together
+        def figures(db):
+            r = run_pipeline(small_cfg(tmp_path, channel=ChannelConfig(tx_gain_db=db))).report
+            return [r.rf_cancellation_db, r.digital_cancellation_db, r.total_db]
+        assert figures(tx_gain_db) == pytest.approx(figures(0.0), abs=1e-9)
+
+    def test_noise_power_at_the_bound_runs(self, tmp_path):
+        noise = ReceiverImpairments(noise_power=10.0 ** (MAX_POWER_DB / 10))
+        report = run_pipeline(small_cfg(tmp_path, impairments=noise)).report
+        assert all(np.isfinite(v) for v in dataclasses.astuple(report))
+
+
 class TestDigitalOrder:
     @pytest.mark.parametrize("order", [0, 3])
     def test_run_pipeline_refuses_order_before_any_frame(self, tmp_path, monkeypatch, order):
         # the argument is applied to the config, which refuses it
         monkeypatch.setattr(harness, "gen_frame", lambda *args: pytest.fail("frame generated"))
-        with pytest.raises(ValueError, match=f"^digital_order = {order} must be 1 or 2$"):
+        with pytest.raises(ValueError, match=f"^order = {order} must be 1 or 2$"):
             run_pipeline(small_cfg(tmp_path), digital_order=order)
 
 
@@ -746,7 +774,7 @@ class TestPsdCsv:
            power=st.lists(_floats(-400.0, 100.0), min_size=40, max_size=40))
     def test_matches_row_loop(self, freqs, power):
         freqs = sorted(freqs)
-        p = Psd(freqs_hz=freqs, power_db=power[:len(freqs)], rbw_hz=1.0)
+        p = Psd(freqs_hz=freqs, power_db=power[:len(freqs)])
         assert _psd_csv_text(p) == _psd_csv_loop(p)
 
     @pytest.mark.parametrize("tag", sorted(SHIPPED))
@@ -758,8 +786,8 @@ class TestPsdCsv:
             assert path.read_text() == _psd_csv_loop(p)
 
     def test_differing_grids_rejected(self, tmp_path):
-        a = Psd(freqs_hz=[0.0, 1.0], power_db=[0.0, 0.0], rbw_hz=1.0)
-        b = Psd(freqs_hz=[0.0, 2.0], power_db=[0.0, 0.0], rbw_hz=1.0)
+        a = Psd(freqs_hz=[0.0, 1.0], power_db=[0.0, 0.0])
+        b = Psd(freqs_hz=[0.0, 2.0], power_db=[0.0, 0.0])
         with pytest.raises(AssertionError, match="grids differ"):
             harness._write_psd_csvs({tmp_path / "a.csv": a, tmp_path / "b.csv": b})
 
@@ -1024,6 +1052,15 @@ class TestVerify:
         assert "overall = fail" in text
         assert not ok
 
+    @pytest.mark.parametrize("gap_max, verdict", [(harness.POISSON_GAP_MAX, "fail"), (1.0, "pass")])
+    def test_poisson_gap_verdict_reads_its_bound(self, tmp_path, monkeypatch, gap_max, verdict):
+        # the gap is 0.418412 whatever the bound; only harness.POISSON_GAP_MAX judges it
+        monkeypatch.setattr(harness, "POISSON_GAP_MAX", gap_max)
+        run_verify("poisson", output_dir=str(tmp_path))
+        lines = (tmp_path / "verdict_poisson.txt").read_text().splitlines()
+        assert f"direct_vs_closed_max_gap = 0.418412 {verdict}" in lines
+        assert "sup_direct_sum = 0.627319 fail" in lines
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_verify("nonsense")
@@ -1171,12 +1208,20 @@ class TestCli:
         ("sweep-power", "--dbm", "5..-3"),      # reversed range
         ("sweep-power", "--dbm", "1.5..3"),     # non-integer range
         ("sweep-bandwidth", "--bw", ","),       # empty list
+        ("sweep-power", "--dbm", "1.."),        # open range
+        ("sweep-power", "--dbm", "a..b"),       # range of words
+        ("sweep-power", "--dbm", "1..2..3"),    # three bounds
+        ("sweep-power", "--dbm", "x"),          # a word
+        ("sweep-bandwidth", "--bw", "20e6,x"),  # a word in a list
     ])
     def test_bad_sweep_list_is_usage_error(self, tmp_path, capsys, command, flag, text):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, f"{flag}={text}", "--output-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert f"argument {flag}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (f"argument {flag}: {text!r} is neither an integer range lo..hi with lo <= hi "
+                "nor a list of comma-separated numbers") in err
+        assert "_sweep_points" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag, text, csv", [
@@ -1203,13 +1248,26 @@ class TestCli:
         (["simulate", "--config", "{signal_seed}"], "[signal]: seed = -1 must not be negative"),
         (["simulate", "--config", "{run_seed}"], "[run]: seed = -1 must not be negative"),
         (["sweep-power", "--dbm=0,-inf"], "tx_gain_db = -inf must be finite"),
+        # SignalSpec refuses a single-carrier sinc frame at oversampling 1
+        (["simulate", "--config", "{sinc}"],
+         "fdsic: error: invalid [signal]: oversampling = 1 must be >= 2 for the sinc pulse\n"),
+        # the [digital] key is order, and the message says so
+        (["simulate", "--config", "{order}"], "fdsic: error: order = 3 must be 1 or 2\n"),
+        # transmit gain and noise power past channel.MAX_POWER_DB
+        (["sweep-power", "--dbm=0,1001"], "tx_gain_db = 1001.0 is out of range"),
+        (["simulate", "--config", "{noise}"],
+         "fdsic: error: invalid [impairments]: noise_power = 1e+306 is out of range\n"),
     ])
     def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, args, message):
         paths = {name: tmp_path / f"{name}.cfg"
-                 for name in ("gain", "missing", "signal_seed", "run_seed")}
+                 for name in ("gain", "missing", "signal_seed", "run_seed", "sinc", "order",
+                              "noise")}
         paths["gain"].write_text("[channel]\ntx_gain_db = 4000\n")
         paths["signal_seed"].write_text("[signal]\nseed = -1\n")
         paths["run_seed"].write_text("[run]\nseed = -1\n")
+        paths["sinc"].write_text("[signal]\nkind = single-carrier\npulse = sinc\noversampling = 1\n")
+        paths["order"].write_text("[digital]\norder = 3\n")
+        paths["noise"].write_text("[impairments]\nnoise_power = 1e306\n")
         args = [a.format(**paths) for a in args]
         assert cli.main([*args, "--output-dir", str(tmp_path / "out")]) == 2
         out, err = capsys.readouterr()

@@ -13,7 +13,7 @@ from fdsic.config import ExperimentConfig, load_config
 from fdsic.metrics import psd, slope_diagnostic
 from fdsic.rfstage import (TUNE_INITIAL_STEP, DetectorConfig, TuneResult, VmState,
                            detector_env, power_detect, rf_stage, tune)
-from fdsic.signals import BasebandSignal, SignalSpec, gen_frame, gen_single_carrier
+from fdsic.signals import BasebandSignal, SignalSpec, gen_frame
 from fdsic.taylor import taylor_coeffs
 
 FC = 2.395e9
@@ -29,7 +29,7 @@ def tone(n=32768, fs=80e6, f0=1.1e6):
 def narrowband_training_signal(w_hz=1e6, nsym=4096, seed=5):
     spec = SignalSpec(kind="single-carrier", bandwidth_hz=w_hz, oversampling=4,
                       num_symbols=nsym, pulse="sinc", seed=seed)
-    return gen_single_carrier(spec)
+    return gen_frame(spec)
 
 
 @functools.lru_cache(maxsize=1)

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fdsic.config import load_config
 from fdsic.metrics import psd
 from fdsic.signals import (OFDM_JUNCTION_TAPER_FRACTION, PULSE_SPAN, BasebandSignal, SignalSpec,
-                           _normalize, _ofdm_used_bins, draw_symbols, gen_frame, gen_ofdm,
-                           gen_single_carrier, rrc_pulse)
+                           _normalize, _ofdm_used_bins, draw_symbols, gen_frame, rrc_pulse)
 from reference import papr_db
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -28,25 +27,25 @@ def sc_spec(**kw):
 
 class TestSingleCarrier:
     def test_deterministic(self):
-        a = gen_single_carrier(sc_spec(pulse="sinc"))
-        b = gen_single_carrier(sc_spec(pulse="sinc"))
+        a = gen_frame(sc_spec(pulse="sinc"))
+        b = gen_frame(sc_spec(pulse="sinc"))
         assert np.array_equal(a.samples, b.samples)
 
     def test_seed_changes_samples(self):
-        a = gen_single_carrier(sc_spec())
-        b = gen_single_carrier(sc_spec(seed=8))
+        a = gen_frame(sc_spec())
+        b = gen_frame(sc_spec(seed=8))
         assert not np.array_equal(a.samples, b.samples)
 
     def test_unit_power(self):
-        x = gen_single_carrier(sc_spec())
+        x = gen_frame(sc_spec())
         assert abs(x.mean_power - 1.0) <= 1e-6
 
     def test_rrc_papr_in_range(self):
-        x = gen_single_carrier(sc_spec(num_symbols=8192))
+        x = gen_frame(sc_spec(num_symbols=8192))
         assert 3.0 <= papr_db(x) <= 6.0
 
     def test_single_symbol_is_pulse(self):
-        x = gen_single_carrier(sc_spec(pulse="sinc", num_symbols=1, seed=0))
+        x = gen_frame(sc_spec(pulse="sinc", num_symbols=1, seed=0))
         n0 = np.argmax(np.abs(x.samples))
         n = np.arange(len(x.samples))
         expected = np.sinc((n - n0) / 4)
@@ -54,16 +53,20 @@ class TestSingleCarrier:
         assert np.max(np.abs(x.samples - scale * expected)) <= 1e-9 * abs(scale)
 
     def test_sinc_requires_oversampling(self):
-        with pytest.raises(ValueError, match="oversampling"):
-            gen_single_carrier(sc_spec(pulse="sinc", oversampling=1))
+        # refused when the spec is built, before any frame is generated
+        with pytest.raises(ValueError, match="^oversampling = 1 must be >= 2 for the sinc pulse$"):
+            sc_spec(pulse="sinc", oversampling=1)
+        assert sc_spec(pulse="sinc", oversampling=2).oversampling == 2
+        assert sc_spec(pulse="rrc", oversampling=1).oversampling == 1
+        assert SignalSpec(kind="ofdm", pulse="sinc", oversampling=1).oversampling == 1
 
     def test_sample_rate(self):
-        x = gen_single_carrier(sc_spec())
+        x = gen_frame(sc_spec())
         assert x.sample_rate_hz == 40e6
 
     def test_rrc_spectral_confinement(self):
         spec = sc_spec(num_symbols=4096)
-        x = gen_single_carrier(spec)
+        x = gen_frame(spec)
         spectrum = np.abs(np.fft.fft(x.samples)) ** 2
         freqs = np.fft.fftfreq(len(x.samples), 1 / x.sample_rate_hz)
         edge = spec.bandwidth_hz / 2 * (1 + spec.rolloff)
@@ -72,7 +75,7 @@ class TestSingleCarrier:
 
     def test_sinc_spectral_confinement(self):
         spec = sc_spec(pulse="sinc", num_symbols=4096)
-        x = gen_single_carrier(spec)
+        x = gen_frame(spec)
         spectrum = np.abs(np.fft.fft(x.samples)) ** 2
         freqs = np.fft.fftfreq(len(x.samples), 1 / x.sample_rate_hz)
         edge = spec.bandwidth_hz / 2 * (1 + SINC_CONFINEMENT_EPS)
@@ -97,10 +100,10 @@ class TestRrcPulse:
 class TestOfdm:
     def test_deterministic(self):
         spec = SignalSpec(kind="ofdm", num_symbols=4, seed=11)
-        assert np.array_equal(gen_ofdm(spec).samples, gen_ofdm(spec).samples)
+        assert np.array_equal(gen_frame(spec).samples, gen_frame(spec).samples)
 
     def test_unit_power(self):
-        x = gen_ofdm(SignalSpec(kind="ofdm", num_symbols=8, seed=1))
+        x = gen_frame(SignalSpec(kind="ofdm", num_symbols=8, seed=1))
         assert abs(x.mean_power - 1.0) <= 1e-6
 
     def test_rejects_too_many_carriers(self):
@@ -110,20 +113,20 @@ class TestOfdm:
     @pytest.mark.parametrize("fft_size", [64, 256, 1024])
     def test_carrier_fit_checked_when_built(self, fft_size):
         # the top positive carrier, bin 2 + ceil(used / 2), must stay below fft_size / 2
-        assert len(gen_ofdm(SignalSpec(kind="ofdm", num_symbols=1, ofdm_fft_size=fft_size,
+        assert len(gen_frame(SignalSpec(kind="ofdm", num_symbols=1, ofdm_fft_size=fft_size,
                                        ofdm_used_carriers=fft_size - 6))) > 0
         for used in (0, fft_size - 5, fft_size - 1):
             with pytest.raises(ValueError, match=f"ofdm_used_carriers = {used} "):
                 SignalSpec(kind="ofdm", ofdm_fft_size=fft_size, ofdm_used_carriers=used)
 
     def test_papr_in_range(self):
-        x = gen_ofdm(SignalSpec(kind="ofdm", bandwidth_hz=20e6,
+        x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=20e6,
                                 num_symbols=64, seed=3))
         assert 10.0 <= papr_db(x) <= 14.0
 
     def test_flat_occupied_band_and_dc_null(self):
         spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=64, seed=3)
-        x = gen_ofdm(spec)
+        x = gen_frame(spec)
         # occupied-band flatness at coarse resolution
         p_coarse = psd(x, segment_len=1024)
         band = ((np.abs(p_coarse.freqs_hz) > 0.012 * spec.bandwidth_hz)
@@ -140,7 +143,7 @@ class TestOfdm:
     def test_single_carrier_is_complex_exponential(self):
         spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=1,
                           ofdm_fft_size=64, ofdm_used_carriers=1, seed=5)
-        x = gen_ofdm(spec)
+        x = gen_frame(spec)
         mags = np.abs(x.samples)
         assert np.max(mags) - np.min(mags) <= 1e-9
         # constant phase increment within the symbol
@@ -197,7 +200,7 @@ def test_ofdm_determinism_and_power_property(seed, nsym, constellation):
     spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=nsym,
                       ofdm_fft_size=128, ofdm_used_carriers=64,
                       constellation=constellation, seed=seed)
-    a, b = gen_ofdm(spec), gen_ofdm(spec)
+    a, b = gen_frame(spec), gen_frame(spec)
     assert np.array_equal(a.samples, b.samples)
     assert abs(a.mean_power - 1.0) <= 1e-6
     assert papr_db(a) >= 0.0
@@ -207,12 +210,12 @@ def test_ofdm_determinism_and_power_property(seed, nsym, constellation):
 @settings(max_examples=15, deadline=None)
 def test_single_carrier_power_property(seed, pulse):
     spec = sc_spec(pulse=pulse, num_symbols=64, seed=seed)
-    x = gen_single_carrier(spec)
+    x = gen_frame(spec)
     assert abs(x.mean_power - 1.0) <= 1e-6
 
 
 def reference_gen_ofdm(spec: SignalSpec) -> BasebandSignal:
-    """The per-symbol loop gen_ofdm replaced, kept as its oracle: one draw,
+    """The per-symbol loop _gen_ofdm replaced, kept as its oracle: one draw,
     one IFFT and one np.add.at overlap-add per symbol."""
     nfft = spec.ofdm_fft_size
     used = spec.ofdm_used_carriers
@@ -242,7 +245,7 @@ def reference_gen_ofdm(spec: SignalSpec) -> BasebandSignal:
 
 
 class TestOfdmOracle:
-    """gen_ofdm draws all symbols at once, runs one batched IFFT and adds
+    """_gen_ofdm draws all symbols at once, runs one batched IFFT and adds
     each symbol with a fancy-index +=; the frame must equal the per-symbol
     loop bit for bit (compared as integers, so a zero's sign counts)."""
 
@@ -257,10 +260,10 @@ class TestOfdmOracle:
         spec = SignalSpec(kind="ofdm", bandwidth_hz=20e6, oversampling=oversampling,
                           num_symbols=num_symbols, constellation=constellation,
                           ofdm_fft_size=fft_size, ofdm_used_carriers=used, seed=seed)
-        a, b = gen_ofdm(spec).samples, reference_gen_ofdm(spec).samples
+        a, b = gen_frame(spec).samples, reference_gen_ofdm(spec).samples
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_matches_per_symbol_loop_on_shipped_config(self):
         spec = load_config(CONFIGS / "ofdm_20mhz.cfg").signal
-        a, b = gen_ofdm(spec).samples, reference_gen_ofdm(spec).samples
+        a, b = gen_frame(spec).samples, reference_gen_ofdm(spec).samples
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
