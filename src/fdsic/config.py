@@ -108,8 +108,11 @@ class ChannelConfig:
         for d in self.reflector_distances_m:
             if d <= 0:
                 raise ValueError(f"reflector_distances_m = {d} must be positive")
-        if abs(self.tx_gain_db) > MAX_POWER_DB:
-            raise ValueError(f"tx_gain_db = {self.tx_gain_db} is out of range")
+        gains = [("tx_gain_db", self.tx_gain_db), ("circulator_gain_db", self.circulator_gain_db),
+                 *(("taps", g_db) for g_db, _ in self.taps_db_ns)]
+        for key, db in gains:  # past it, power sums overflow or sink into power_db's floor
+            if db is not None and abs(db) > MAX_POWER_DB:
+                raise ValueError(f"{key} = {db} is out of range")
         self.build()  # a channel that cannot be built fails here, at load
 
     def build(self) -> MultipathChannel:
@@ -118,12 +121,11 @@ class ChannelConfig:
         the capped power law through (calib distance, calib loss)."""
         tx_gain = _power(self.tx_gain_db)
         if self.taps_db_ns:
-            taps = [ChannelTap(gain=_linear(_amplitude, taps=g_db), delay_s=d_ns * 1e-9)
+            taps = [ChannelTap(gain=_amplitude(g_db), delay_s=d_ns * 1e-9)
                     for g_db, d_ns in self.taps_db_ns]
         else:
             taps = [] if self.circulator_gain_db is None else [ChannelTap(
-                gain=_linear(_amplitude, circulator_gain_db=self.circulator_gain_db),
-                delay_s=self.circulator_delay_ns * 1e-9)]
+                gain=_amplitude(self.circulator_gain_db), delay_s=self.circulator_delay_ns * 1e-9)]
             # k, then the cap: both checked, in this order, with no reflector too
             k = _linear(lambda db, d, alpha: _power(db) * d ** alpha,
                         pathloss_calib_db=self.pathloss_calib_db,

@@ -9,6 +9,7 @@ import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +56,10 @@ class CancellationReport:
 
 
 @dataclass(frozen=True)
-class _Cancellation:
-    """A pipeline run up to its per-order residuals: all that a sweep row or a
-    spectrum stage reads, without the report's E_s, E_d, rf PSD and slope fit."""
+class PipelineResult:
+    """A pipeline run up to its per-order residuals. The rf PSD and the report
+    are computed on first read: a sweep row or a spectrum stage reads neither."""
+    cfg: ExperimentConfig
     x: BasebandSignal
     si: BasebandSignal
     rx: BasebandSignal
@@ -76,15 +78,30 @@ class _Cancellation:
         dig = self.rf_residual_db - self.digital_residuals_db[order - 1]
         return rf, dig, rf + dig
 
+    @cached_property
+    def rf_psd(self) -> metrics.Psd:
+        """PSD of rx over eval_slice: the slope diagnostic's input and rf.csv."""
+        return psd(BasebandSignal(self.rx.samples[self.eval_slice], self.x.sample_rate_hz))
 
-@dataclass(frozen=True)
-class PipelineResult(_Cancellation):
-    report: CancellationReport
-    rf_psd: metrics.Psd  # PSD of rx over eval_slice
+    @cached_property
+    def report(self) -> CancellationReport:
+        inner = slice(EDGE_MARGIN, len(self.d1_eval) - EDGE_MARGIN)
+        rf_c, dig_c, total = self.cancellation_db(self.cfg.digital_order)
+        diag = slope_diagnostic(self.rf_psd, slope_band(self.cfg.signal))
+        return CancellationReport(
+            tx_power_db=self.tx_power_db, rf_residual_db=self.rf_residual_db,
+            digital_residual_db=self.digital_residuals_db[-1], rf_cancellation_db=rf_c,
+            digital_cancellation_db=dig_c, total_db=total,
+            signal_power_E_s=float(np.mean(np.abs(self.x.samples[self.eval_slice][inner]) ** 2)),
+            derivative_power_E_d=float(
+                np.mean(np.abs(self.d1_eval[inner] * self.x.sample_rate_hz) ** 2)),
+            slope_r2=diag["r2"], slope_db_per_decade=diag["slope_db_per_decade"])
 
 
-def _cancel(cfg: ExperimentConfig) -> _Cancellation:
-    """Generate, channel, RF tune, impair and fit orders 1..cfg.digital_order."""
+def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
+    """Generate, channel, RF tune, impair and fit orders 1..cfg.digital_order,
+    fitting digital_order in place of the config's order if one is given."""
+    cfg = cfg if digital_order is None else dataclasses.replace(cfg, digital_order=digital_order)
     x = gen_frame(cfg.signal)
     channel = cfg.channel.build()
     det = DetectorConfig(window_samples=cfg.detector_window,
@@ -94,29 +111,11 @@ def _cancel(cfg: ExperimentConfig) -> _Cancellation:
 
     train, ev = cfg.slices
     ests, res_db, canceled, eval_cols = digital.fit_orders(x, rx, train, ev, cfg.digital_order)
-    return _Cancellation(
-        x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, x.sample_rate_hz),
+    return PipelineResult(
+        cfg=cfg, x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, x.sample_rate_hz),
         estimate=ests[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=res_db,
         tx_power_db=power_db(np.sqrt(channel.tx_gain) * x.samples[ev]),
         rf_residual_db=power_db(rx.samples[ev]), d1_eval=eval_cols[1])
-
-
-def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
-    """Full chain, fitting digital_order in place of the config's order if one is given."""
-    cfg = cfg if digital_order is None else dataclasses.replace(cfg, digital_order=digital_order)
-    c = _cancel(cfg)
-    inner = slice(EDGE_MARGIN, len(c.d1_eval) - EDGE_MARGIN)
-    rf_c, dig_c, total = c.cancellation_db(cfg.digital_order)
-    rf_psd = _stage_psd(c, "rf")
-    diag = slope_diagnostic(rf_psd, slope_band(cfg.signal))
-    report = CancellationReport(
-        tx_power_db=c.tx_power_db, rf_residual_db=c.rf_residual_db,
-        digital_residual_db=c.digital_residuals_db[-1], rf_cancellation_db=rf_c,
-        digital_cancellation_db=dig_c, total_db=total,
-        signal_power_E_s=float(np.mean(np.abs(c.x.samples[c.eval_slice][inner]) ** 2)),
-        derivative_power_E_d=float(np.mean(np.abs(c.d1_eval[inner] * c.x.sample_rate_hz) ** 2)),
-        slope_r2=diag["r2"], slope_db_per_decade=diag["slope_db_per_decade"])
-    return PipelineResult(**vars(c), report=report, rf_psd=rf_psd)
 
 
 def _atomic_write(path: Path, lines) -> None:
@@ -142,13 +141,11 @@ def _write_psd_csvs(psds: dict) -> None:
         _atomic_write(path, "freq_hz,power_db\n" + rows % tuple(p.power_db.tolist()))
 
 
-def _stage_psd(c: _Cancellation, stage: str) -> metrics.Psd:
+def _stage_psd(res: PipelineResult, stage: str) -> metrics.Psd:
     """PSD over the evaluation slice of the SI, the RF residual or the digital residual."""
     if stage == "pre":
-        return psd(BasebandSignal(c.si.samples[c.eval_slice], c.x.sample_rate_hz))
-    if stage == "rf":
-        return psd(BasebandSignal(c.rx.samples[c.eval_slice], c.x.sample_rate_hz))
-    return psd(c.canceled)
+        return psd(BasebandSignal(res.si.samples[res.eval_slice], res.x.sample_rate_hz))
+    return res.rf_psd if stage == "rf" else psd(res.canceled)
 
 
 # report.txt format of each CancellationReport field not written as .2f
@@ -156,15 +153,14 @@ REPORT_FORMATS = {"signal_power_E_s": ".6e", "derivative_power_E_d": ".6e",
                   "slope_r2": ".4f"}
 
 
-def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
-    """Write report.txt, per-stage PSD CSVs and the tune trace."""
-    out = Path(cfg.output_dir)
+def write_outputs(res: PipelineResult) -> Path:
+    """Write report.txt, per-stage PSD CSVs and the tune trace to the run's
+    output_dir. The report comes first, so a run whose report fails writes nothing."""
+    out, report, est = Path(res.cfg.output_dir), res.report, res.estimate
     # pre, rf and digital share one Welch grid: same slice length, same rate
-    _write_psd_csvs({out / f"{stage}.csv": res.rf_psd if stage == "rf" else _stage_psd(res, stage)
-                     for stage in STAGES})
+    _write_psd_csvs({out / f"{stage}.csv": _stage_psd(res, stage) for stage in STAGES})
 
-    est = res.estimate
-    lines = [f"{f.name} = {getattr(res.report, f.name):{REPORT_FORMATS.get(f.name, '.2f')}}"
+    lines = [f"{f.name} = {getattr(report, f.name):{REPORT_FORMATS.get(f.name, '.2f')}}"
              for f in dataclasses.fields(CancellationReport)]
     lines.append(f"ls_order = {est.order}")
     for name, c in zip(digital.LS_TERMS, est.coef):
@@ -188,7 +184,7 @@ def write_outputs(cfg: ExperimentConfig, res: PipelineResult) -> Path:
 def run_simulate(cfg: ExperimentConfig) -> CancellationReport:
     """Full pipeline plus output files; returns the report."""
     res = run_pipeline(cfg)
-    write_outputs(cfg, res)
+    write_outputs(res)
     return res.report
 
 
@@ -216,11 +212,11 @@ def run_sweep_bandwidth(cfg: ExperimentConfig, bw_list) -> list:
     total_db) rows and writes bandwidth_sweep.csv."""
     return _sweep(cfg, bw_list, lambda bw: dataclasses.replace(
         cfg, signal=dataclasses.replace(cfg.signal, bandwidth_hz=float(bw))),
-        lambda point_cfg: _cancel(point_cfg).cancellation_db(point_cfg.digital_order),
+        lambda point_cfg: run_pipeline(point_cfg).cancellation_db(point_cfg.digital_order),
         "bandwidth_sweep.csv", "bandwidth_hz,rf_db,digital_db,total_db")
 
 
-def _order0_residual_db(c: _Cancellation) -> float:
+def _order0_residual_db(c: PipelineResult) -> float:
     """Signal-term-only fit, for the digital split-up columns (numpy sums, not BLAS)."""
     x = c.x.samples[c.eval_slice]
     y = c.rx.samples[c.eval_slice]
@@ -233,7 +229,7 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
     the report; its order-1 residual and a signal-only fit on its RF residual
     give the per-term split of the digital cancellation."""
     def row(point_cfg):
-        c = _cancel(point_cfg)
+        c = run_pipeline(point_cfg)
         res1_db, res2_db = c.digital_residuals_db
         res0_db = _order0_residual_db(c)
         rf_db, dig1, total1 = c.cancellation_db(1)
@@ -252,7 +248,7 @@ def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     path = Path(cfg.output_dir) / f"{stage}.csv"
-    _write_psd_csvs({path: _stage_psd(_cancel(cfg), stage)})
+    _write_psd_csvs({path: _stage_psd(run_pipeline(cfg), stage)})
     return path
 
 

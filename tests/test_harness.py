@@ -317,6 +317,13 @@ class TestConfigIO:
          "invalid [channel]: tx_gain_db = -1000.5 is out of range"),
         ("[channel]\ntx_gain_db = 1000.0000000000001\n",
          "invalid [channel]: tx_gain_db = 1000.0000000000001 is out of range"),
+        ("[channel]\ntaps = 1000.0000000000001:0\n",
+         "invalid [channel]: taps = 1000.0000000000001 is out of range"),
+        ("[channel]\ntaps = 0:1, -3000:0\n", "invalid [channel]: taps = -3000.0 is out of range"),
+        ("[channel]\ncirculator_gain_db = -1000.0000000000001\n",
+         "invalid [channel]: circulator_gain_db = -1000.0000000000001 is out of range"),
+        ("[channel]\ncirculator_gain_db = 3000\n",
+         "invalid [channel]: circulator_gain_db = 3000.0 is out of range"),
         ("[impairments]\nnoise_power = 1.0000000000000002e100\n",
          "invalid [impairments]: noise_power = 1.0000000000000002e+100 is out of range"),
     ])
@@ -487,9 +494,9 @@ class TestConfigThatLoadsRuns:
 
 
 class TestPowerBounds:
-    """channel.MAX_POWER_DB bounds the transmit gain and the noise power: at the
-    bound a config runs clean (the refusals past it are rows of
-    test_rejects_unknown_or_bad_entry)."""
+    """channel.MAX_POWER_DB bounds the transmit, tap and circulator gains and the
+    noise power: at the bound a config runs clean (the refusals past it are rows
+    of test_rejects_unknown_or_bad_entry)."""
 
     @pytest.mark.parametrize("tx_gain_db", [-MAX_POWER_DB, MAX_POWER_DB])
     def test_transmit_gain_at_the_bound_cancels_as_at_0_db(self, tmp_path, tx_gain_db):
@@ -498,6 +505,14 @@ class TestPowerBounds:
             r = run_pipeline(small_cfg(tmp_path, channel=ChannelConfig(tx_gain_db=db))).report
             return [r.rf_cancellation_db, r.digital_cancellation_db, r.total_db]
         assert figures(tx_gain_db) == pytest.approx(figures(0.0), abs=1e-9)
+
+    @pytest.mark.parametrize("db", [-MAX_POWER_DB, MAX_POWER_DB])
+    @pytest.mark.parametrize("key", ["taps", "circulator_gain_db"])
+    def test_channel_gain_at_the_bound_runs(self, tmp_path, key, db):
+        channel = (ChannelConfig(taps_db_ns=((db, 0.0),)) if key == "taps"
+                   else ChannelConfig(circulator_gain_db=db))
+        report = run_pipeline(small_cfg(tmp_path, channel=channel)).report
+        assert all(np.isfinite(v) for v in dataclasses.astuple(report))
 
     def test_noise_power_at_the_bound_runs(self, tmp_path):
         noise = ReceiverImpairments(noise_power=10.0 ** (MAX_POWER_DB / 10))
@@ -591,7 +606,7 @@ class TestSweeps:
     def test_bandwidth_sweep_validates_every_point_first(self, tmp_path, monkeypatch):
         # 10 ns is below T_s = 12.5 ns at 20 MHz x 4, but not at 40 MHz x 4
         cfg = small_cfg(tmp_path, impairments=ReceiverImpairments(sample_offset=10e-9))
-        monkeypatch.setattr(harness, "_cancel", lambda *args: pytest.fail("point ran"))
+        monkeypatch.setattr(harness, "run_pipeline", lambda *args: pytest.fail("point ran"))
         with pytest.raises(ValueError, match="sample_offset"):
             run_sweep_bandwidth(cfg, [20e6, 40e6])
         assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
@@ -599,7 +614,7 @@ class TestSweeps:
     def test_bandwidth_sweep_checks_carrier_before_any_point(self, tmp_path, monkeypatch):
         # 2.395 GHz clears 2.5 x 80 MHz (20 MHz x 4), but not 2.5 x 1.2 GHz
         cfg = small_cfg(tmp_path)
-        monkeypatch.setattr(harness, "_cancel", lambda *args: pytest.fail("point ran"))
+        monkeypatch.setattr(harness, "run_pipeline", lambda *args: pytest.fail("point ran"))
         with pytest.raises(ValueError, match="carrier_hz"):
             run_sweep_bandwidth(cfg, [20e6, 300e6])
         assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
@@ -613,7 +628,7 @@ class TestSweeps:
     ])
     def test_power_sweep_validates_every_point_first(self, tmp_path, monkeypatch, points, name):
         cfg = small_cfg(tmp_path)
-        monkeypatch.setattr(harness, "_cancel", lambda *args: pytest.fail("point ran"))
+        monkeypatch.setattr(harness, "run_pipeline", lambda *args: pytest.fail("point ran"))
         with pytest.raises(ValueError, match=re.escape(name)):
             run_sweep_power(cfg, points)
         assert not (Path(cfg.output_dir) / "power_sweep.csv").exists()
@@ -621,7 +636,7 @@ class TestSweeps:
     @pytest.mark.parametrize("bw", [float("nan"), float("inf")])
     def test_bandwidth_sweep_rejects_non_finite_point(self, tmp_path, monkeypatch, bw):
         cfg = small_cfg(tmp_path)
-        monkeypatch.setattr(harness, "_cancel", lambda *args: pytest.fail("point ran"))
+        monkeypatch.setattr(harness, "run_pipeline", lambda *args: pytest.fail("point ran"))
         with pytest.raises(ValueError, match=f"^bandwidth_hz = {bw} must be finite$"):
             run_sweep_bandwidth(cfg, [20e6, bw])
         assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
@@ -835,25 +850,33 @@ class TestComputeOnce:
     def test_power_sweep_point_runs_the_core_once(self, tmp_path, monkeypatch):
         # each point's config carries order 2, whatever the sweep's config says
         pipelines = self.count_calls(monkeypatch, "run_pipeline")
-        cores = self.count_calls(monkeypatch, "_cancel")
         run_sweep_power(small_cfg(tmp_path, digital_order=1), [0, 3])
-        assert (len(pipelines), [cfg.digital_order for cfg, in cores]) == (0, [2, 2])
+        assert [cfg.digital_order for cfg, in pipelines] == [2, 2]
 
     def test_bandwidth_sweep_point_computes_no_psd(self, tmp_path, monkeypatch):
         psds = self.count_calls(monkeypatch, "psd")
         diagnostics = self.count_calls(monkeypatch, "slope_diagnostic")
         pipelines = self.count_calls(monkeypatch, "run_pipeline")
-        cores = self.count_calls(monkeypatch, "_cancel")
         run_sweep_bandwidth(small_cfg(tmp_path), [10e6, 20e6])
-        assert (len(psds), len(diagnostics), len(pipelines), len(cores)) == (0, 0, 0, 2)
+        assert (len(psds), len(diagnostics), len(pipelines)) == (0, 0, 2)
 
     @pytest.mark.parametrize("stage", ["pre", "rf", "digital"])
     def test_spectrum_computes_only_its_stage_psd(self, tmp_path, monkeypatch, stage):
         psds = self.count_calls(monkeypatch, "psd")
         diagnostics = self.count_calls(monkeypatch, "slope_diagnostic")
-        cores = self.count_calls(monkeypatch, "_cancel")
+        pipelines = self.count_calls(monkeypatch, "run_pipeline")
         run_spectrum(small_cfg(tmp_path), stage)
-        assert (len(psds), len(diagnostics), len(cores)) == (1, 0, 1)
+        assert (len(psds), len(diagnostics), len(pipelines)) == (1, 0, 1)
+
+    def test_report_is_computed_on_first_read_only(self, tmp_path, monkeypatch):
+        res = run_pipeline(small_cfg(tmp_path))
+        psds = self.count_calls(monkeypatch, "psd")
+        diagnostics = self.count_calls(monkeypatch, "slope_diagnostic")
+        report = res.report
+        assert res.report is report
+        # rf.csv reads the PSD the slope diagnostic was fitted on
+        assert harness._stage_psd(res, "rf") is res.rf_psd
+        assert (len(psds), len(diagnostics)) == (1, 1)
 
     def test_lemma_suite_draws_once_for_its_tau_grid(self, monkeypatch):
         # one symbol draw and one g' evaluation for all of LEMMA_TAU_GRID
@@ -929,8 +952,12 @@ class TestReportTxt:
         cfg = dataclasses.replace(load_config(REPO / "configs" / SHIPPED[tag]),
                                   output_dir=str(tmp_path))
         res = run_pipeline(cfg, digital_order=order)
-        harness.write_outputs(cfg, res)
+        harness.write_outputs(res)
         assert (tmp_path / "report.txt").read_text() == _report_text_by_hand(res)
+
+    def test_simulate_returns_the_pipeline_report(self, tmp_path):
+        cfg = small_cfg(tmp_path)
+        assert run_simulate(cfg) == run_pipeline(cfg).report
 
 
 class TestSimulateReference:
@@ -1084,7 +1111,7 @@ class TestSpectrumCommand:
     def test_unknown_stage_rejected_before_the_run(self, tmp_path, monkeypatch):
         def no_run(*args):
             raise AssertionError("the pipeline ran for an unknown stage")
-        monkeypatch.setattr(harness, "_cancel", no_run)
+        monkeypatch.setattr(harness, "run_pipeline", no_run)
         with pytest.raises(ValueError, match="^unknown stage 'bogus'$"):
             run_spectrum(small_cfg(tmp_path), "bogus")
 
@@ -1257,17 +1284,24 @@ class TestCli:
         (["sweep-power", "--dbm=0,1001"], "tx_gain_db = 1001.0 is out of range"),
         (["simulate", "--config", "{noise}"],
          "fdsic: error: invalid [impairments]: noise_power = 1e+306 is out of range\n"),
+        # tap and circulator gains past it, just above and far above
+        (["simulate", "--config", "{taps}"],
+         "fdsic: error: invalid [channel]: taps = 1000.0000000000001 is out of range\n"),
+        (["simulate", "--config", "{circulator}"],
+         "fdsic: error: invalid [channel]: circulator_gain_db = 3000.0 is out of range\n"),
     ])
     def test_refused_input_exits_2_with_one_line(self, tmp_path, capsys, args, message):
         paths = {name: tmp_path / f"{name}.cfg"
                  for name in ("gain", "missing", "signal_seed", "run_seed", "sinc", "order",
-                              "noise")}
+                              "noise", "taps", "circulator")}
         paths["gain"].write_text("[channel]\ntx_gain_db = 4000\n")
         paths["signal_seed"].write_text("[signal]\nseed = -1\n")
         paths["run_seed"].write_text("[run]\nseed = -1\n")
         paths["sinc"].write_text("[signal]\nkind = single-carrier\npulse = sinc\noversampling = 1\n")
         paths["order"].write_text("[digital]\norder = 3\n")
         paths["noise"].write_text("[impairments]\nnoise_power = 1e306\n")
+        paths["taps"].write_text("[channel]\ntaps = 1000.0000000000001:0\n")
+        paths["circulator"].write_text("[channel]\ncirculator_gain_db = 3000\n")
         args = [a.format(**paths) for a in args]
         assert cli.main([*args, "--output-dir", str(tmp_path / "out")]) == 2
         out, err = capsys.readouterr()
