@@ -124,19 +124,15 @@ def model(cols: list, coef) -> np.ndarray:
     return acc
 
 
-def fit_orders(x: BasebandSignal, y: BasebandSignal, train: slice, ev: slice,
-               order: int) -> tuple:
-    """Fit orders 1..order on x, y over `train`, cancel each over `ev`, and return
-    (each order's LsEstimate, each order's `ev` residual in dB, the top order's
-    canceled `ev` samples, the `ev` design columns); residuals skip EDGE_MARGIN
-    samples per end. Raises IllConditionedFitError past condition number 1e12."""
-    fs = x.sample_rate_hz
-    b, y_ev = y.samples[train], y.samples[ev]
-    cols = design_columns(BasebandSignal(x.samples[train], fs), order)
+def fit_orders(cols: list, eval_cols: list, b: np.ndarray, y_ev: np.ndarray) -> tuple:
+    """Fit orders 1..len(cols) - 1 of the design columns cols to b and cancel each from
+    y_ev with eval_cols, those columns over y_ev; return (each order's LsEstimate, each
+    order's y_ev residual in dB, the top order's canceled y_ev), residuals skipping
+    EDGE_MARGIN samples per end. Raises IllConditionedFitError past condition 1e12."""
+    check_order(len(cols) - 1)
     gram, rhs = normal_equations(cols, b)
-    eval_cols = design_columns(BasebandSignal(x.samples[ev], fs), order)
     estimates, residuals_db = [], []
-    for k in range(2, order + 2):  # order k - 1 solves the leading k x k block
+    for k in range(2, len(cols) + 1):  # order k - 1 solves the leading k x k block
         if np.linalg.cond(gram[:k, :k]) > CONDITION_LIMIT:
             raise IllConditionedFitError("normal equations are ill-conditioned")
         coef = np.linalg.solve(gram[:k, :k], rhs[:k])
@@ -145,7 +141,7 @@ def fit_orders(x: BasebandSignal, y: BasebandSignal, train: slice, ev: slice,
                                     **{name: complex(c) for name, c in zip(LS_TERMS, coef)}))
         canceled = y_ev - model(eval_cols[:k], estimates[-1].coef)
         residuals_db.append(power_db(canceled[EDGE_MARGIN:len(y_ev) - EDGE_MARGIN]))
-    return tuple(estimates), tuple(residuals_db), canceled, eval_cols
+    return tuple(estimates), tuple(residuals_db), canceled
 
 
 def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
@@ -157,7 +153,8 @@ def ls_fit(y: BasebandSignal, x: BasebandSignal, order: int) -> LsEstimate:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples")
     if x.mean_power == 0:
         raise ValueError("x has zero power")
-    return fit_orders(x, y, slice(None), slice(None), order)[0][-1]
+    cols = design_columns(x, order)
+    return fit_orders(cols, cols, y.samples, y.samples)[0][-1]
 
 
 def cancel(y: BasebandSignal, x: BasebandSignal, est: LsEstimate) -> BasebandSignal:

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import digital, metrics, oracle, rfstage, taylor
-from .channel import fractional_delay, impair
+from .channel import apply_channel, fractional_delay, impair
 from .config import ConfigError, ExperimentConfig, slope_band
-from .digital import D1_9TAP, D2_9TAP, EDGE_MARGIN, power_db
+from .digital import D1_9TAP, D2_9TAP, EDGE_MARGIN, design_columns, fit_orders, power_db
 from .metrics import psd, slope_diagnostic
-from .rfstage import DetectorConfig, rf_stage
+from .rfstage import DetectorConfig, tune_vm
 from .signals import BasebandSignal, SignalSpec, gen_frame
 
 LEMMA_TAU_GRID = (0.001, 0.005, 0.01, 0.05, 0.1)
@@ -98,24 +98,34 @@ class PipelineResult:
             slope_r2=diag["r2"], slope_db_per_decade=diag["slope_db_per_decade"])
 
 
+def _runs(cfgs: list):
+    """Yield the PipelineResult of each of cfgs, which differ in tx_gain_db alone. One
+    frame, its design columns over both slices and its SI at G_t = 1 serve them all;
+    each run scales that SI by sqrt(G_t), which apply_channel applies last, so bit for bit."""
+    cfg, (train, ev) = cfgs[0], cfgs[0].slices
+    x = gen_frame(cfg.signal)
+    cols, eval_cols = (design_columns(BasebandSignal(x.samples[s], x.sample_rate_hz),
+                                      cfg.digital_order) for s in (train, ev))
+    unit_si = apply_channel(dataclasses.replace(cfg.channel.build(), tx_gain=1.0), x).samples
+    det = DetectorConfig(window_samples=cfg.detector_window, symbol_samples=cfg.signal.oversampling)
+    for cfg in cfgs:
+        tx_gain = cfg.channel.build().tx_gain
+        si = BasebandSignal(unit_si * np.sqrt(tx_gain), x.sample_rate_hz)
+        residual_rf, tune_res = tune_vm(x, si, tx_gain, cfg.vm_bits, det, cfg.tune_budget)
+        rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
+        ests, res_db, canceled = fit_orders(cols, eval_cols, rx.samples[train], rx.samples[ev])
+        yield PipelineResult(
+            cfg=cfg, x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, x.sample_rate_hz),
+            estimate=ests[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=res_db,
+            tx_power_db=power_db(np.sqrt(tx_gain) * x.samples[ev]),
+            rf_residual_db=power_db(rx.samples[ev]), d1_eval=eval_cols[1])
+
+
 def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:
     """Generate, channel, RF tune, impair and fit orders 1..cfg.digital_order,
     fitting digital_order in place of the config's order if one is given."""
     cfg = cfg if digital_order is None else dataclasses.replace(cfg, digital_order=digital_order)
-    x = gen_frame(cfg.signal)
-    channel = cfg.channel.build()
-    det = DetectorConfig(window_samples=cfg.detector_window,
-                         symbol_samples=cfg.signal.oversampling)
-    residual_rf, tune_res, si = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
-    rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
-
-    train, ev = cfg.slices
-    ests, res_db, canceled, eval_cols = digital.fit_orders(x, rx, train, ev, cfg.digital_order)
-    return PipelineResult(
-        cfg=cfg, x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, x.sample_rate_hz),
-        estimate=ests[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=res_db,
-        tx_power_db=power_db(np.sqrt(channel.tx_gain) * x.samples[ev]),
-        rf_residual_db=power_db(rx.samples[ev]), d1_eval=eval_cols[1])
+    return next(_runs([cfg]))
 
 
 def _atomic_write(path: Path, lines) -> None:
@@ -193,15 +203,15 @@ def format_point(value: float) -> str:
     return f"{value:.0f}" if float(value).is_integer() else repr(float(value))
 
 
-def _sweep(cfg: ExperimentConfig, points, point_config, row, name: str, header: str) -> list:
-    """Build, and so validate, point_config(p) of every sweep point before any
-    point runs; then return the rows (p, *row(point config)) and write them to
-    name: each point as format_point writes it, then its values with 2 decimals."""
+def _sweep(cfg: ExperimentConfig, points, point_config, values, name: str, header: str) -> list:
+    """Build, and so validate, point_config(p) of every sweep point before any point
+    runs; then return the rows (p, *values), values(point configs) yielding each point's,
+    and write them to name: p as format_point writes it, then its values with 2 decimals."""
     try:
         point_cfgs = [point_config(p) for p in points]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    rows = [(float(p), *row(point_cfg)) for p, point_cfg in zip(points, point_cfgs)]
+    rows = [(float(p), *v) for p, v in zip(points, values(point_cfgs))]
     _atomic_write(Path(cfg.output_dir) / name, [header, *(
         ",".join([format_point(r[0]), *(f"{v:.2f}" for v in r[1:])]) for r in rows)])
     return rows
@@ -212,7 +222,7 @@ def run_sweep_bandwidth(cfg: ExperimentConfig, bw_list) -> list:
     total_db) rows and writes bandwidth_sweep.csv."""
     return _sweep(cfg, bw_list, lambda bw: dataclasses.replace(
         cfg, signal=dataclasses.replace(cfg.signal, bandwidth_hz=float(bw))),
-        lambda point_cfg: run_pipeline(point_cfg).cancellation_db(point_cfg.digital_order),
+        lambda cfgs: (run_pipeline(c).cancellation_db(c.digital_order) for c in cfgs),
         "bandwidth_sweep.csv", "bandwidth_hz,rf_db,digital_db,total_db")
 
 
@@ -225,11 +235,10 @@ def _order0_residual_db(c: PipelineResult) -> float:
 
 
 def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
-    """Transmit-power sweep. Each point is one order-2 cancellation, without
-    the report; its order-1 residual and a signal-only fit on its RF residual
+    """Transmit-power sweep: one _runs pass, each point an order-2 cancellation without
+    the report. A point's order-1 residual and a signal-only fit on its RF residual
     give the per-term split of the digital cancellation."""
-    def row(point_cfg):
-        c = run_pipeline(point_cfg)
+    def row(c: PipelineResult) -> tuple:
         res1_db, res2_db = c.digital_residuals_db
         res0_db = _order0_residual_db(c)
         rf_db, dig1, total1 = c.cancellation_db(1)
@@ -239,7 +248,8 @@ def run_sweep_power(cfg: ExperimentConfig, power_list_db) -> list:
 
     return _sweep(cfg, power_list_db, lambda p_dbm: dataclasses.replace(
         cfg, digital_order=2, channel=dataclasses.replace(cfg.channel, tx_gain_db=float(p_dbm))),
-        row, "power_sweep.csv", "tx_power_dbm,rf_db,digital_db_order1,digital_db_order2,"
+        lambda cfgs: map(row, _runs(cfgs)), "power_sweep.csv",
+        "tx_power_dbm,rf_db,digital_db_order1,digital_db_order2,"
         "total_db_order1,total_db_order2,split_signal_db,split_deriv1_db,split_deriv2_db")
 
 

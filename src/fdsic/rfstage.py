@@ -160,17 +160,23 @@ def detector_env(si: BasebandSignal, tap: BasebandSignal, cfg: DetectorConfig):
     return env
 
 
-def rf_stage(x: BasebandSignal, channel: MultipathChannel, vm_bits: int,
-             detector_cfg: DetectorConfig, budget: int):
-    """Train the vector modulator against the simulated SI; return the
-    residual under the best state found, the tune result and the SI.
+def tune_vm(x: BasebandSignal, si: BasebandSignal, tx_gain: float, vm_bits: int,
+            detector_cfg: DetectorConfig, budget: int):
+    """Train the vector modulator against si, the SI of x at transmit gain tx_gain;
+    return the residual under the best state found and the tune result.
 
     The VM input is an exact, noiseless tap of the transmit signal scaled by
     sqrt(G_t) (coupler losses are folded into G_t).
     """
-    si = apply_channel(channel, x)
-    tap = BasebandSignal(np.sqrt(channel.tx_gain) * x.samples, x.sample_rate_hz)
+    tap = BasebandSignal(np.sqrt(tx_gain) * x.samples, x.sample_rate_hz)
     result = tune(detector_env(si, tap, detector_cfg), VmState(0.0, 0.0, vm_bits), budget)
     residual = BasebandSignal(si.samples + result.state.complex_gain * tap.samples,
                               x.sample_rate_hz)
-    return residual, result, si
+    return residual, result
+
+
+def rf_stage(x: BasebandSignal, channel: MultipathChannel, vm_bits: int,
+             detector_cfg: DetectorConfig, budget: int):
+    """The SI of x through channel, then tune_vm on it: (residual, tune result, SI)."""
+    si = apply_channel(channel, x)
+    return (*tune_vm(x, si, channel.tx_gain, vm_bits, detector_cfg, budget), si)

@@ -5,7 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fdsic.signals import BasebandSignal
+from fdsic.channel import impair
+from fdsic.config import ExperimentConfig
+from fdsic.digital import design_columns, fit_orders, power_db
+from fdsic.harness import PipelineResult
+from fdsic.rfstage import DetectorConfig, rf_stage
+from fdsic.signals import BasebandSignal, gen_frame
 
 
 @dataclass(frozen=True)
@@ -57,3 +62,25 @@ def lemma_kernel_expanded(x) -> np.ndarray:
     out = (s**2 / arr**2 + 2 * s2 / arr**3 + 4 * c2 / arr**4
            - 4 * s2 / arr**5 + 4 * s**2 / arr**6)
     return out if np.ndim(x) else float(out[0])
+
+
+def per_point_pipeline(cfg: ExperimentConfig) -> PipelineResult:
+    """One run on its own, as each power-sweep point ran before the points shared
+    their stages: its own frame, its own channel through rf_stage, impair, and the
+    frame's design columns differentiated for this run alone."""
+    x = gen_frame(cfg.signal)
+    fs = x.sample_rate_hz
+    channel = cfg.channel.build()
+    det = DetectorConfig(window_samples=cfg.detector_window,
+                         symbol_samples=cfg.signal.oversampling)
+    residual_rf, tune_res, si = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
+    rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
+    train, ev = cfg.slices
+    cols = design_columns(BasebandSignal(x.samples[train], fs), cfg.digital_order)
+    eval_cols = design_columns(BasebandSignal(x.samples[ev], fs), cfg.digital_order)
+    ests, res_db, canceled = fit_orders(cols, eval_cols, rx.samples[train], rx.samples[ev])
+    return PipelineResult(
+        cfg=cfg, x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, fs),
+        estimate=ests[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=res_db,
+        tx_power_db=power_db(np.sqrt(channel.tx_gain) * x.samples[ev]),
+        rf_residual_db=power_db(rx.samples[ev]), d1_eval=eval_cols[1])

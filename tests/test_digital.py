@@ -155,11 +155,13 @@ class TestLsFit:
             ls_fit(short, short, order=1)
 
     def test_order_validation(self):
-        # design_columns, the one place that maps an order to columns, refuses it
+        # check_order, the one order rule, refuses it: fit_orders reads the order
+        # from its column count
         x = bandlimited_noise(512, seed=6)
         for order in (0, 3):
+            cols = [x.samples] * (order + 1)
             for fit in (lambda: ls_fit(x, x, order), lambda: design_columns(x, order),
-                        lambda: fit_orders(x, x, slice(0, 256), slice(256, 512), order)):
+                        lambda: fit_orders(cols, cols, x.samples, x.samples)):
                 with pytest.raises(ValueError, match=f"^order = {order} must be 1 or 2$"):
                     fit()
 
@@ -237,8 +239,8 @@ class TestNestedOrders:
 
     def test_order1_from_order2_system_equals_ls_fit(self):
         y, x = delayed_pair(4096, seed=31)
-        whole = slice(None)
-        est = fit_orders(x, y, whole, whole, 2)[0][0]
+        cols = design_columns(x, 2)
+        est = fit_orders(cols, cols, y.samples, y.samples)[0][0]
         ref = ls_fit(y, x, 1)
         assert (est.a0, est.c1, est.c2) == (ref.a0, ref.c1, None)
         assert est.residual_power_db == ref.residual_power_db
@@ -255,9 +257,9 @@ class TestNestedOrders:
 
     def test_singular_leading_block_rejected(self):
         x = BasebandSignal(np.ones(4096, dtype=complex), FS)  # x' = 0
-        whole = slice(None)
+        cols = design_columns(x, 2)
         with pytest.raises(IllConditionedFitError):
-            fit_orders(x, x, whole, whole, 2)
+            fit_orders(cols, cols, x.samples, x.samples)
 
 
 class TestFitOrders:
@@ -265,14 +267,14 @@ class TestFitOrders:
     def test_matches_lstsq_and_cancel_on_disjoint_slices(self, order):
         y, x = delayed_pair(8192, seed=33)
         train, ev = slice(64, 4160), slice(4160, 8128)
-        estimates, residuals_db, canceled, eval_cols = fit_orders(x, y, train, ev, order)
-        assert [est.order for est in estimates] == list(range(1, order + 1))
-        assert len(residuals_db) == order
         x_tr, y_tr = (BasebandSignal(s.samples[train], FS) for s in (x, y))
         x_ev, y_ev = (BasebandSignal(s.samples[ev], FS) for s in (x, y))
+        cols, eval_cols = design_columns(x_tr, order), design_columns(x_ev, order)
+        estimates, residuals_db, canceled = fit_orders(cols, eval_cols, y_tr.samples, y_ev.samples)
+        assert [est.order for est in estimates] == list(range(1, order + 1))
+        assert len(residuals_db) == order
         inner = slice(EDGE_MARGIN, len(x_ev) - EDGE_MARGIN)
         trim = slice(EDGE_MARGIN, len(x_tr) - EDGE_MARGIN)
-        cols = design_columns(x_tr, order)
         for k, (est, res_db) in enumerate(zip(estimates, residuals_db), start=1):
             a = np.stack([c[trim] for c in cols[:k + 1]], axis=1)
             ref = np.linalg.lstsq(a, y_tr.samples[trim], rcond=None)[0]
@@ -280,8 +282,9 @@ class TestFitOrders:
             out = cancel(y_ev, x_ev, est)
             assert res_db == power_db(out.samples[inner])
         assert np.array_equal(canceled, out.samples)
-        assert all(np.array_equal(got, want)
-                   for got, want in zip(eval_cols, design_columns(x_ev, order)))
+        # the caller's columns, which a power sweep shares across its points, are left as they were
+        assert all(np.array_equal(got, want) for got, want in zip(
+            cols + eval_cols, design_columns(x_tr, order) + design_columns(x_ev, order)))
 
 
 class TestCancel:

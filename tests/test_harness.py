@@ -28,6 +28,7 @@ from fdsic.metrics import Psd, psd, slope_diagnostic
 from fdsic.rfstage import MIN_DETECTOR_SYMBOLS
 from fdsic.signals import PULSE_SPAN, BasebandSignal, SignalSpec, gen_frame
 from fdsic.taylor import taylor_coeffs
+from reference import per_point_pipeline
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = {"ofdm": "ofdm_20mhz.cfg", "sc": "single_carrier_10mhz.cfg"}
@@ -627,8 +628,9 @@ class TestSweeps:
         ([0, float("-inf")], "tx_gain_db = -inf must be finite"),
     ])
     def test_power_sweep_validates_every_point_first(self, tmp_path, monkeypatch, points, name):
+        # the points share one frame, generated before the first point runs
         cfg = small_cfg(tmp_path)
-        monkeypatch.setattr(harness, "run_pipeline", lambda *args: pytest.fail("point ran"))
+        monkeypatch.setattr(harness, "gen_frame", lambda *args: pytest.fail("point ran"))
         with pytest.raises(ValueError, match=re.escape(name)):
             run_sweep_power(cfg, points)
         assert not (Path(cfg.output_dir) / "power_sweep.csv").exists()
@@ -640,6 +642,13 @@ class TestSweeps:
         with pytest.raises(ValueError, match=f"^bandwidth_hz = {bw} must be finite$"):
             run_sweep_bandwidth(cfg, [20e6, bw])
         assert not (Path(cfg.output_dir) / "bandwidth_sweep.csv").exists()
+
+    def test_empty_power_sweep_writes_the_header_alone(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path)
+        monkeypatch.setattr(harness, "gen_frame", lambda *args: pytest.fail("point ran"))
+        assert run_sweep_power(cfg, []) == []
+        csv = (Path(cfg.output_dir) / "power_sweep.csv").read_text().splitlines()
+        assert len(csv) == 1 and csv[0].startswith("tx_power_dbm,rf_db,")
 
     def test_power_sweep_columns(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -848,10 +857,19 @@ class TestComputeOnce:
         assert (len(psds), len(diagnostics)) == (0, 0)
 
     def test_power_sweep_point_runs_the_core_once(self, tmp_path, monkeypatch):
+        # the points share one frame, its design columns over both slices and one
+        # SI pass; each point tunes, impairs and fits once, and no point runs the
+        # one-config run_pipeline
+        names = ("_runs", "run_pipeline", "gen_frame", "design_columns", "apply_channel",
+                 "tune_vm", "impair", "fit_orders")
+        calls = {name: self.count_calls(monkeypatch, name) for name in names}
+        run_sweep_power(small_cfg(tmp_path, digital_order=1), [0, 3, 6])
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_runs": 1, "run_pipeline": 0, "gen_frame": 1, "design_columns": 2,
+            "apply_channel": 1, "tune_vm": 3, "impair": 3, "fit_orders": 3}
         # each point's config carries order 2, whatever the sweep's config says
-        pipelines = self.count_calls(monkeypatch, "run_pipeline")
-        run_sweep_power(small_cfg(tmp_path, digital_order=1), [0, 3])
-        assert [cfg.digital_order for cfg, in pipelines] == [2, 2]
+        (cfgs,), = calls["_runs"]
+        assert [cfg.digital_order for cfg in cfgs] == [2, 2, 2]
 
     def test_bandwidth_sweep_point_computes_no_psd(self, tmp_path, monkeypatch):
         psds = self.count_calls(monkeypatch, "psd")
@@ -909,6 +927,34 @@ class TestComputeOnce:
         m = digital.EDGE_MARGIN
         assert res.digital_residuals_db[0] == digital.power_db(canceled.samples[m:-m])
         assert res.digital_residuals_db[1] == res.report.digital_residual_db
+
+
+# Sweep points at both MAX_POWER_DB bounds and inside, and three receivers: the
+# ideal one, noise with a 12-bit ADC, and a 1 ns sample offset with a 10-bit ADC.
+SHARED_POINTS_DB = (-MAX_POWER_DB, -10.0, 0.0, 7.5, 19.0, MAX_POWER_DB)
+RECEIVERS = {"ideal": ReceiverImpairments(),
+             "noise_adc12": ReceiverImpairments(noise_power=1e-9, adc_bits=12),
+             "offset_adc10": ReceiverImpairments(sample_offset=1e-9, adc_bits=10)}
+
+
+class TestSharedRuns:
+    @pytest.mark.parametrize("receiver", sorted(RECEIVERS))
+    @pytest.mark.parametrize("tag", sorted(SHIPPED))
+    def test_shared_runs_equal_per_point_runs(self, tag, receiver):
+        # every array and float of a shared run is its own run's, bit for bit, and so
+        # is its tune result, which holds the accepted states and the readings
+        base = dataclasses.replace(load_config(REPO / "configs" / SHIPPED[tag]),
+                                   impairments=RECEIVERS[receiver])
+        cfgs = [dataclasses.replace(base, channel=dataclasses.replace(base.channel, tx_gain_db=p))
+                for p in SHARED_POINTS_DB]
+        for got, cfg in zip(harness._runs(cfgs), cfgs, strict=True):
+            want = per_point_pipeline(cfg)
+            for f in dataclasses.fields(harness.PipelineResult):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(a, BasebandSignal):
+                    assert a.sample_rate_hz == b.sample_rate_hz, f.name
+                    a, b = a.samples, b.samples
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
 
 def _report_text_by_hand(res):
@@ -987,6 +1033,17 @@ class TestSweepPowerReference:
                              "--output-dir", str(out)]) == 0
             digest = hashlib.sha256((out / "power_sweep.csv").read_bytes()).hexdigest()
             assert digest == ref[str(i)]["power_sweep.csv"], p
+
+    def test_shared_sweep_rows_match_benchmark_reference(self, tmp_path):
+        # one 30-point sweep: each row under the header is its one-point op's file
+        ref = json.loads((REPO / "perfbench" / "reference.json").read_text())["sweep_power"]
+        assert cli.main(["sweep-power", "--config", str(REPO / "configs" / SHIPPED["ofdm"]),
+                         "--dbm=-10..19", "--output-dir", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "power_sweep.csv").read_text().splitlines()
+        assert len(rows) == len(ref) == 30
+        for i, row in enumerate(rows):
+            digest = hashlib.sha256(f"{header}\n{row}\n".encode()).hexdigest()
+            assert digest == ref[str(i)]["power_sweep.csv"], row
 
 
 class TestVerifyReference:
