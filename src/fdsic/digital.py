@@ -139,7 +139,9 @@ def fit_orders(cols: list, eval_cols: list, b: np.ndarray, y_ev: np.ndarray) -> 
         resid = (b - model(cols[:k], coef))[EDGE_MARGIN:len(b) - EDGE_MARGIN]
         estimates.append(LsEstimate(residual_power_db=power_db(resid),
                                     **{name: complex(c) for name, c in zip(LS_TERMS, coef)}))
-        canceled = y_ev - model(eval_cols[:k], estimates[-1].coef)
+        canceled = None  # the lower order's, freed before this order's is built
+        canceled = model(eval_cols[:k], estimates[-1].coef)
+        canceled = np.subtract(y_ev, canceled, out=canceled)
         residuals_db.append(power_db(canceled[EDGE_MARGIN:len(y_ev) - EDGE_MARGIN]))
     return tuple(estimates), tuple(residuals_db), canceled
 

@@ -100,13 +100,13 @@ class PipelineResult:
 
 def _runs(cfgs: list):
     """Yield the PipelineResult of each of cfgs, which differ in tx_gain_db alone. One
-    frame, its design columns over both slices and its SI at G_t = 1 serve them all;
+    frame, its SI at G_t = 1 and its design columns over both slices serve them all;
     each run scales that SI by sqrt(G_t), which apply_channel applies last, so bit for bit."""
     cfg, (train, ev) = cfgs[0], cfgs[0].slices
     x = gen_frame(cfg.signal)
+    unit_si = apply_channel(dataclasses.replace(cfg.channel.build(), tx_gain=1.0), x).samples
     cols, eval_cols = (design_columns(BasebandSignal(x.samples[s], x.sample_rate_hz),
                                       cfg.digital_order) for s in (train, ev))
-    unit_si = apply_channel(dataclasses.replace(cfg.channel.build(), tx_gain=1.0), x).samples
     det = DetectorConfig(window_samples=cfg.detector_window, symbol_samples=cfg.signal.oversampling)
     for cfg in cfgs:
         tx_gain = cfg.channel.build().tx_gain
@@ -119,6 +119,7 @@ def _runs(cfgs: list):
             estimate=ests[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=res_db,
             tx_power_db=power_db(np.sqrt(tx_gain) * x.samples[ev]),
             rf_residual_db=power_db(rx.samples[ev]), d1_eval=eval_cols[1])
+        del si, residual_rf, rx, canceled  # else they live on while the next run computes
 
 
 def run_pipeline(cfg: ExperimentConfig, digital_order: int | None = None) -> PipelineResult:

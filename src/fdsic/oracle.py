@@ -43,10 +43,10 @@ FHAT1_CLOSED = (1.0 / 60.0) * np.sqrt(np.pi / 2.0)
 def _series_or_closed(x, cutoff: float, series, closed) -> np.ndarray:
     """series(x) where |x| < cutoff, closed(x) elsewhere."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     small = np.abs(x) < cutoff
+    with np.errstate(divide="ignore", invalid="ignore"):  # closed is elementwise
+        out = closed(x)
     out[small] = series(x[small])
-    out[~small] = closed(x[~small])
     return out
 
 
@@ -161,11 +161,12 @@ def _pulse_train_draw(spec: SignalSpec, trials: int):
     # E|x|^2 = mean_t sum_n g^2 for unit-variance uncorrelated symbols
     mean_power = float(np.mean(np.sum(gv**2, axis=1)))
     syms = draw_symbols(rng, (n_trials, len(n)), spec.constellation)
-    re, im = syms.real, syms.imag
+    re, im = np.stack([syms.real, syms.imag])  # C-contiguous, so no product copies them
 
     def power(w):
-        # w is real, so |syms @ w.T|^2 splits into two real products
-        return float(np.mean((re @ w.T) ** 2 + (im @ w.T) ** 2) / mean_power)
+        # w is real, so |syms @ w.T|^2 splits into two real products, squared and added in place
+        p, q = re @ w.T, im @ w.T
+        return float(np.mean(np.add(np.square(p, out=p), np.square(q, out=q), out=p)) / mean_power)
     return v, gv, power
 
 

@@ -170,9 +170,8 @@ def tune_vm(x: BasebandSignal, si: BasebandSignal, tx_gain: float, vm_bits: int,
     """
     tap = BasebandSignal(np.sqrt(tx_gain) * x.samples, x.sample_rate_hz)
     result = tune(detector_env(si, tap, detector_cfg), VmState(0.0, 0.0, vm_bits), budget)
-    residual = BasebandSignal(si.samples + result.state.complex_gain * tap.samples,
-                              x.sample_rate_hz)
-    return residual, result
+    res = np.multiply(result.state.complex_gain, tap.samples, out=tap.samples)
+    return BasebandSignal(np.add(si.samples, res, out=res), x.sample_rate_hz), result
 
 
 def rf_stage(x: BasebandSignal, channel: MultipathChannel, vm_bits: int,

@@ -215,7 +215,8 @@ def _gen_ofdm(spec: SignalSpec) -> BasebandSignal:
     ramp = 0.5 * (1 - np.cos(np.pi * (np.arange(taper) + 0.5) / taper)) if taper else np.zeros(0)
     sym = np.zeros((spec.num_symbols, body), dtype=np.complex128)
     sym[:, bins % body] = draw_symbols(rng, (spec.num_symbols, used), spec.constellation)
-    sym = np.fft.ifft(sym) * np.sqrt(body)
+    sym = np.fft.ifft(sym)
+    sym *= np.sqrt(body)
     # the windowed extensions (cyclic head, body, cyclic tail) add into buf, the frame shifted
     # by taper; each is shorter than the frame, so no sample sums more than two, in any order
     win = np.concatenate([ramp, np.ones(body + cp), ramp[::-1]])

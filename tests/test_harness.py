@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -17,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fdsic import cli, digital, harness, oracle
-from fdsic.channel import MAX_POWER_DB, SPEED_OF_LIGHT, ReceiverImpairments, fractional_delay
+from fdsic import cli, digital, harness, oracle, rfstage
+from fdsic.channel import (MAX_POWER_DB, SPEED_OF_LIGHT, ReceiverImpairments, apply_channel,
+                           fractional_delay, impair)
 from fdsic.config import (EDGE_GUARD, FILE_KEYS, ChannelConfig, ExperimentConfig, load_config,
                           save_config, slope_band)
 from fdsic.digital import MIN_FIT_SAMPLES, MIN_OVERSAMPLING
@@ -957,6 +960,77 @@ class TestSharedRuns:
                 assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
 
+def _shipped_points(tag, points_db):
+    base = load_config(REPO / "configs" / SHIPPED[tag])
+    return [dataclasses.replace(base, channel=dataclasses.replace(base.channel, tx_gain_db=p))
+            for p in points_db]
+
+
+class TestRunsFreeAsTheyGo:
+    @pytest.mark.parametrize("tag", sorted(SHIPPED))
+    def test_many_points_peak_as_high_as_one(self, tag):
+        # a finished point's arrays are freed before the next point runs, so a
+        # 30-point run holds no more at its peak than a one-point run
+        cfgs = _shipped_points(tag, range(-10, 20))
+
+        def peak_mb(points):
+            tracemalloc.start()
+            try:  # a consumer that keeps no result while the next one is computed
+                collections.deque(harness._runs(points), maxlen=0)
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        collections.deque(harness._runs(cfgs[:1]), maxlen=0)  # warm-up, untraced
+        one, many = peak_mb(cfgs[:1]), peak_mb(cfgs)
+        assert many - one <= 0.1, (one, many)
+
+
+def _bits_of(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestStagesKeepTheirInputs:
+    """No stage writes into an array it was given: each writes only into arrays it made."""
+
+    @pytest.mark.parametrize("tag", sorted(SHIPPED))
+    def test_shared_frame_and_unit_si_unchanged_by_runs(self, tag, monkeypatch):
+        # after every run: the frame the runs share, and the unit-gain SI they each scale
+        cfgs, unit_si = _shipped_points(tag, SHARED_POINTS_DB[1:4]), []
+        monkeypatch.setattr(harness, "apply_channel", lambda channel, x: unit_si.append(
+            apply_channel(channel, x)) or unit_si[-1])
+        results = list(harness._runs(cfgs))
+        x = gen_frame(cfgs[0].signal)
+        unit_channel = dataclasses.replace(cfgs[0].channel.build(), tx_gain=1.0)
+        assert len(unit_si) == 1 and all(res.x is results[0].x for res in results)
+        assert _bits_of(results[0].x.samples) == _bits_of(x.samples)
+        assert _bits_of(unit_si[0].samples) == _bits_of(apply_channel(unit_channel, x).samples)
+
+    def test_direct_stage_calls_leave_their_inputs_unchanged(self):
+        cfg = load_config(REPO / "configs" / SHIPPED["ofdm"])
+        x = gen_frame(cfg.signal)
+        train, ev = cfg.slices
+        channel = cfg.channel.build()
+        det = rfstage.DetectorConfig(window_samples=cfg.detector_window,
+                                     symbol_samples=cfg.signal.oversampling)
+
+        def unchanged(call, *arrays):
+            before = [_bits_of(a) for a in arrays]
+            out = call()
+            assert [_bits_of(a) for a in arrays] == before
+            return out
+
+        si = unchanged(lambda: apply_channel(channel, x), x.samples)
+        residual, _ = unchanged(lambda: rfstage.tune_vm(x, si, channel.tx_gain, cfg.vm_bits, det,
+                                                        cfg.tune_budget), x.samples, si.samples)
+        for imp in (*RECEIVERS.values(), ReceiverImpairments(noise_power=1e-9)):
+            rx = unchanged(lambda: impair(residual, imp, seed=cfg.seed), residual.samples)
+        cols, eval_cols = (unchanged(lambda: digital.design_columns(
+            BasebandSignal(x.samples[s], x.sample_rate_hz), 2), x.samples) for s in (train, ev))
+        b, y_ev = rx.samples[train], rx.samples[ev]
+        unchanged(lambda: digital.fit_orders(cols, eval_cols, b, y_ev), *cols, *eval_cols, b, y_ev)
+
+
 def _report_text_by_hand(res):
     """The hand-kept report.txt list write_outputs replaced, kept as its oracle."""
     r = res.report
@@ -1450,6 +1524,28 @@ class TestCli:
                               capture_output=True, text=True, cwd=REPO)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout.split()[-1]) < 500
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_pool_threads_share_one_malloc_arena(self, tmp_path):
+        # oracle-delay runs its frames on a thread pool; with glibc's default each
+        # pool thread gets a heap of its own, which keeps a frame's working set
+        script = (
+            "import ctypes, sys\n"
+            "from fdsic import cli\n"
+            "cli.main(['verify', '--suite', 'oracle-delay', '--output-dir', sys.argv[1]])\n"
+            "libc = ctypes.CDLL(None)\n"
+            "libc.fopen.restype = ctypes.c_void_p\n"
+            "libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]\n"
+            "libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]\n"
+            "libc.fclose.argtypes = [ctypes.c_void_p]\n"
+            "fp = libc.fopen(sys.argv[2].encode(), b'w')\n"
+            "libc.malloc_info(0, fp)\n"
+            "libc.fclose(fp)\n")
+        info = tmp_path / "malloc_info.xml"
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(info)],
+                              capture_output=True, text=True, cwd=REPO)
+        assert proc.returncode == 0, proc.stderr
+        assert info.read_text().count("<heap nr=") == 1
 
 
 def test_reproduce_trends_quick_writes_what_it_reports(tmp_path, monkeypatch, capsys):
