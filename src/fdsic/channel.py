@@ -44,11 +44,10 @@ class ChannelTap:
 
 @dataclass(frozen=True)
 class MultipathChannel:
-    """Taps sorted non-increasing by gain, plus carrier and transmit gain."""
+    """Taps sorted non-increasing by gain, plus carrier: H(f) at unit transmit power."""
 
     taps: tuple
     carrier_hz: float
-    tx_gain: float = 1.0  # linear power gain G_t
 
     def __post_init__(self):
         taps = tuple(self.taps)
@@ -58,8 +57,6 @@ class MultipathChannel:
         object.__setattr__(self, "taps", tuple(taps[i] for i in order))
         if self.carrier_hz <= 0:
             raise ValueError("carrier_hz must be positive")
-        if self.tx_gain <= 0:
-            raise ValueError("tx_gain must be positive")
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ def check_carrier(carrier_hz: float, sample_rate_hz: float) -> None:
 
 
 def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSignal:
-    """Baseband-equivalent SI: sqrt(G_t) * sum_k a_k e^{-j2 pi f_c tau_k} x(t - tau_k).
+    """Baseband-equivalent SI at unit transmit power: sum_k a_k e^{-j2 pi f_c tau_k} x(t - tau_k).
 
     Each tap is fractional_delay's delay routine on one shared forward FFT,
     so the result equals the per-tap fractional_delay sum bit for bit.
@@ -135,7 +132,6 @@ def apply_channel(channel: MultipathChannel, x: BasebandSignal) -> BasebandSigna
         delayed = x.samples if tap.delay_s == 0.0 else _delayed(X, freqs, tap.delay_s)
         # scalar on the left: numpy's complex multiply rounds s * delayed and delayed * s apart
         acc += tap.gain * phase * delayed
-    acc *= np.sqrt(channel.tx_gain)
     return BasebandSignal(acc, x.sample_rate_hz)
 
 

@@ -115,11 +115,15 @@ class ChannelConfig:
                 raise ValueError(f"{key} = {db} is out of range")
         self.build()  # a channel that cannot be built fails here, at load
 
+    @property
+    def tx_amplitude(self) -> float:
+        """sqrt(G_t), the amplitude factor of tx_gain_db: the one place it becomes linear."""
+        return float(np.sqrt(_power(self.tx_gain_db)))
+
     def build(self) -> MultipathChannel:
         """The explicit taps, or the circulator tap, then per reflector at distance d
         a tap of delay 2d/c (the round trip) and amplitude sqrt(min(cap, k (2d)^-alpha)):
-        the capped power law through (calib distance, calib loss)."""
-        tx_gain = _power(self.tx_gain_db)
+        the capped power law through (calib distance, calib loss): H(f) at unit transmit power."""
         if self.taps_db_ns:
             taps = [ChannelTap(gain=_amplitude(g_db), delay_s=d_ns * 1e-9)
                     for g_db, d_ns in self.taps_db_ns]
@@ -142,7 +146,7 @@ class ChannelConfig:
             for d in self.reflector_distances_m:
                 taps.append(ChannelTap(gain=_linear(amplitude, reflector_distances_m=d),
                                        delay_s=2.0 * d / SPEED_OF_LIGHT))
-        return MultipathChannel(taps=tuple(taps), carrier_hz=self.carrier_hz, tx_gain=tx_gain)
+        return MultipathChannel(taps=tuple(taps), carrier_hz=self.carrier_hz)
 
 
 @dataclass(frozen=True)

@@ -100,24 +100,24 @@ class PipelineResult:
 
 def _runs(cfgs: list):
     """Yield the PipelineResult of each of cfgs, which differ in tx_gain_db alone. One
-    frame, its SI at G_t = 1 and its design columns over both slices serve them all;
-    each run scales that SI by sqrt(G_t), which apply_channel applies last, so bit for bit."""
+    frame, its SI through the channel (H(f) at unit transmit power) and its design
+    columns over both slices serve them all; each run scales that SI by its tx_amplitude."""
     cfg, (train, ev) = cfgs[0], cfgs[0].slices
     x = gen_frame(cfg.signal)
-    unit_si = apply_channel(dataclasses.replace(cfg.channel.build(), tx_gain=1.0), x).samples
+    unit_si = apply_channel(cfg.channel.build(), x).samples
     cols, eval_cols = (design_columns(BasebandSignal(x.samples[s], x.sample_rate_hz),
                                       cfg.digital_order) for s in (train, ev))
     det = DetectorConfig(window_samples=cfg.detector_window, symbol_samples=cfg.signal.oversampling)
     for cfg in cfgs:
-        tx_gain = cfg.channel.build().tx_gain
-        si = BasebandSignal(unit_si * np.sqrt(tx_gain), x.sample_rate_hz)
-        residual_rf, tune_res = tune_vm(x, si, tx_gain, cfg.vm_bits, det, cfg.tune_budget)
+        amp = cfg.channel.tx_amplitude
+        si = BasebandSignal(unit_si * amp, x.sample_rate_hz)
+        residual_rf, tune_res = tune_vm(x, si, amp, cfg.vm_bits, det, cfg.tune_budget)
         rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
         ests, res_db, canceled = fit_orders(cols, eval_cols, rx.samples[train], rx.samples[ev])
         yield PipelineResult(
             cfg=cfg, x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, x.sample_rate_hz),
             estimate=ests[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=res_db,
-            tx_power_db=power_db(np.sqrt(tx_gain) * x.samples[ev]),
+            tx_power_db=power_db(amp * x.samples[ev]),
             rf_residual_db=power_db(rx.samples[ev]), d1_eval=eval_cols[1])
         del si, residual_rf, rx, canceled  # else they live on while the next run computes
 
@@ -200,8 +200,9 @@ def run_simulate(cfg: ExperimentConfig) -> CancellationReport:
 
 
 def format_point(value: float) -> str:
-    """Sweep-point label: an integer without decimals, any other value in full."""
-    return f"{value:.0f}" if float(value).is_integer() else repr(float(value))
+    """Sweep-point label: an integer without decimals, any other value in full. Zero is
+    "0" whatever its sign: -0.0 + 0.0 is +0.0, and adding 0.0 leaves any other value as is."""
+    return f"{value + 0.0:.0f}" if float(value).is_integer() else repr(float(value))
 
 
 def _sweep(cfg: ExperimentConfig, points, point_config, values, name: str, header: str) -> list:

@@ -160,15 +160,15 @@ def detector_env(si: BasebandSignal, tap: BasebandSignal, cfg: DetectorConfig):
     return env
 
 
-def tune_vm(x: BasebandSignal, si: BasebandSignal, tx_gain: float, vm_bits: int,
+def tune_vm(x: BasebandSignal, si: BasebandSignal, amplitude: float, vm_bits: int,
             detector_cfg: DetectorConfig, budget: int):
-    """Train the vector modulator against si, the SI of x at transmit gain tx_gain;
-    return the residual under the best state found and the tune result.
+    """Train the vector modulator against si, the SI of x sent at transmit
+    amplitude sqrt(G_t); return the residual under the best state found and the tune result.
 
-    The VM input is an exact, noiseless tap of the transmit signal scaled by
-    sqrt(G_t) (coupler losses are folded into G_t).
+    The VM input is an exact, noiseless tap of the transmit signal, amplitude * x
+    (coupler losses are folded into G_t). The residual is written into its buffer.
     """
-    tap = BasebandSignal(np.sqrt(tx_gain) * x.samples, x.sample_rate_hz)
+    tap = BasebandSignal(amplitude * x.samples, x.sample_rate_hz)
     result = tune(detector_env(si, tap, detector_cfg), VmState(0.0, 0.0, vm_bits), budget)
     res = np.multiply(result.state.complex_gain, tap.samples, out=tap.samples)
     return BasebandSignal(np.add(si.samples, res, out=res), x.sample_rate_hz), result
@@ -176,6 +176,6 @@ def tune_vm(x: BasebandSignal, si: BasebandSignal, tx_gain: float, vm_bits: int,
 
 def rf_stage(x: BasebandSignal, channel: MultipathChannel, vm_bits: int,
              detector_cfg: DetectorConfig, budget: int):
-    """The SI of x through channel, then tune_vm on it: (residual, tune result, SI)."""
+    """The SI of x through channel, then tune_vm at unit power: (residual, tune result, SI)."""
     si = apply_channel(channel, x)
-    return (*tune_vm(x, si, channel.tx_gain, vm_bits, detector_cfg, budget), si)
+    return (*tune_vm(x, si, 1.0, vm_bits, detector_cfg, budget), si)

@@ -2,8 +2,8 @@
 
 A multipath SI channel acting on a narrowband signal collapses to
 H(f) = C0 + C1 f, with higher orders C_n available when more accuracy is
-needed. C_n absorbs the 1/n! factor, so a reconstruction multiplies plain
-time derivatives.
+needed. C_n absorbs the 1/n! factor, so the model SI, sum_n (-1)^n C_n x^(n)
+(digital.model over design columns), multiplies plain time derivatives.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from math import factorial
 import numpy as np
 
 from .channel import MultipathChannel
-from .signals import BasebandSignal
 
 MAX_ORDER = 4
 
@@ -56,27 +55,10 @@ def taylor_coeffs(channel: MultipathChannel, order: int) -> tuple:
     return tuple(coeffs)
 
 
-def reconstruct(coeffs, x: BasebandSignal, derivatives=()) -> BasebandSignal:
-    """Model-side SI from coeffs = (C_0, ..., C_n): sum_n (-1)^n C_n x^(n)(t).
-
-    derivatives[i] is a BasebandSignal holding the (i+1)-th time derivative
-    of x, in units of 1/s^(i+1); C_n already contains the 1/n! factor.
-    """
-    order = len(coeffs) - 1
-    if len(derivatives) < order:
-        raise ValueError(f"need {order} derivative(s), got {len(derivatives)}")
-    acc = coeffs[0] * x.samples
-    for n in range(1, order + 1):
-        samples = derivatives[n - 1].samples
-        if len(samples) != len(x.samples):
-            raise ValueError("derivative length mismatch")
-        acc = acc + (-1) ** n * coeffs[n] * samples
-    return BasebandSignal(acc, x.sample_rate_hz)
-
-
 def total_error_budget(channel: MultipathChannel, symbol_T: float,
                        order: int = 1) -> ErrorBudget:
-    """Per-tap and summed error-power budget of the order-n approximation.
+    """Per-tap and summed error-power budget of the order-n approximation, per
+    unit transmit power: at G_t the error power is G_t times it.
 
     Order 1 uses the exact sinc-pulse constant; order 2 uses the same form
     with exponent 6 and an oracle-calibrated upper-estimate constant.

@@ -5,11 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fdsic.channel import impair
+from fdsic.channel import apply_channel, impair
 from fdsic.config import ExperimentConfig
 from fdsic.digital import design_columns, fit_orders, power_db
 from fdsic.harness import PipelineResult
-from fdsic.rfstage import DetectorConfig, rf_stage
+from fdsic.rfstage import DetectorConfig, tune_vm
 from fdsic.signals import BasebandSignal, gen_frame
 
 
@@ -66,14 +66,16 @@ def lemma_kernel_expanded(x) -> np.ndarray:
 
 def per_point_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     """One run on its own, as each power-sweep point ran before the points shared
-    their stages: its own frame, its own channel through rf_stage, impair, and the
-    frame's design columns differentiated for this run alone."""
+    their stages: its own frame, its own channel pass scaled to its transmit
+    amplitude, tune_vm, impair, and the frame's design columns differentiated
+    for this run alone."""
     x = gen_frame(cfg.signal)
     fs = x.sample_rate_hz
-    channel = cfg.channel.build()
+    amp = cfg.channel.tx_amplitude
+    si = BasebandSignal(apply_channel(cfg.channel.build(), x).samples * amp, fs)
     det = DetectorConfig(window_samples=cfg.detector_window,
                          symbol_samples=cfg.signal.oversampling)
-    residual_rf, tune_res, si = rf_stage(x, channel, cfg.vm_bits, det, cfg.tune_budget)
+    residual_rf, tune_res = tune_vm(x, si, amp, cfg.vm_bits, det, cfg.tune_budget)
     rx = impair(residual_rf, cfg.impairments, seed=cfg.seed)
     train, ev = cfg.slices
     cols = design_columns(BasebandSignal(x.samples[train], fs), cfg.digital_order)
@@ -82,5 +84,5 @@ def per_point_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     return PipelineResult(
         cfg=cfg, x=x, si=si, rx=rx, canceled=BasebandSignal(canceled, fs),
         estimate=ests[-1], tune=tune_res, eval_slice=ev, digital_residuals_db=res_db,
-        tx_power_db=power_db(np.sqrt(channel.tx_gain) * x.samples[ev]),
+        tx_power_db=power_db(amp * x.samples[ev]),
         rf_residual_db=power_db(rx.samples[ev]), d1_eval=eval_cols[1])

@@ -18,8 +18,8 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "fdsic"
 READERS = [REPO / "tests" / "test_acceptance.py", *(REPO / "perfbench").glob("*.py"),
            *(REPO / "scripts").glob("*.py")]
-# paper API kept for the model suite (ROADMAP 2A), which gives them their first callers
-RESERVED = {"taylor_coeffs", "reconstruct"}
+# paper API kept for the model suite (ROADMAP 2A), which gives it its first caller
+RESERVED = {"taylor_coeffs"}
 
 
 def _names_used(node: ast.AST) -> set:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdsic.channel import (MAX_DELAY_FRACTION, SPEED_OF_LIGHT, ChannelTap, MultipathChannel,
+from fdsic.channel import (MAX_DELAY_FRACTION, MAX_POWER_DB, SPEED_OF_LIGHT, ChannelTap,
+                           MultipathChannel,
                            ReceiverImpairments, _delayed, apply_channel, fractional_delay,
                            impair)
 from fdsic.config import ChannelConfig, load_config
 from fdsic.oracle import resample_delay_reference
 from fdsic.signals import BasebandSignal, SignalSpec, gen_frame
+from fdsic.taylor import taylor_coeffs, total_error_budget
 from reference import PathLossModel, path_loss
 from test_harness import CHANNEL_COMMON, CHANNEL_GEOMETRY
 
@@ -68,7 +70,7 @@ class TestPathLoss:
 
 
 def _taps_from_geometry(distances_m, model: PathLossModel, carrier_hz: float,
-                        extra_taps=(), tx_gain: float = 1.0) -> MultipathChannel:
+                        extra_taps=()) -> MultipathChannel:
     """The geometry channel as made before ChannelConfig.build made it itself:
     per reflector, round trip 2d, tau = 2d/c, amplitude sqrt(loss(2d)), after
     the extra taps (the circulator leakage) as given."""
@@ -81,7 +83,7 @@ def _taps_from_geometry(distances_m, model: PathLossModel, carrier_hz: float,
         if gain == 0.0:  # k (2d)^-alpha underflowed
             raise ValueError(f"reflector_distances_m = {d} is out of range")
         taps.append(ChannelTap(gain=gain, delay_s=rt / SPEED_OF_LIGHT))
-    return MultipathChannel(taps=tuple(taps), carrier_hz=carrier_hz, tx_gain=tx_gain)
+    return MultipathChannel(taps=tuple(taps), carrier_hz=carrier_hz)
 
 
 # the channel of every drawn config that describes reflector geometry
@@ -112,22 +114,43 @@ class TestTapsFromGeometry:
     @settings(max_examples=200, deadline=None)
     @given(ch=GEOMETRY_CHANNELS)
     def test_build_equals_the_former_geometry_channel(self, ch):
-        # tap for tap: gain, delay, order after the sort, and transmit gain
+        # tap for tap: gain, delay, order after the sort; and the transmit amplitude
         extra = () if ch.circulator_gain_db is None else (ChannelTap(
             gain=10.0 ** (ch.circulator_gain_db / 20.0), delay_s=ch.circulator_delay_ns * 1e-9),)
         model = PathLossModel(  # the constants as build computes them
             cap_delta=10.0 ** (ch.pathloss_cap_db / 10.0),
             k_const=10.0 ** (ch.pathloss_calib_db / 10.0)
             * ch.pathloss_calib_distance_m ** ch.pathloss_alpha, alpha=ch.pathloss_alpha)
-        want = _taps_from_geometry(ch.reflector_distances_m, model, ch.carrier_hz,
-                                   extra_taps=extra, tx_gain=10.0 ** (ch.tx_gain_db / 10.0))
+        want = _taps_from_geometry(ch.reflector_distances_m, model, ch.carrier_hz, extra_taps=extra)
         got = ch.build()
         assert [(t.gain, t.delay_s) for t in got.taps] == [(t.gain, t.delay_s) for t in want.taps]
-        assert (got.tx_gain, got.carrier_hz) == (want.tx_gain, want.carrier_hz)
+        assert (ch.tx_amplitude, got.carrier_hz) == (
+            np.sqrt(10.0 ** (ch.tx_gain_db / 10.0)), want.carrier_hz)
 
     def test_taps_sorted_by_gain(self, default_channel):
         gains = [t.gain for t in default_channel.taps]
         assert gains == sorted(gains, reverse=True)
+
+
+class TestChannelHoldsNoPower:
+    """The channel is H(f) at unit transmit power; tx_gain_db only scales what is sent."""
+
+    @pytest.mark.parametrize("g", [-MAX_POWER_DB, 0.0, 7.5, MAX_POWER_DB])
+    def test_channel_and_its_model_do_not_depend_on_tx_gain(self, g):
+        x = bandlimited_noise(4096, FS, seed=4)
+        unit, ch = ChannelConfig().build(), ChannelConfig(tx_gain_db=g).build()
+        assert apply_channel(ch, x).samples.tobytes() == apply_channel(unit, x).samples.tobytes()
+        # repr tells -0.0 from 0.0
+        assert repr(taylor_coeffs(ch, 2)) == repr(taylor_coeffs(unit, 2))
+        assert repr(total_error_budget(ch, 1 / (np.pi * 20e6), 1)) == repr(
+            total_error_budget(unit, 1 / (np.pi * 20e6), 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.floats(-MAX_POWER_DB, MAX_POWER_DB))
+    def test_tx_amplitude_is_sqrt_of_the_power_gain(self, g):
+        amp = ChannelConfig(tx_gain_db=g).tx_amplitude
+        assert type(amp) is float
+        assert repr(amp) == repr(float(np.sqrt(10.0 ** (g / 10.0))))
 
 
 class TestFractionalDelay:
@@ -299,9 +322,8 @@ class TestApplyChannel:
     def test_single_tap_power_scaling(self):
         x = bandlimited_noise(8192, FS, seed=2)
         a = 0.2
-        ch = MultipathChannel(taps=(ChannelTap(a, 1.3e-9),), carrier_hz=2.4e9,
-                              tx_gain=2.0)
-        y = apply_channel(ch, x)
+        ch = MultipathChannel(taps=(ChannelTap(a, 1.3e-9),), carrier_hz=2.4e9)
+        y = apply_channel(ch, BasebandSignal(np.sqrt(2.0) * x.samples, FS))  # at power gain 2
         assert y.mean_power == pytest.approx(a**2 * 2.0 * x.mean_power, rel=1e-9)
 
     def test_canceling_tap_pair(self):
@@ -327,7 +349,6 @@ class TestApplyChannel:
         for tap in channel.taps:
             phase = np.exp(-2j * np.pi * channel.carrier_hz * tap.delay_s)
             acc += tap.gain * phase * fractional_delay(x, tap.delay_s).samples
-        acc *= np.sqrt(channel.tx_gain)
         return acc
 
     @pytest.mark.parametrize("name", ["ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"])
@@ -339,8 +360,9 @@ class TestApplyChannel:
 
     def test_equals_per_tap_delay_sum_with_zero_delay_tap(self):
         x = bandlimited_noise(4096, FS, seed=3)
+        x = BasebandSignal(np.sqrt(2.0) * x.samples, FS)  # at transmit power gain 2
         ch = MultipathChannel(taps=(ChannelTap(0.5, 0.0), ChannelTap(0.3, 1.1e-9),
-                                    ChannelTap(0.1, 2.7e-9)), carrier_hz=2.4e9, tx_gain=2.0)
+                                    ChannelTap(0.1, 2.7e-9)), carrier_hz=2.4e9)
         assert np.array_equal(apply_channel(ch, x).samples, self.per_tap_sum(ch, x))
 
     def test_tap_delay_beyond_tenth_of_frame_rejected(self):

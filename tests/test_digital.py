@@ -305,7 +305,7 @@ class TestCancel:
         out = cancel(y, x, est)
         assert np.array_equal(out.samples, y.samples)
 
-    def test_reconstruct_matches_model(self):
+    def test_subtracted_si_is_a0_x_minus_c1_dx(self):
         # the SI cancel subtracts is a0 x - c1 x' through the fit's filter
         x = bandlimited_noise(2048, seed=15)
         y = bandlimited_noise(2048, seed=16)

@@ -589,7 +589,7 @@ class TestTwoParameterModel:
         result = run_pipeline(cfg, digital_order=1)
         channel = cfg.channel.build()
         c0, c1 = taylor_coeffs(channel, 1)
-        want = np.sqrt(channel.tx_gain) * c1 * cfg.signal.sample_rate_hz
+        want = cfg.channel.tx_amplitude * c1 * cfg.signal.sample_rate_hz
         assert abs(result.estimate.c1 - want) <= 1e-3 * abs(want)
         assert abs(result.tune.state.complex_gain + c0) <= 2 / 2 ** cfg.vm_bits
 
@@ -701,7 +701,21 @@ class TestSweeps:
         printed = capsys.readouterr().out.splitlines()
         assert [line.split(" dBm")[0] for line in printed] == ["0.4", "0.5"]
 
-    @pytest.mark.parametrize("p_dbm, label", [(-10, "-10"), (19.0, "19"), (-0.0, "-0"),
+    def test_negative_zero_power_point_is_labelled_zero(self, tmp_path, capsys):
+        # --dbm=-0 and --dbm=0 are the same run, so they write the same file and line
+        cfg_path = tmp_path / "exp.cfg"
+        save_config(small_cfg(tmp_path), cfg_path)
+        runs = {}
+        for arg in ("--dbm=-0", "--dbm=0"):
+            assert cli.main(["sweep-power", "--config", str(cfg_path), arg]) == 0
+            runs[arg] = ((tmp_path / "out" / "power_sweep.csv").read_bytes(),
+                         capsys.readouterr().out)
+        csv, printed = runs["--dbm=-0"]
+        assert csv.decode().splitlines()[1].split(",")[0] == "0"
+        assert printed.startswith("0 dBm: ")
+        assert runs["--dbm=-0"] == runs["--dbm=0"]
+
+    @pytest.mark.parametrize("p_dbm, label", [(-10, "-10"), (19.0, "19"), (-0.0, "0"),
                                               (0.4, "0.4"), (-2.25, "-2.25")])
     def test_power_label(self, p_dbm, label):
         # integer points keep the .0f label of the benchmark reference
@@ -995,16 +1009,16 @@ class TestStagesKeepTheirInputs:
 
     @pytest.mark.parametrize("tag", sorted(SHIPPED))
     def test_shared_frame_and_unit_si_unchanged_by_runs(self, tag, monkeypatch):
-        # after every run: the frame the runs share, and the unit-gain SI they each scale
+        # after every run: the frame the runs share, and the unit-power SI they each scale
         cfgs, unit_si = _shipped_points(tag, SHARED_POINTS_DB[1:4]), []
         monkeypatch.setattr(harness, "apply_channel", lambda channel, x: unit_si.append(
             apply_channel(channel, x)) or unit_si[-1])
         results = list(harness._runs(cfgs))
         x = gen_frame(cfgs[0].signal)
-        unit_channel = dataclasses.replace(cfgs[0].channel.build(), tx_gain=1.0)
         assert len(unit_si) == 1 and all(res.x is results[0].x for res in results)
         assert _bits_of(results[0].x.samples) == _bits_of(x.samples)
-        assert _bits_of(unit_si[0].samples) == _bits_of(apply_channel(unit_channel, x).samples)
+        assert _bits_of(unit_si[0].samples) == _bits_of(
+            apply_channel(cfgs[0].channel.build(), x).samples)
 
     def test_direct_stage_calls_leave_their_inputs_unchanged(self):
         cfg = load_config(REPO / "configs" / SHIPPED["ofdm"])
@@ -1021,7 +1035,8 @@ class TestStagesKeepTheirInputs:
             return out
 
         si = unchanged(lambda: apply_channel(channel, x), x.samples)
-        residual, _ = unchanged(lambda: rfstage.tune_vm(x, si, channel.tx_gain, cfg.vm_bits, det,
+        amp = cfg.channel.tx_amplitude
+        residual, _ = unchanged(lambda: rfstage.tune_vm(x, si, amp, cfg.vm_bits, det,
                                                         cfg.tune_budget), x.samples, si.samples)
         for imp in (*RECEIVERS.values(), ReceiverImpairments(noise_power=1e-9)):
             rx = unchanged(lambda: impair(residual, imp, seed=cfg.seed), residual.samples)
@@ -1029,6 +1044,17 @@ class TestStagesKeepTheirInputs:
             BasebandSignal(x.samples[s], x.sample_rate_hz), 2), x.samples) for s in (train, ev))
         b, y_ev = rx.samples[train], rx.samples[ev]
         unchanged(lambda: digital.fit_orders(cols, eval_cols, b, y_ev), *cols, *eval_cols, b, y_ev)
+
+
+class TestChannelBuiltOnce:
+    def test_thirty_point_runs_build_the_channel_once(self, monkeypatch):
+        # the points differ in tx_gain_db alone, which the channel does not hold
+        cfgs, built = _shipped_points("ofdm", range(-10, 20)), []
+        build = ChannelConfig.build
+        monkeypatch.setattr(ChannelConfig, "build", lambda self: built.append(self) or build(self))
+        for _ in harness._runs(cfgs):
+            pass
+        assert len(built) == 1
 
 
 def _report_text_by_hand(res):
@@ -1300,13 +1326,13 @@ class TestBlasThreads:
         # The tuner accepts a step when its reading is lower, so a last-bit
         # change in detector_env's three sums could flip a near-tie.
         script = (
-            "import sys\nimport numpy as np\nfrom fdsic import rfstage\n"
+            "import sys\nfrom fdsic import rfstage\n"
             "from fdsic.channel import apply_channel\nfrom fdsic.config import load_config\n"
             "from fdsic.signals import BasebandSignal, gen_frame\n"
             "for path in sys.argv[1:]:\n"
             "    cfg = load_config(path)\n"
             "    x, channel = gen_frame(cfg.signal), cfg.channel.build()\n"
-            "    tap = BasebandSignal(np.sqrt(channel.tx_gain) * x.samples, x.sample_rate_hz)\n"
+            "    tap = BasebandSignal(cfg.channel.tx_amplitude * x.samples, x.sample_rate_hz)\n"
             "    det = rfstage.DetectorConfig(cfg.detector_window, cfg.signal.oversampling)\n"
             "    env = rfstage.detector_env(apply_channel(channel, x), tap, det)\n"
             "    cells = dict(zip(env.__code__.co_freevars, env.__closure__))\n"

@@ -35,15 +35,16 @@ def narrowband_training_signal(w_hz=1e6, nsym=4096, seed=5):
 @functools.lru_cache(maxsize=1)
 def shipped_tuning_inputs(name, seed, tx_gain_db=0.0):
     """(config, SI, VM tap, detector config) of a shipped config's frame at
-    a signal seed, as rf_stage builds them. Cached because the property test
+    a signal seed, as the pipeline builds them. Cached because the property test
     asks for the same inputs on every example."""
     cfg = load_config(CONFIGS / name)
     x = gen_frame(dataclasses.replace(cfg.signal, seed=seed))
-    ch = dataclasses.replace(cfg.channel, tx_gain_db=tx_gain_db).build()
-    tap = BasebandSignal(np.sqrt(ch.tx_gain) * x.samples, x.sample_rate_hz)
+    amp = dataclasses.replace(cfg.channel, tx_gain_db=tx_gain_db).tx_amplitude
+    si = BasebandSignal(apply_channel(cfg.channel.build(), x).samples * amp, x.sample_rate_hz)
+    tap = BasebandSignal(amp * x.samples, x.sample_rate_hz)
     det = DetectorConfig(window_samples=cfg.detector_window,
                          symbol_samples=cfg.signal.oversampling)
-    return cfg, apply_channel(ch, x), tap, det
+    return cfg, si, tap, det
 
 
 def slow_env(si, tap, det):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fdsic import digital
 from fdsic.channel import ChannelTap, MultipathChannel, apply_channel
 from fdsic.signals import BasebandSignal
-from fdsic.taylor import MAX_ORDER, reconstruct, taylor_coeffs, total_error_budget
+from fdsic.taylor import MAX_ORDER, taylor_coeffs, total_error_budget
 
 FC = 2.395e9
 
@@ -95,23 +96,8 @@ def periodic_flat_noise(n, fs, half_band_hz, seed=0):
 
 
 class TestReconstruct:
-    def test_order_zero(self):
-        x = BasebandSignal(np.exp(2j * np.pi * 0.01 * np.arange(1024)), 80e6)
-        y = reconstruct((0.5 - 0.2j,), x)
-        assert np.max(np.abs(y.samples - (0.5 - 0.2j) * x.samples)) <= 1e-12
-
-    def test_zero_c1_ignores_derivative(self):
-        x = BasebandSignal(np.exp(2j * np.pi * 0.01 * np.arange(1024)), 80e6)
-        junk = BasebandSignal(np.random.default_rng(0).standard_normal(1024) + 0j, 80e6)
-        zero = BasebandSignal(np.full(1024, 1e-300, dtype=complex), 80e6)
-        ya = reconstruct((1.0, 0.0), x, [junk])
-        yb = reconstruct((1.0, 0.0), x, [zero])
-        assert np.array_equal(ya.samples, yb.samples)
-
-    def test_missing_derivatives_rejected(self):
-        x = BasebandSignal(np.ones(256, dtype=complex), 80e6)
-        with pytest.raises(ValueError):
-            reconstruct((1.0, 0.1), x)
+    """The model SI reconstructed from taylor_coeffs' C0, C1 by digital.model over
+    the columns (x, -x'): the paper's first-order model, against the true channel."""
 
     def test_single_tap_first_order_error_within_bound(self):
         # periodic noise whose angular band 1/T matches the spectral
@@ -125,8 +111,8 @@ class TestReconstruct:
         tau = 0.01 * T
         ch = single_tap_channel(1.0, tau, fc=2.395e9)
         truth = apply_channel(ch, x)
-        model = reconstruct(taylor_coeffs(ch, 1), x, [BasebandSignal(d1, fs)])
-        err = np.mean(np.abs(truth.samples - model.samples) ** 2)
+        model = digital.model([xs, -d1], taylor_coeffs(ch, 1))
+        err = np.mean(np.abs(truth.samples - model) ** 2)
         assert err <= total_error_budget(ch, T, 1).total_bound
 
 
