@@ -334,7 +334,7 @@ VERIFY_SUITES = {
 }
 
 
-def run_verify(suite: str, output_dir: str = ExperimentConfig.output_dir) -> bool:
+def run_verify(suite: str, output_dir: str) -> bool:
     """Run one named verification suite and write its verdict file. A suite's
     (key, text, verdict) rows pass unless a verdict is False; None is informational."""
     if suite not in VERIFY_SUITES:

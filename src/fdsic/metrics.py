@@ -29,28 +29,20 @@ class Psd:
         object.__setattr__(self, "freqs_hz", f)
         object.__setattr__(self, "power_db", p)
 
-    @property
-    def power_linear(self) -> np.ndarray:
-        return 10.0 ** (self.power_db / 10.0)
-
 
 def welch_segment(n: int) -> int:
     """Welch segment of an n-sample PSD: the largest power of two up to 4096."""
     return min(4096, 1 << (n.bit_length() - 1))
 
 
-def psd(signal: BasebandSignal, segment_len: int | None = None) -> Psd:
+def psd(signal: BasebandSignal) -> Psd:
     """Two-sided Hann-windowed averaged periodogram (density scaling) over
-    half-overlapping segments of segment_len samples, by default welch_segment(n),
-    normalized so the integral over frequency equals the mean power."""
+    half-overlapping segments of welch_segment(n) samples, normalized so the
+    integral over frequency equals the mean power."""
     n = len(signal)
     if n < 2:
         raise ValueError(f"psd needs at least 2 samples, got {n}")
-    segment_len = welch_segment(n) if segment_len is None else segment_len
-    if segment_len < 2 or segment_len & (segment_len - 1):
-        raise ValueError(f"segment_len = {segment_len} must be a power of two >= 2")
-    if segment_len > n:
-        raise ValueError(f"segment_len = {segment_len} exceeds the {n}-sample signal")
+    segment_len = welch_segment(n)
     # scipy.signal.welch's arithmetic: periodic Hann window scaled to density
     # (summed left to right), one FFT over every hop-th window of a strided view,
     # and each bin's segments laid out contiguously so the mean sums them pairwise
@@ -90,7 +82,7 @@ def slope_diagnostic(p: Psd, band: tuple) -> dict:
     if mask.sum() < MIN_BAND_BINS:
         raise ValueError("too few PSD bins in the requested band")
     fv = np.abs(p.freqs_hz[mask]) / f_hi  # in units of f_hi: polyfit's SVD fails at |f| ~ 1e-200
-    amp = np.sqrt(p.power_linear[mask])
+    amp = np.sqrt(10.0 ** (p.power_db[mask] / 10.0))
     m, b = np.polyfit(fv, amp, 1)
     fit = m * fv + b
     ss_res = float(np.sum((amp - fit) ** 2))

@@ -1,8 +1,8 @@
 """Baseband waveform generation: single-carrier (sinc/RRC pulse shaped) and OFDM.
 
 The generated frames serve both as the known transmit reference and as the
-source of self-interference in the simulator. All generators normalize to
-unit mean power and are deterministic for a given seed.
+source of self-interference in the simulator. gen_frame seeds every frame
+with spec.seed and normalizes it to unit mean power.
 """
 
 from __future__ import annotations
@@ -156,15 +156,14 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(p)
 
 
-def _gen_single_carrier(spec: SignalSpec) -> BasebandSignal:
-    """Pulse-shaped symbol stream at rate oversampling * W, unit mean power.
+def _gen_single_carrier(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
+    """Raw samples of a pulse-shaped symbol stream at rate oversampling * W.
 
     The frame carries the full truncated pulse tails: symbol m is centred at
     sample (PULSE_SPAN + m) * oversampling, and the frame length is
     (num_symbols - 1 + 2 * PULSE_SPAN) * oversampling + 1 samples.
     """
     os_ = spec.oversampling
-    rng = np.random.default_rng(spec.seed)
     syms = draw_symbols(rng, spec.num_symbols, spec.constellation)
 
     n_taps = 2 * PULSE_SPAN * os_ + 1
@@ -173,8 +172,7 @@ def _gen_single_carrier(spec: SignalSpec) -> BasebandSignal:
 
     train = np.zeros((spec.num_symbols - 1) * os_ + 1, dtype=np.complex128)
     train[::os_] = syms
-    x = np.convolve(train, h.astype(np.complex128), mode="full")
-    return BasebandSignal(_normalize(x), spec.sample_rate_hz)
+    return np.convolve(train, h.astype(np.complex128), mode="full")
 
 
 def _ofdm_used_bins(fft_size: int, used: int) -> np.ndarray:
@@ -189,8 +187,8 @@ def _ofdm_used_bins(fft_size: int, used: int) -> np.ndarray:
     return np.concatenate([np.arange(lo, lo + half + extra), -np.arange(lo, lo + half)])
 
 
-def _gen_ofdm(spec: SignalSpec) -> BasebandSignal:
-    """Windowed CP-OFDM frame at rate oversampling * W, unit mean power.
+def _gen_ofdm(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
+    """Raw samples of a windowed CP-OFDM frame at rate oversampling * W.
 
     Carriers occupy symmetric bins of the FFT grid (spacing W/fft_size) with
     DC +- OFDM_DC_GUARD and the outer band-edge bins nulled. Each symbol
@@ -205,7 +203,6 @@ def _gen_ofdm(spec: SignalSpec) -> BasebandSignal:
     nfft = spec.ofdm_fft_size
     used = spec.ofdm_used_carriers
     os_ = spec.oversampling
-    rng = np.random.default_rng(spec.seed)
 
     body = nfft * os_
     cp = (nfft // 8) * os_
@@ -224,15 +221,15 @@ def _gen_ofdm(spec: SignalSpec) -> BasebandSignal:
     for s, td in enumerate(sym):
         ext = np.concatenate([td[body - cp - taper:], td, td[:taper]])
         buf[s * sym_len:s * sym_len + len(ext)] += ext * win
-    del sym, td  # free the symbols before _normalize copies the frame
     frame = buf[taper:len(buf) - taper]
     frame[len(frame) - taper:] += buf[:taper]
     frame[:taper] += buf[len(buf) - taper:]
-    return BasebandSignal(_normalize(frame), spec.sample_rate_hz)
+    return frame
 
 
 def gen_frame(spec: SignalSpec) -> BasebandSignal:
-    """The frame spec describes: dispatch on spec.kind, which SignalSpec has checked."""
-    if spec.kind == "ofdm":
-        return _gen_ofdm(spec)
-    return _gen_single_carrier(spec)
+    """The frame spec describes, at unit mean power: one rng seeded with spec.seed
+    feeds the generator of spec.kind, which SignalSpec has checked."""
+    gen = _gen_ofdm if spec.kind == "ofdm" else _gen_single_carrier
+    return BasebandSignal(_normalize(gen(spec, np.random.default_rng(spec.seed))),
+                          spec.sample_rate_hz)

@@ -4,6 +4,7 @@ that no command of the simulator computes."""
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import signal as sp_signal
 
 from fdsic.channel import apply_channel, impair
 from fdsic.config import ExperimentConfig
@@ -47,6 +48,17 @@ def papr_db(signal: BasebandSignal) -> float:
     if mean == 0:
         raise ValueError("zero-power signal")
     return float(10.0 * np.log10(p.max() / mean))
+
+
+def welch_db(x: BasebandSignal, segment_len: int):
+    """The scipy.signal.welch call metrics.psd replaced, kept as its oracle and
+    for resolutions psd does not offer: sorted frequencies and power in dB, as
+    psd returns them."""
+    freqs, pxx = sp_signal.welch(x.samples, fs=x.sample_rate_hz, window="hann",
+                                 nperseg=segment_len, noverlap=segment_len // 2,
+                                 detrend=False, return_onesided=False, scaling="density")
+    order = np.argsort(freqs)
+    return freqs[order], 10.0 * np.log10(pxx[order] + 1e-300)
 
 
 def lemma_kernel_expanded(x) -> np.ndarray:

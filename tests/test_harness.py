@@ -1245,9 +1245,9 @@ class TestVerify:
         assert f"direct_vs_closed_max_gap = 0.418412 {verdict}" in lines
         assert "sup_direct_sum = 0.627319 fail" in lines
 
-    def test_unknown_suite(self):
+    def test_unknown_suite(self, tmp_path):
         with pytest.raises(ValueError):
-            run_verify("nonsense")
+            run_verify("nonsense", output_dir=str(tmp_path))
 
 
 class TestSpectrumCommand:

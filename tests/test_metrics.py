@@ -2,12 +2,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import signal as sp_signal
 
 from fdsic import harness
 from fdsic.config import load_config
 from fdsic.metrics import Psd, psd, slope_diagnostic, welch_segment
 from fdsic.signals import BasebandSignal
+from reference import welch_db
 
 FS = 80e6
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -22,74 +22,52 @@ def white_noise(n, power=1.0, seed=0):
 class TestPsd:
     def test_tone_peak(self):
         f0 = 2.5e6
-        n = np.arange(65536)
+        n = np.arange(262144)
         x = BasebandSignal(np.exp(2j * np.pi * f0 * n / FS), FS)
-        p = psd(x, 1024)
+        p = psd(x)
         peak_bin = np.argmax(p.power_db)
         assert abs(p.freqs_hz[peak_bin] - f0) <= FS / len(p.freqs_hz)
         floor = np.median(p.power_db)
         assert p.power_db[peak_bin] - floor >= 40.0
 
     def test_parseval(self):
-        x = white_noise(262144, power=0.73, seed=1)
-        p = psd(x, 2048)
-        total = np.sum(p.power_linear) * FS / len(p.freqs_hz)
+        x = white_noise(524288, power=0.73, seed=1)
+        p = psd(x)
+        total = np.sum(10 ** (p.power_db / 10)) * FS / len(p.freqs_hz)
         assert total == pytest.approx(x.mean_power, rel=0.01)
 
     def test_white_noise_flat(self):
         # 511 half-overlapping Hann segments put the per-bin spread (~0.19 dB)
         # far inside the 1.5 dB envelope for every bin
-        x = white_noise(256 * 256, power=2.0, seed=3)
-        p = psd(x, 256)
+        x = white_noise(4096 * 256, power=2.0, seed=3)
+        p = psd(x)
         dev = p.power_db - 10 * np.log10(2.0 / FS)
         assert np.max(np.abs(dev)) <= 1.5
 
     def test_phase_rotation_invariance(self):
-        x = white_noise(16384, seed=4)
+        x = white_noise(65536, seed=4)
         y = BasebandSignal(x.samples * np.exp(1j * 1.1), FS)
-        pa, pb = psd(x, 1024), psd(y, 1024)
+        pa, pb = psd(x), psd(y)
         assert np.allclose(pa.power_db, pb.power_db, atol=1e-9)
-
-    def test_segment_validation(self):
-        x = white_noise(4096)
-        with pytest.raises(ValueError, match="^segment_len = 1000 must be a power of two >= 2$"):
-            psd(x, 1000)
-        with pytest.raises(ValueError, match="^segment_len = 8192 exceeds the 4096-sample signal$"):
-            psd(x, 8192)
-        with pytest.raises(ValueError, match="^segment_len = 1 must be a power of two >= 2$"):
-            psd(x, 1)
 
     def test_refuses_one_sample(self):
         with pytest.raises(ValueError, match="^psd needs at least 2 samples, got 1$"):
             psd(white_noise(1))
 
     def test_freqs_strictly_increasing(self):
-        p = psd(white_noise(8192), 512)
+        p = psd(white_noise(65536))
         assert np.all(np.diff(p.freqs_hz) > 0)
 
     @pytest.mark.parametrize("n, segment_len", [(3000, 2048), (51000, 4096)])
     def test_default_segment_is_welch_segment(self, n, segment_len):
         # below 4096 samples the largest power of two that fits, above it 4096
-        x = white_noise(n, seed=n)
         assert welch_segment(n) == segment_len
-        got, want = psd(x), psd(x, welch_segment(n))
-        assert np.array_equal(got.freqs_hz, want.freqs_hz)
-        assert np.array_equal(got.power_db, want.power_db)
+        assert len(psd(white_noise(n, seed=n)).freqs_hz) == segment_len
 
 
-def welch_db(x, segment_len):
-    """The scipy.signal.welch call psd replaced, kept as its oracle: sorted
-    frequencies and power in dB, as psd returns them."""
-    freqs, pxx = sp_signal.welch(x.samples, fs=x.sample_rate_hz, window="hann",
-                                 nperseg=segment_len, noverlap=segment_len // 2,
-                                 detrend=False, return_onesided=False, scaling="density")
-    order = np.argsort(freqs)
-    return freqs[order], 10.0 * np.log10(pxx[order] + 1e-300)
-
-
-def assert_equals_welch(x, segment_len):
-    p = psd(x, segment_len)
-    freqs, power_db = welch_db(x, segment_len)
+def assert_equals_welch(x):
+    p = psd(x)
+    freqs, power_db = welch_db(x, welch_segment(len(x)))
     assert np.array_equal(p.freqs_hz, freqs)
     assert np.array_equal(p.power_db, power_db)
 
@@ -111,23 +89,23 @@ class TestWelchOracle:
     @pytest.mark.parametrize("name", ["ofdm_20mhz.cfg", "single_carrier_10mhz.cfg"])
     def test_shipped_stage_signals(self, shipped_stage_signals, name, stage):
         x = shipped_stage_signals[name, stage]
-        segment_len = len(psd(x).freqs_hz)
-        assert segment_len == 4096
-        assert_equals_welch(x, segment_len)
+        assert welch_segment(len(x)) == 4096
+        assert_equals_welch(x)
 
-    # L == n (one segment), odd lengths, a power of two, and lengths that
-    # leave a partial segment unused
+    # psd's segment is welch_segment(n): L for n = L (one segment) and for the
+    # odd lengths L + 1 and 2L - 1 (a partial segment left unused); 3L + 5 and
+    # 8L take 2L to 8L, at most 4096, so at L = 4096 they average 5 and 15 segments
     LENGTHS = {"L": lambda L: L, "L+1": lambda L: L + 1, "2L-1": lambda L: 2 * L - 1,
                "3L+5": lambda L: 3 * L + 5, "8L": lambda L: 8 * L}
 
-    @pytest.mark.parametrize("segment_len", [1 << k for k in range(1, 13)])
+    @pytest.mark.parametrize("L", [1 << k for k in range(1, 13)])
     @pytest.mark.parametrize("length", sorted(LENGTHS))
-    def test_random_complex_signals(self, segment_len, length):
-        n = self.LENGTHS[length](segment_len)
-        rng = np.random.default_rng(segment_len + n)
+    def test_random_complex_signals(self, L, length):
+        n = self.LENGTHS[length](L)
+        rng = np.random.default_rng(L + n)
         for fs in (FS, 1.0, 30.72e6):
             x = BasebandSignal(rng.standard_normal(n) + 1j * rng.standard_normal(n), fs)
-            assert_equals_welch(x, segment_len)
+            assert_equals_welch(x)
 
 
 def spectra_signal(shape, n=1 << 18, seed=5):
@@ -147,26 +125,26 @@ class TestSlopeDiagnostic:
 
     def test_derivative_shape(self):
         x = spectra_signal(1.0)
-        d = slope_diagnostic(psd(x, 4096), self.BAND)
+        d = slope_diagnostic(psd(x), self.BAND)
         assert d["r2"] >= 0.95
         assert d["slope_db_per_decade"] == pytest.approx(20.0, abs=3.0)
 
     def test_flat_shape(self):
         x = spectra_signal(0.0)
-        d = slope_diagnostic(psd(x, 4096), self.BAND)
+        d = slope_diagnostic(psd(x), self.BAND)
         assert abs(d["slope_db_per_decade"]) <= 2.0
 
     def test_amplitude_scale_invariance(self):
         x = spectra_signal(1.0, seed=6)
         y = BasebandSignal(x.samples * 123.0, FS)
-        da = slope_diagnostic(psd(x, 4096), self.BAND)
-        db = slope_diagnostic(psd(y, 4096), self.BAND)
+        da = slope_diagnostic(psd(x), self.BAND)
+        db = slope_diagnostic(psd(y), self.BAND)
         assert da["r2"] == pytest.approx(db["r2"], abs=1e-9)
         assert da["slope_db_per_decade"] == pytest.approx(db["slope_db_per_decade"], abs=1e-9)
 
     def test_frequency_scale_invariance(self):
         # at |f| ~ 1e-243 Hz np.polyfit on |f| itself fails; in units of f_hi it cannot
-        p = psd(spectra_signal(1.0, seed=7), 4096)
+        p = psd(spectra_signal(1.0, seed=7))
         want = slope_diagnostic(p, self.BAND)
         got = slope_diagnostic(Psd(p.freqs_hz * 1e-250, p.power_db),
                                (self.BAND[0] * 1e-250, self.BAND[1] * 1e-250))
@@ -175,7 +153,7 @@ class TestSlopeDiagnostic:
                                                            abs=1e-12)
 
     def test_band_validation(self):
-        p = psd(white_noise(8192), 512)
+        p = psd(white_noise(65536))
         with pytest.raises(ValueError):
             slope_diagnostic(p, (0.0, 1e6))
         with pytest.raises(ValueError):

@@ -328,7 +328,7 @@ class TestRfStage:
         ch = MultipathChannel(taps=(ChannelTap(10 ** (-18 / 20), 0.8e-9),),
                               carrier_hz=FC)
         residual, _, _ = rf_stage(x, ch, vm_bits=24, detector_cfg=self.CFG, budget=2000)
-        p = psd(residual, 4096)
+        p = psd(residual)
         edge = (spec.ofdm_used_carriers / 2 + 3) / spec.ofdm_fft_size * spec.bandwidth_hz
         diag = slope_diagnostic(p, (0.05 * edge, 0.9 * edge))
         assert diag["r2"] >= 0.9
