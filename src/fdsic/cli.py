@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate, sweep-bandwidth, sweep-power, verify, spectrum.
-Exit status 0: every check the invocation ran passed; 1: a check failed; 2: a usage
-error, or a refused config, which prints one stderr line "fdsic: error: <message>".
+Exit status 0: every check the invocation ran passed; 1: a check failed; 2: a usage error,
+or a refused config or output directory, which prints one stderr line "fdsic: error: <message>".
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import dataclasses
 import functools
 import sys
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, check_output_dir, load_config
 from .harness import (STAGES, format_point, run_simulate, run_spectrum, run_sweep_bandwidth,
                       run_sweep_power, run_verify, VERIFY_SUITES)
 
@@ -51,6 +51,7 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.output_dir is not None:  # "" is the current directory
         cfg = dataclasses.replace(cfg, output_dir=args.output_dir)
+    check_output_dir(cfg.output_dir)
     return cfg
 
 
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"{flag}={argv[i + 1]}"]
     args = _parser().parse_args(argv)
     _keep_freed_memory()
-    try:  # only config loading and sweep point building raise ConfigError
+    try:  # only config loading, the output_dir check and sweep point building raise ConfigError
         if args.command == "simulate":
             report = run_simulate(_load(args))
             print(f"rf_cancellation_db = {report.rf_cancellation_db:.2f}")
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            ok = run_verify(args.suite, output_dir=args.output_dir)
+            ok = run_verify(args.suite, output_dir=check_output_dir(args.output_dir))
             print(f"suite {args.suite}: {'pass' if ok else 'fail'}")
             return 0 if ok else 1
 

@@ -71,6 +71,14 @@ class ConfigError(ValueError):
     """A refused config: a file that cannot be read, or a value no run can take."""
 
 
+def check_output_dir(path: str) -> str:
+    """path, refused unless the first of it and its parents that exists is a directory."""
+    found = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"output_dir = {path!r}: {str(found)!r} is not a directory")
+    return path
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Channel description: explicit taps or reflector geometry, not both."""

@@ -265,7 +265,7 @@ def run_spectrum(cfg: ExperimentConfig, stage: str) -> Path:
 
 
 def _verify_lemma() -> list:
-    # one draw for the whole grid; each err_power is exact_delay_oracle's, bit for bit
+    # one draw for the whole grid; exact_delay_oracle is the same body on one delay
     errs = oracle.delay_error_powers(LEMMA_SPEC, LEMMA_TAU_GRID)
     rows = []
     for tau, err in zip(LEMMA_TAU_GRID, errs):

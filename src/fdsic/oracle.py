@@ -19,8 +19,8 @@ from .signals import BasebandSignal, SignalSpec, draw_symbols
 # only ever lowers it.
 SYMBOL_HALF_WINDOW = 256
 
-# Default sample count and only seed of the pulse-train oracles' Monte Carlo
-# draw; the frozen values in tests/data/oracle_frozen.txt come from this draw.
+# Default sample count and only seed of the lemma oracle's Monte Carlo draw;
+# the frozen values in tests/data/oracle_frozen.txt come from this draw.
 ORACLE_TRIALS = 100_000
 ORACLE_SEED = 12345
 
@@ -141,12 +141,15 @@ def poisson_check(delta_over_T: float) -> PoissonCheck:
     return PoissonCheck(direct_sum=direct, closed_form=poisson_closed_form(delta_over_T))
 
 
-def _pulse_train_draw(spec: SignalSpec, trials: int):
-    """Monte Carlo draw of the lemma's pulse train x(t) = sum_n s_n g(t - n),
-    g(v) = sin(v)/v: from one RNG seeded with ORACLE_SEED, the sampling offsets
-    v = t - n, then the symbols s_n. Returns v, g(v) and power(w), the mean power
-    of sum_n s_n w(t - n) relative to that of x. Weights w never use the RNG, so
-    they may be computed after the draw."""
+def _error_powers(spec: SignalSpec, taus, trials: int) -> list:
+    """Monte Carlo power of the first-order Taylor error of a delayed sinc pulse
+    train x(t) = sum_n s_n g(t - n), g(v) = sin(v)/v, at each delay tau of `taus`:
+
+        E = x(t - tau) - x(t) + tau x'(t),
+
+    from the closed forms of sin(x)/x (no FIR filters), relative to the power of
+    x. One RNG seeded with ORACLE_SEED draws the sampling offsets v = t - n, then
+    the symbols s_n, once for all delays. A spec with any other pulse is refused."""
     if spec.pulse != "sinc":
         raise ValueError("the Monte Carlo oracle evaluates the sinc pulse only, "
                          f"not {spec.pulse!r}")
@@ -162,49 +165,29 @@ def _pulse_train_draw(spec: SignalSpec, trials: int):
     mean_power = float(np.mean(np.sum(gv**2, axis=1)))
     syms = draw_symbols(rng, (n_trials, len(n)), spec.constellation)
     re, im = np.stack([syms.real, syms.imag])  # C-contiguous, so no product copies them
+    del syms  # the planes hold the draw; its complex copy would raise the peak memory
+    gdv = _lemma_sinc_deriv(v)
 
-    def power(w):
+    def power(eps: float) -> float:  # a function, so w, p and q go before the next delay
+        w = _lemma_sinc(v - eps)  # the error weight g(v - eps) - g(v) + eps g'(v), in place
+        w -= gv
+        w += eps * gdv
         # w is real, so |syms @ w.T|^2 splits into two real products, squared and added in place
         p, q = re @ w.T, im @ w.T
         return float(np.mean(np.add(np.square(p, out=p), np.square(q, out=q), out=p)) / mean_power)
-    return v, gv, power
-
-
-def _error_weight(v, gv, gdv, eps: float) -> np.ndarray:
-    """First-order error weight (g(v - eps) - g(v)) + eps g'(v), in place on g(v - eps)."""
-    w = _lemma_sinc(v - eps)
-    w -= gv
-    w += eps * gdv
-    return w
+    return [power(eps) for eps in map(float, taus)]
 
 
 def exact_delay_oracle(spec: SignalSpec, tau_over_T: float, trials: int = ORACLE_TRIALS) -> dict:
-    """Monte Carlo Taylor errors of a delayed sinc pulse train.
-
-    Draws random symbol sequences and sampling instants, evaluates
-    x(t - tau), x(t) and its derivatives from the closed forms of sin(x)/x
-    (no FIR filters), and returns the measured powers of
-
-        E = x(t - tau) - x(t) + tau x'(t),   tau x'(t)   and   E - (tau^2 / 2) x''(t)
-
-    for the unit-power normalized signal: err_power is the quantity bounded
-    by 0.075 (tau/T)^4, order2_power the second-order remainder that
-    calibrates the order-2 budget. A spec with any other pulse is refused.
-    """
-    eps = float(tau_over_T)
-    v, gv, power = _pulse_train_draw(spec, trials)
-    gdv = _lemma_sinc_deriv(v)
-    err = _error_weight(v, gv, gdv, eps)
-    return {"err_power": power(err), "deriv_power": power(eps * gdv),
-            "order2_power": power(err - 0.5 * eps**2 * _lemma_sinc_deriv2(v))}
+    """{"err_power": the lemma's error power at one delay}, bounded by
+    0.075 (tau/T)^4: _error_powers on a fresh draw of `trials` samples."""
+    return {"err_power": _error_powers(spec, [tau_over_T], trials)[0]}
 
 
 def delay_error_powers(spec: SignalSpec, taus) -> list:
     """exact_delay_oracle's err_power at each delay of `taus`, bit for bit, from
     one draw: the offsets, g(v), g'(v) and the symbols are shared."""
-    v, gv, power = _pulse_train_draw(spec, ORACLE_TRIALS)
-    gdv = _lemma_sinc_deriv(v)
-    return [power(_error_weight(v, gv, gdv, tau)) for tau in map(float, taus)]
+    return _error_powers(spec, taus, ORACLE_TRIALS)
 
 
 def resample_delay_reference(signal: BasebandSignal, delay_s: float) -> BasebandSignal:

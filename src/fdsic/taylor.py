@@ -26,10 +26,6 @@ MAX_ORDER = 4
 # 0.65x with T = 1/(pi W); a flat band of +-W/2 gives pi^4/20 (tau W)^4.
 LEMMA_CONST = 0.075
 
-# Empirical leading constant for the second-order remainder, calibrated with
-# the exact-delay oracle (asymptotic value 1/252 ~ 0.003968, rounded up).
-ORDER2_CONST = 0.0045
-
 
 @dataclass(frozen=True)
 class ErrorBudget:
@@ -57,22 +53,17 @@ def taylor_coeffs(channel: MultipathChannel, order: int) -> tuple:
 
 def total_error_budget(channel: MultipathChannel, symbol_T: float,
                        order: int = 1) -> ErrorBudget:
-    """Per-tap and summed error-power budget of the order-n approximation, per
-    unit transmit power: at G_t the error power is G_t times it.
+    """Per-tap and summed error-power budget of the first-order approximation,
+    per unit transmit power: at G_t the error power is G_t times it. Only
+    order 1, the paper's model, has a budget; any other order is refused.
 
-    Order 1 uses the exact sinc-pulse constant; order 2 uses the same form
-    with exponent 6 and an oracle-calibrated upper-estimate constant.
     symbol_T is the sin(x)/x pulse's time unit (see LEMMA_CONST): 1/(pi W)
     for a signal of two-sided bandwidth W, not 1/W.
     """
-    if order == 1:
-        const, expo = LEMMA_CONST, 4
-    elif order == 2:
-        const, expo = ORDER2_CONST, 6
-    else:
-        raise ValueError("order must be 1 or 2")
+    if order != 1:
+        raise ValueError("order must be 1")
     if symbol_T <= 0:
         raise ValueError("symbol duration must be positive")
-    per_tap = tuple(const * t.gain ** 2 * (t.delay_s / symbol_T) ** expo
+    per_tap = tuple(LEMMA_CONST * t.gain ** 2 * (t.delay_s / symbol_T) ** 4
                     for t in channel.taps)
     return ErrorBudget(per_tap_bound=per_tap)

@@ -1496,6 +1496,38 @@ class TestCli:
         assert (tmp_path / written).is_file()
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _no_frame(*_):
+        raise AssertionError("a frame was made")
+
+    @pytest.mark.parametrize("under", ["", "/out/sub"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("args", [
+        ["simulate"],
+        ["sweep-power", "--dbm=0"],
+        ["sweep-bandwidth", "--bw=20e6"],
+        ["spectrum", "--stage", "rf"],
+        ["verify", "--suite", "oracle-delay"],  # the one suite that makes frames
+    ], ids=lambda args: args[0])
+    def test_output_dir_at_or_under_a_file_is_refused_before_the_run(
+            self, tmp_path, monkeypatch, capsys, args, under):
+        monkeypatch.setattr(harness, "gen_frame", self._no_frame)
+        (tmp_path / "file").write_text("kept\n")
+        out_dir = f"{tmp_path / 'file'}{under}"
+        assert cli.main([*args, "--output-dir", out_dir]) == 2
+        assert capsys.readouterr() == ("", f"fdsic: error: output_dir = {out_dir!r}: "
+                                           f"{str(tmp_path / 'file')!r} is not a directory\n")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    def test_run_section_output_dir_under_a_file_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "gen_frame", self._no_frame)
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"[run]\noutput_dir = {tmp_path / 'file' / 'out'}\n")
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("fdsic: error: output_dir = ")
+        assert sorted(tmp_path.iterdir()) == [cfg_path, tmp_path / "file"]
+
     @pytest.mark.parametrize("tag", sorted(SHIPPED))
     def test_simulate_runs_at_a_bandwidth_of_1e_minus_200_hz(self, tmp_path, capsys, tag):
         # the slope fit's |f| ~ 1e-200 Hz, where np.polyfit on |f| itself fails
