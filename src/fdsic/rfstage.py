@@ -94,8 +94,8 @@ def power_detect(residual: BasebandSignal, cfg: DetectorConfig) -> float:
 
 
 def tune(env, init: VmState, budget: int) -> TuneResult:
-    """Coordinate descent on the quantized (g1, g2) grid using only the
-    scalar detector reading.
+    """Coordinate descent on the quantized (g1, g2) grid using only the scalar
+    detector reading env(g), a function of the complex VM gain g = g1 + j g2.
 
     Axes alternate; along an axis the search keeps stepping while the reading
     improves, trying both directions. When a full sweep accepts no move the
@@ -105,39 +105,38 @@ def tune(env, init: VmState, budget: int) -> TuneResult:
     if budget <= 0:
         raise ValueError("budget must be positive")
     lsb = _quant_step(init.bits)
-    # accepted states and their readings; the last of each is the best so far
-    states, readings = [init], [float(env(init))]
+    # accepted (g1, g2) points and their readings; the last of each is the best so far
+    points, readings = [[init.g1, init.g2]], [float(env(init.complex_gain))]
     evals, step, converged = 1, TUNE_INITIAL_STEP, False
     while evals < budget and not converged:
-        sweep_start = len(states)
+        sweep_start = len(points)
         for axis in (0, 1):
             for sign in (1.0, -1.0):
-                dir_start = len(states)
+                dir_start = len(points)
                 while evals < budget:
-                    g = [states[-1].g1, states[-1].g2]
-                    g[axis] = min(max(g[axis] + sign * step, -1.0), 1.0)
-                    cand = VmState(g[0], g[1], init.bits)  # quantized once, here
-                    if cand == states[-1]:
+                    cand = list(points[-1])
+                    cand[axis] = _quantize(cand[axis] + sign * step, init.bits)  # VmState's rule
+                    if cand == points[-1]:
                         break
-                    f = float(env(cand))
+                    f = float(env(cand[0] + 1j * cand[1]))
                     evals += 1
                     if not f < readings[-1]:  # a NaN reading is never accepted
                         break
-                    states.append(cand)
+                    points.append(cand)
                     readings.append(f)
-                if len(states) > dir_start:
+                if len(points) > dir_start:
                     break  # moving back along the axis cannot improve
-        if len(states) == sweep_start:
+        if len(points) == sweep_start:
             step /= 2.0
             converged = step < lsb
+    states = tuple(VmState(g1, g2, init.bits) for g1, g2 in points)
     return TuneResult(state=states[-1], detector_readings=tuple(readings),
-                      iterations=evals, converged=converged,
-                      accepted_states=tuple(states))
+                      iterations=evals, converged=converged, accepted_states=states)
 
 
 def detector_env(si: BasebandSignal, tap: BasebandSignal, cfg: DetectorConfig):
-    """The detector reading of the residual si + g tap, g the VM state's
-    complex gain, as a function of the VM state, for the tuner.
+    """The detector reading of the residual si + g tap as a function of the
+    complex VM gain g, the env that tune reads.
 
     Over the window the reading is a quadratic in the VM gain g,
     2 (|s|^2 + 2 Re(g <s, t>) + |g|^2 |t|^2) / W, so each call is scalar
@@ -153,8 +152,7 @@ def detector_env(si: BasebandSignal, tap: BasebandSignal, cfg: DetectorConfig):
     st = np.sum(s_w.conj() * t_w)
     tt = np.sum(t_w.conj() * t_w).real
 
-    def env(state: VmState) -> float:
-        g = state.complex_gain
+    def env(g: complex) -> float:
         return float(2.0 * (ss + 2.0 * (g * st).real + abs(g) ** 2 * tt) / w)
 
     return env

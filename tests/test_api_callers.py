@@ -20,7 +20,7 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "fdsic"
 READERS = [REPO / "tests" / "test_acceptance.py", *(REPO / "perfbench").glob("*.py"),
            *(REPO / "scripts").glob("*.py")]
-# paper API kept for the model suite (ROADMAP 2A), which gives it its first caller
+# paper API kept for the model suite (ROADMAP item 1), which gives it its first caller
 RESERVED = {"taylor_coeffs"}
 
 

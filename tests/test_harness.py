@@ -1620,4 +1620,10 @@ def test_reproduce_trends_quick_writes_what_it_reports(tmp_path, monkeypatch, ca
         assert (tmp_path / name / "report.txt").is_file()
     for name in ("bandwidth_full", "bandwidth_circulator"):
         assert (tmp_path / name / "bandwidth_sweep.csv").is_file()
-    assert (tmp_path / "power" / "power_sweep.csv").is_file()
+    # the script's OFDM runs are the CLI's, byte for byte
+    config, cli_out = str(REPO / "configs" / "ofdm_20mhz.cfg"), tmp_path / "cli"
+    assert cli.main(["simulate", "--config", config, "--output-dir", str(cli_out)]) == 0
+    assert cli.main(["sweep-power", "--config", config, "--dbm=-10,-5,0,5,10,15",
+                     "--output-dir", str(cli_out)]) == 0
+    for subdir, name in (("ofdm_20mhz", "report.txt"), ("power", "power_sweep.csv")):
+        assert (tmp_path / subdir / name).read_bytes() == (cli_out / name).read_bytes()

@@ -48,10 +48,10 @@ def shipped_tuning_inputs(name, seed, tx_gain_db=0.0):
 
 
 def slow_env(si, tap, det):
-    """The detector reading built sample by sample: the reference for
-    detector_env."""
-    return lambda state: power_detect(
-        BasebandSignal(si.samples + state.complex_gain * tap.samples, si.sample_rate_hz), det)
+    """The detector reading built sample by sample, as a function of the
+    complex VM gain g: the reference for detector_env."""
+    return lambda g: power_detect(
+        BasebandSignal(si.samples + g * tap.samples, si.sample_rate_hz), det)
 
 
 class TestVmApply:
@@ -144,15 +144,15 @@ class TestTune:
         step = 2.0 / (1 << bits)
         target = (37 * step, -101 * step)
 
-        def env(s):
-            return (s.g1 - target[0]) ** 2 + (s.g2 - target[1]) ** 2
+        def env(g):
+            return (g.real - target[0]) ** 2 + (g.imag - target[1]) ** 2
 
         res = tune(env, VmState(0.0, 0.0, bits=bits), budget=2000)
         assert res.converged
         assert (res.state.g1, res.state.g2) == pytest.approx(target, abs=1e-12)
 
     def test_constant_env_returns_init(self):
-        res = tune(lambda s: 1.0, VmState(0.25, -0.5, bits=8), budget=500)
+        res = tune(lambda g: 1.0, VmState(0.25, -0.5, bits=8), budget=500)
         assert res.converged
         assert (res.state.g1, res.state.g2) == (0.25, -0.5)
         assert res.detector_readings == (1.0,)
@@ -160,16 +160,16 @@ class TestTune:
     def test_never_worse_than_init(self):
         rng = np.random.default_rng(3)
 
-        def env(s):
-            return float(np.sin(20 * s.g1) ** 2 + np.cos(17 * s.g2 + 1) ** 2)
+        def env(g):
+            return float(np.sin(20 * g.real) ** 2 + np.cos(17 * g.imag + 1) ** 2)
 
         init = VmState(0.125, 0.125, bits=8)
         res = tune(env, init, budget=300)
-        assert env(res.state) <= env(init) + 1e-15
+        assert env(res.state.complex_gain) <= env(init.complex_gain) + 1e-15
 
     def test_readings_non_increasing(self):
-        def env(s):
-            return (s.g1 - 0.3) ** 2 + (s.g2 + 0.4) ** 2
+        def env(g):
+            return (g.real - 0.3) ** 2 + (g.imag + 0.4) ** 2
 
         res = tune(env, VmState(0.0, 0.0, bits=12), budget=1000)
         r = res.detector_readings
@@ -177,7 +177,7 @@ class TestTune:
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
-            tune(lambda s: 0.0, VmState(0, 0, bits=16), budget=0)
+            tune(lambda g: 0.0, VmState(0, 0, bits=16), budget=0)
 
     def test_single_tap_pipeline_drop(self):
         x = narrowband_training_signal(w_hz=1e6)
@@ -186,7 +186,7 @@ class TestTune:
         si = apply_channel(ch, x)
         env = slow_env(si, x, DetectorConfig(window_samples=16384, symbol_samples=4))
         res = tune(env, VmState(0.0, 0.0, bits=16), budget=2000)
-        untuned = env(VmState(0.0, 0.0, bits=16))
+        untuned = env(VmState(0.0, 0.0, bits=16).complex_gain)
         assert 10 * np.log10(res.detector_readings[-1] / untuned) <= -60.0
 
 
@@ -197,7 +197,7 @@ def reference_tune(env, init: VmState, budget: int) -> TuneResult:
         raise ValueError("budget must be positive")
     lsb = rfstage._quant_step(init.bits)
     best = init
-    f_best = float(env(best))
+    f_best = float(env(best.complex_gain))
     evals = 1
     readings = [f_best]
     states = [best]
@@ -218,7 +218,7 @@ def reference_tune(env, init: VmState, budget: int) -> TuneResult:
                     cand = moved(best, axis, sign * step)
                     if (cand.g1, cand.g2) == (best.g1, best.g2):
                         break
-                    f = float(env(cand))
+                    f = float(env(cand.complex_gain))
                     evals += 1
                     if f < f_best:
                         best, f_best = cand, f
@@ -247,17 +247,17 @@ def tuner_envs(draw):
     kind = draw(st.sampled_from(["quadratic", "constant", "wavy", "nan", "inf", "-inf"]))
     a, b = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
     if kind == "quadratic":
-        return lambda s: (s.g1 - a) ** 2 + 3.0 * (s.g2 - b) ** 2
+        return lambda g: (g.real - a) ** 2 + 3.0 * (g.imag - b) ** 2
     if kind == "constant":
-        return lambda s: a
+        return lambda g: a
 
-    def wavy(s):
-        return math.sin(9.0 * s.g1 + a) ** 2 + math.cos(7.0 * s.g2 + b) ** 2
+    def wavy(g):
+        return math.sin(9.0 * g.real + a) ** 2 + math.cos(7.0 * g.imag + b) ** 2
 
     if kind == "wavy":
         return wavy
     bad = float(kind)
-    return lambda s: bad if s.g1 + s.g2 > a else wavy(s)
+    return lambda g: bad if g.real + g.imag > a else wavy(g)
 
 
 class TestTuneOracle:
@@ -270,15 +270,23 @@ class TestTuneOracle:
         state = VmState(init[0], init[1], bits)
         assert repr(tune(env, state, budget)) == repr(reference_tune(env, state, budget))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_matches_reference_tune_on_detector_readings(self, name, seed):
+        cfg, si, tap, det = shipped_tuning_inputs(name, seed)
+        env, init = detector_env(si, tap, det), VmState(0.0, 0.0, cfg.vm_bits)
+        assert repr(tune(env, init, cfg.tune_budget)) == \
+            repr(reference_tune(env, init, cfg.tune_budget))
+
 
 class TestDetectorEnv:
     @settings(max_examples=200, deadline=None)
     @given(g1=st.floats(-1.0, 1.0), g2=st.floats(-1.0, 1.0), bits=st.integers(1, 24))
     def test_matches_power_detect(self, g1, g2, bits):
         _, si, tap, det = shipped_tuning_inputs(SHIPPED[0], 1, tx_gain_db=7.0)
-        state = VmState(g1, g2, bits)
-        assert detector_env(si, tap, det)(state) == pytest.approx(
-            slow_env(si, tap, det)(state), rel=1e-9)
+        g = VmState(g1, g2, bits).complex_gain
+        assert detector_env(si, tap, det)(g) == pytest.approx(
+            slow_env(si, tap, det)(g), rel=1e-9)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", SHIPPED)
@@ -301,8 +309,9 @@ class TestRfStage:
 
     def test_probes_build_no_signal(self, monkeypatch):
         # each probe is scalar arithmetic: rf_stage builds only the tap and
-        # the final residual, however many probes the tuner makes
-        calls = dict.fromkeys(("BasebandSignal", "power_detect"), 0)
+        # the final residual, however many probes the tuner makes, and a
+        # VmState only for tune_vm's init and each state tune returns
+        calls = dict.fromkeys(("BasebandSignal", "power_detect", "VmState"), 0)
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(rfstage, name)):
                 calls[_name] += 1
@@ -314,7 +323,8 @@ class TestRfStage:
         _, res, _ = rf_stage(gen_frame(cfg.signal), cfg.channel.build(), cfg.vm_bits,
                              det, cfg.tune_budget)
         assert res.iterations > 1
-        assert calls == {"BasebandSignal": 2, "power_detect": 0}
+        assert calls == {"BasebandSignal": 2, "power_detect": 0,
+                         "VmState": 1 + len(res.accepted_states)}
 
     def test_returns_the_si(self, default_channel):
         x = gen_frame(SignalSpec(kind="ofdm", bandwidth_hz=20e6, num_symbols=12, seed=1))
