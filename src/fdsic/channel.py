@@ -140,10 +140,7 @@ def impair(rx: BasebandSignal, imp: ReceiverImpairments, seed: int) -> BasebandS
 
     The ADC full scale is ADC_FULLSCALE_RMS times the pre-quantizer RMS.
     """
-    y = rx
-    if imp.sample_offset != 0.0:
-        y = fractional_delay(y, imp.sample_offset)
-    samples = y.samples  # each impairment below makes a new array
+    samples = fractional_delay(rx, imp.sample_offset).samples  # each step below makes a new array
     if imp.noise_power > 0.0:
         rng = np.random.default_rng(seed)
         scale = np.sqrt(imp.noise_power / 2.0)

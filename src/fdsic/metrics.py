@@ -54,10 +54,9 @@ def psd(signal: BasebandSignal) -> Psd:
     pxx = np.square(spec.real)
     pxx += np.square(spec.imag)
     pxx = np.ascontiguousarray(pxx.T).mean(axis=-1)
-    freqs = np.fft.fftfreq(segment_len, 1 / fs)
-    order = np.argsort(freqs)
-    return Psd(freqs_hz=freqs[order],
-               power_db=10.0 * np.log10(pxx[order] + 1e-300))
+    # segment_len is an even power of two, so fftshift orders the bins ascending
+    return Psd(freqs_hz=np.fft.fftshift(np.fft.fftfreq(segment_len, 1 / fs)),
+               power_db=10.0 * np.log10(np.fft.fftshift(pxx) + 1e-300))
 
 
 def band_mask(freqs_hz: np.ndarray, band: tuple) -> np.ndarray:

@@ -117,18 +117,11 @@ class PoissonCheck:
     closed_form: float
 
 
-def poisson_closed_form(delta_over_T: float) -> float:
-    """Closed-form periodization target built from the fhat constants:
-
-        fhat(0) + 2 fhat(1) cos(2 pi delta/T)
-    """
-    return float(FHAT0_CLOSED
-                 + 2.0 * FHAT1_CLOSED * np.cos(2.0 * np.pi * delta_over_T))
-
-
 def poisson_check(delta_over_T: float) -> PoissonCheck:
     """Directly periodize the kernel, sum over |n| <= 1000, and compare with
-    the closed form.
+    the closed-form periodization target built from the fhat constants:
+
+        fhat(0) + 2 fhat(1) cos(2 pi delta/T)
 
     Note the direct sum is constant in delta at ~pi/5 = 0.628: the kernel's
     transform vanishes beyond angular frequency 2, well inside the first
@@ -138,7 +131,8 @@ def poisson_check(delta_over_T: float) -> PoissonCheck:
     """
     n = np.arange(-POISSON_N_MAX, POISSON_N_MAX + 1)
     direct = float(np.sum(lemma_kernel(delta_over_T - n)))
-    return PoissonCheck(direct_sum=direct, closed_form=poisson_closed_form(delta_over_T))
+    closed = FHAT0_CLOSED + 2.0 * FHAT1_CLOSED * np.cos(2.0 * np.pi * delta_over_T)
+    return PoissonCheck(direct_sum=direct, closed_form=float(closed))
 
 
 def _error_powers(spec: SignalSpec, taus, trials: int) -> list:

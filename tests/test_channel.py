@@ -159,6 +159,12 @@ class TestFractionalDelay:
         y = fractional_delay(x, 0.0)
         assert np.max(np.abs(y.samples - x.samples)) <= 1e-12
 
+    def test_zero_delay_returns_its_input(self):
+        # impair passes every offset here, so a zero offset must skip the
+        # FFT round trip and leave the received samples bit for bit
+        x = bandlimited_noise(4096, FS, seed=2)
+        assert fractional_delay(x, 0.0) is x
+
     def test_integer_delay_is_circular_shift(self):
         x = bandlimited_noise(4096, FS, seed=3)
         y = fractional_delay(x, 5 / FS)

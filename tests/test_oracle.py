@@ -14,7 +14,7 @@ from fdsic.harness import LEMMA_SPEC, LEMMA_TAU_GRID
 from fdsic.oracle import (FHAT0_CLOSED, ORACLE_SEED, POISSON_N_MAX, SYMBOL_HALF_WINDOW,
                           delay_error_powers, exact_delay_oracle,
                           kernel_fourier0_numeric, lemma_kernel, poisson_check,
-                          poisson_closed_form, resample_delay_reference)
+                          resample_delay_reference)
 from fdsic.signals import BasebandSignal, SignalSpec, draw_symbols, gen_frame
 from reference import lemma_kernel_expanded
 
@@ -132,14 +132,14 @@ class TestKernelFourier:
 class TestPoissonCheck:
     def test_closed_form_values(self):
         root = np.sqrt(np.pi / 2)
-        assert poisson_closed_form(0.0) == pytest.approx((0.2 + 2 / 60) * root, rel=1e-12)
-        assert poisson_closed_form(0.0) == pytest.approx(0.2924, abs=1e-4)
-        assert poisson_closed_form(0.25) == pytest.approx(0.2 * root, rel=1e-12)
-        assert poisson_closed_form(0.25) == pytest.approx(0.25066, abs=1e-5)
+        assert poisson_check(0.0).closed_form == pytest.approx((0.2 + 2 / 60) * root, rel=1e-12)
+        assert poisson_check(0.0).closed_form == pytest.approx(0.2924, abs=1e-4)
+        assert poisson_check(0.25).closed_form == pytest.approx(0.2 * root, rel=1e-12)
+        assert poisson_check(0.25).closed_form == pytest.approx(0.25066, abs=1e-5)
 
     def test_closed_form_supremum(self):
         grid = np.linspace(0.0, 1.0, 100)
-        assert max(poisson_closed_form(d) for d in grid) <= 0.3
+        assert max(poisson_check(d).closed_form for d in grid) <= 0.3
 
     def test_direct_sum_constant_near_pi_over_5(self):
         # the kernel's transform vanishes beyond angular frequency 2, so its

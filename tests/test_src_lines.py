@@ -5,7 +5,7 @@ SRC_LINE_BUDGET and gives the reason in CHANGES.md."""
 import importlib.util
 from pathlib import Path
 
-SRC_LINE_BUDGET = 1576
+SRC_LINE_BUDGET = 1568
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "src_lines.py"
 _spec = importlib.util.spec_from_file_location("src_lines", _SCRIPT)
